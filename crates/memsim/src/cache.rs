@@ -70,21 +70,61 @@ impl CacheGeometry {
     pub fn line_of(self, addr: u64) -> u64 {
         addr & !(self.line_bytes - 1)
     }
+}
 
-    fn set_index(self, addr: u64) -> usize {
-        ((addr / self.line_bytes) & (self.sets() - 1)) as usize
+/// What [`access_mru`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lookup {
+    /// The tag was resident.
+    Hit,
+    /// The tag was missing and took a free slot.
+    Filled,
+    /// The tag was missing and the set was full: the LRU tag fell out.
+    Evicted,
+}
+
+/// Access `tag` in an MRU-first set whose first `len` of `set.len()`
+/// slots are resident. One pass searches and shifts: every slot before
+/// the tag's old place moves back by one and the tag lands in front, so
+/// a hit rotates only the slots up to the hit one, and a miss shifts
+/// the whole resident run and keeps the LRU tag only if a slot is free.
+#[inline]
+pub(crate) fn access_mru(set: &mut [u64], len: usize, tag: u64) -> Lookup {
+    let mut carry = tag;
+    for slot in &mut set[..len] {
+        let t = std::mem::replace(slot, carry);
+        if t == tag {
+            return Lookup::Hit;
+        }
+        carry = t;
+    }
+    if len < set.len() {
+        set[len] = carry;
+        Lookup::Filled
+    } else {
+        Lookup::Evicted
     }
 }
 
 /// One set-associative cache level with LRU replacement.
 ///
 /// Tags are full line addresses; the simulator does not store data (the
-/// heap holds the data; the cache only answers hit/miss).
+/// heap holds the data; the cache only answers hit/miss). All sets live
+/// in one flat array: set `s` owns the `ways` slots starting at
+/// `s * ways`, and only its first `fill[s]` slots are resident, most
+/// recently used first, so the last resident slot is the LRU line.
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
-    /// Per set: resident line addresses, most recently used first.
-    sets: Vec<Vec<u64>>,
+    ways: usize,
+    /// `log2(line_bytes)`: address → line number.
+    line_shift: u32,
+    /// `sets - 1`: line number → set index.
+    set_mask: u64,
+    /// `sets × ways` line tags, one MRU-first run of `ways` per set.
+    tags: Box<[u64]>,
+    /// Resident slots per set.
+    fill: Box<[u32]>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -94,9 +134,15 @@ impl Cache {
     /// Create an empty (cold) cache.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
+        let ways = geometry.associativity();
+        let sets = geometry.sets() as usize;
         Cache {
-            sets: vec![Vec::with_capacity(geometry.associativity()); geometry.sets() as usize],
             geometry,
+            ways,
+            line_shift: geometry.line_bytes().trailing_zeros(),
+            set_mask: geometry.sets() - 1,
+            tags: vec![0; sets * ways].into_boxed_slice(),
+            fill: vec![0; sets].into_boxed_slice(),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -109,58 +155,71 @@ impl Cache {
         self.geometry
     }
 
+    /// The line tag of `addr` and the index of its set.
+    #[inline]
+    fn locate(&self, addr: u64) -> (u64, usize) {
+        let number = addr >> self.line_shift;
+        (number << self.line_shift, (number & self.set_mask) as usize)
+    }
+
+    /// The full `ways`-slot run of set `set`.
+    #[inline]
+    fn set_slots(&mut self, set: usize) -> &mut [u64] {
+        let base = set * self.ways;
+        &mut self.tags[base..base + self.ways]
+    }
+
     /// Access the line containing `addr`; returns `true` on hit. On a miss
     /// the line is filled (write-allocate) and the LRU line of the set is
     /// evicted.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = self.geometry.line_of(addr);
-        let set = &mut self.sets[self.geometry.set_index(addr)];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.insert(0, l);
-            self.hits += 1;
-            true
-        } else {
-            if set.len() == self.geometry.associativity() {
-                set.pop();
-                self.evictions += 1;
+        let (line, set) = self.locate(addr);
+        let len = self.fill[set] as usize;
+        match access_mru(self.set_slots(set), len, line) {
+            Lookup::Hit => {
+                self.hits += 1;
+                return true;
             }
-            set.insert(0, line);
-            self.misses += 1;
-            false
+            Lookup::Filled => self.fill[set] += 1,
+            Lookup::Evicted => self.evictions += 1,
         }
+        self.misses += 1;
+        false
     }
 
     /// Fill the line containing `addr` without counting a demand access
     /// (used by the prefetcher). The filled line is inserted in LRU
     /// position so a useless prefetch is evicted first.
     pub fn fill_prefetch(&mut self, addr: u64) {
-        let line = self.geometry.line_of(addr);
-        let assoc = self.geometry.associativity();
-        let set = &mut self.sets[self.geometry.set_index(addr)];
-        if set.contains(&line) {
+        let (line, set) = self.locate(addr);
+        let len = self.fill[set] as usize;
+        let ways = self.ways;
+        let slots = self.set_slots(set);
+        if slots[..len].contains(&line) {
             return;
         }
-        if set.len() == assoc {
-            set.pop();
+        if len == ways {
+            slots[ways - 1] = line;
             self.evictions += 1;
+        } else {
+            slots[len] = line;
+            self.fill[set] += 1;
         }
-        set.push(line);
     }
 
     /// Whether the line containing `addr` is resident (no LRU update).
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let line = self.geometry.line_of(addr);
-        self.sets[self.geometry.set_index(addr)].contains(&line)
+        let (line, set) = self.locate(addr);
+        let base = set * self.ways;
+        self.tags[base..base + self.fill[set] as usize].contains(&line)
     }
 
     /// Invalidate every line (used to model the cache pollution of a full
     /// garbage collection).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.fill.fill(0);
     }
 
     /// Demand hits so far.
@@ -185,7 +244,7 @@ impl Cache {
     /// Number of currently resident lines.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().map(|&n| n as usize).sum()
     }
 }
 

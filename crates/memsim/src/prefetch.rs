@@ -44,36 +44,34 @@ impl StreamPrefetcher {
     }
 
     /// Observe a demand L2 miss at `addr`; returns the line addresses to
-    /// prefetch (empty while no stream is confirmed).
-    pub fn observe_miss(&mut self, addr: u64) -> Vec<u64> {
+    /// prefetch (none while no stream is confirmed).
+    pub fn observe_miss(&mut self, addr: u64) -> impl Iterator<Item = u64> {
         self.tick += 1;
-        let line = addr & !(self.line_bytes - 1);
+        let line_bytes = self.line_bytes;
+        let line = addr & !(line_bytes - 1);
+        let mut count = 0;
         if let Some(s) = self.streams.iter_mut().find(|s| s.next_line == line) {
             s.confidence = s.confidence.saturating_add(1);
-            s.next_line = line + self.line_bytes;
+            s.next_line = line + line_bytes;
             s.last_use = self.tick;
             if s.confidence >= 2 {
-                let base = line + self.line_bytes;
-                let out: Vec<u64> = (0..self.depth)
-                    .map(|i| base + i * self.line_bytes)
-                    .collect();
-                self.issued += out.len() as u64;
-                return out;
+                count = self.depth;
+                self.issued += count;
             }
-            return Vec::new();
+        } else {
+            // New candidate stream starting after this line.
+            let candidate = Stream {
+                next_line: line + line_bytes,
+                confidence: 1,
+                last_use: self.tick,
+            };
+            if self.streams.len() < self.max_streams {
+                self.streams.push(candidate);
+            } else if let Some(oldest) = self.streams.iter_mut().min_by_key(|s| s.last_use) {
+                *oldest = candidate;
+            }
         }
-        // New candidate stream starting after this line.
-        let candidate = Stream {
-            next_line: line + self.line_bytes,
-            confidence: 1,
-            last_use: self.tick,
-        };
-        if self.streams.len() < self.max_streams {
-            self.streams.push(candidate);
-        } else if let Some(oldest) = self.streams.iter_mut().min_by_key(|s| s.last_use) {
-            *oldest = candidate;
-        }
-        Vec::new()
+        (1..=count).map(move |i| line + i * line_bytes)
     }
 
     /// Total prefetches proposed so far.
@@ -95,11 +93,12 @@ mod tests {
     #[test]
     fn sequential_stream_is_detected_after_two_misses() {
         let mut p = StreamPrefetcher::new(128, 2);
-        assert!(
-            p.observe_miss(0x0000).is_empty(),
+        assert_eq!(
+            p.observe_miss(0x0000).count(),
+            0,
             "first miss: candidate only"
         );
-        let pf = p.observe_miss(0x0080);
+        let pf: Vec<u64> = p.observe_miss(0x0080).collect();
         assert_eq!(pf, vec![0x0100, 0x0180], "second sequential miss confirms");
     }
 
@@ -107,7 +106,7 @@ mod tests {
     fn random_misses_never_prefetch() {
         let mut p = StreamPrefetcher::new(128, 2);
         for addr in [0x0000u64, 0x5000, 0x2000, 0x9000, 0x4000] {
-            assert!(p.observe_miss(addr).is_empty());
+            assert_eq!(p.observe_miss(addr).count(), 0);
         }
         assert_eq!(p.issued(), 0);
     }
@@ -115,19 +114,20 @@ mod tests {
     #[test]
     fn multiple_concurrent_streams() {
         let mut p = StreamPrefetcher::new(128, 1);
-        p.observe_miss(0x0000);
-        p.observe_miss(0x10000);
-        assert!(!p.observe_miss(0x0080).is_empty());
-        assert!(!p.observe_miss(0x10080).is_empty());
+        assert_eq!(p.observe_miss(0x0000).count(), 0);
+        assert_eq!(p.observe_miss(0x10000).count(), 0);
+        assert_eq!(p.observe_miss(0x0080).count(), 1);
+        assert_eq!(p.observe_miss(0x10080).count(), 1);
     }
 
     #[test]
     fn flush_forgets_streams() {
         let mut p = StreamPrefetcher::new(128, 1);
-        p.observe_miss(0x0000);
+        assert_eq!(p.observe_miss(0x0000).count(), 0);
         p.flush();
-        assert!(
-            p.observe_miss(0x0080).is_empty(),
+        assert_eq!(
+            p.observe_miss(0x0080).count(),
+            0,
             "stream state was dropped"
         );
     }

@@ -1,15 +1,19 @@
 //! Fully associative data TLB with LRU replacement.
 
+use crate::cache::{access_mru, Lookup};
+
 /// A fully associative translation lookaside buffer.
 ///
 /// Tracks which virtual pages have cached translations; a miss costs a
-/// page-walk penalty (see [`crate::LatencyModel::tlb_miss`]).
+/// page-walk penalty (see [`crate::LatencyModel::tlb_miss`]). The
+/// entries are one MRU-first set, laid out like a [`crate::Cache`] set.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    entries: usize,
     page_shift: u32,
-    /// Resident page numbers, most recently used first.
-    pages: Vec<u64>,
+    /// One slot per entry; the first `len` hold resident page numbers,
+    /// most recently used first.
+    pages: Box<[u64]>,
+    len: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -29,9 +33,9 @@ impl Tlb {
         );
         assert!(entries > 0, "TLB must have at least one entry");
         Tlb {
-            entries,
             page_shift: page_bytes.trailing_zeros(),
-            pages: Vec::with_capacity(entries),
+            pages: vec![0; entries].into_boxed_slice(),
+            len: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -39,27 +43,30 @@ impl Tlb {
     }
 
     /// Translate the page containing `addr`; returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let page = addr >> self.page_shift;
-        if let Some(pos) = self.pages.iter().position(|&p| p == page) {
-            let p = self.pages.remove(pos);
-            self.pages.insert(0, p);
+        // The MRU slot takes the largest share of translations (44 % on
+        // db): check it before searching (and shifting) the rest.
+        if self.len > 0 && self.pages[0] == page {
             self.hits += 1;
-            true
-        } else {
-            if self.pages.len() == self.entries {
-                self.pages.pop();
-                self.evictions += 1;
-            }
-            self.pages.insert(0, page);
-            self.misses += 1;
-            false
+            return true;
         }
+        match access_mru(&mut self.pages, self.len, page) {
+            Lookup::Hit => {
+                self.hits += 1;
+                return true;
+            }
+            Lookup::Filled => self.len += 1,
+            Lookup::Evicted => self.evictions += 1,
+        }
+        self.misses += 1;
+        false
     }
 
     /// Drop all translations (context-switch / GC pollution model).
     pub fn flush(&mut self) {
-        self.pages.clear();
+        self.len = 0;
     }
 
     /// Hits so far.

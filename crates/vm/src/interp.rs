@@ -140,6 +140,12 @@ pub struct Vm<'p> {
     /// Retirement width of the block's tier (set at frame entry; a batch
     /// never spans a control transfer, so it is single-tier).
     batch_width: u64,
+    /// No cycle budget and no tier-1 timer: nothing reads the clock
+    /// between polls, so the epilogue's fast path may skip it.
+    clock_free: bool,
+    /// Bytecodes allowed before [`VmError::StepLimit`] (`u64::MAX` when
+    /// unlimited).
+    step_cap: u64,
     roots_scratch: Vec<Address>,
 }
 
@@ -188,6 +194,8 @@ impl<'p> Vm<'p> {
             batch_outcomes: Vec::with_capacity(BATCH_CAP),
             batch_mach: 0,
             batch_width: 1,
+            clock_free: config.cycle_budget.is_none() && !config.jit.tier1_enabled,
+            step_cap: config.step_limit.unwrap_or(u64::MAX),
             roots_scratch: Vec::with_capacity(64),
             program,
             config,
@@ -721,21 +729,37 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
-    /// Per-bytecode bookkeeping shared by every fast-path op: step
-    /// accounting, the tier-1 sampling timer, and the poll timer. Returns
-    /// `true` when a recompilation replaced a decoded body and the caller
-    /// must refetch.
-    #[inline]
+    /// Per-bytecode bookkeeping shared by every fast-path op. Counts the
+    /// bytecode and returns at once unless something is due: a step
+    /// limit, a poll, or a clock check (a cycle budget or the tier-1
+    /// timer), which [`Vm::epilogue_slow`] handles. Returns `true` when a
+    /// recompilation replaced a decoded body and the caller must refetch.
+    #[inline(always)]
     fn epilogue<H: RuntimeHooks>(
         &mut self,
         hooks: &mut H,
         next_poll: &mut u64,
     ) -> Result<bool, VmError> {
         self.bytecodes += 1;
-        if let Some(limit) = self.config.step_limit {
-            if self.bytecodes > limit {
-                return Err(VmError::StepLimit);
-            }
+        if self.clock_free && self.bytecodes < *next_poll && self.bytecodes <= self.step_cap {
+            return Ok(false);
+        }
+        self.epilogue_slow(hooks, next_poll)
+    }
+
+    /// The epilogue's slow path, run after the bytecode is counted: step
+    /// accounting, the cycle budget and the tier-1 sampling timer (both
+    /// read the running clock, block cycles included), and the poll
+    /// timer.
+    #[cold]
+    #[inline(never)]
+    fn epilogue_slow<H: RuntimeHooks>(
+        &mut self,
+        hooks: &mut H,
+        next_poll: &mut u64,
+    ) -> Result<bool, VmError> {
+        if self.bytecodes > self.step_cap {
+            return Err(VmError::StepLimit);
         }
         let mut refetch = false;
         let clock = self.cycles + self.batch_mach.div_ceil(self.batch_width);
@@ -2224,5 +2248,195 @@ mod tests {
                  ({fast_cycles} vs {slow_cycles})"
             );
         }
+    }
+
+    /// A loop calling a helper that bumps a field of one object: calls,
+    /// returns, heap accesses and back edges, so the per-bytecode
+    /// epilogue runs after every kind of op.
+    fn field_bump_loop(iters: i64) -> Program {
+        let mut pb = ProgramBuilder::new();
+        let node = pb.add_class("Node", &[("v", FieldType::Int)]);
+        let v = pb.field_id(node, "v").unwrap();
+        let g = pb.add_static("result", FieldType::Int);
+        let mut bump = MethodBuilder::new("bump", 1, 0, true);
+        bump.load(0);
+        bump.load(0);
+        bump.get_field(v);
+        bump.const_i(1);
+        bump.add();
+        bump.put_field(v);
+        bump.load(0);
+        bump.get_field(v);
+        bump.ret_val();
+        let bump_id = pb.add_method(bump);
+        let mut m = MethodBuilder::new("main", 0, 2, false);
+        m.new_object(node);
+        m.store(0);
+        m.for_loop(
+            1,
+            move |m| {
+                m.const_i(iters);
+            },
+            |m| {
+                m.load(0);
+                m.call(bump_id);
+                m.pop();
+            },
+        );
+        m.load(0);
+        m.get_field(v);
+        m.put_static(g);
+        m.ret();
+        let id = pb.add_method(m);
+        pb.set_entry(id);
+        pb.finish().unwrap()
+    }
+
+    fn pin_config(tier1: bool) -> VmConfig {
+        let mut cfg = VmConfig::test();
+        cfg.jit.tier1_enabled = tier1;
+        cfg.step_limit = None;
+        cfg
+    }
+
+    #[test]
+    fn step_limit_fires_one_bytecode_past_the_limit() {
+        let p = field_bump_loop(1_000_000);
+        for tier1 in [false, true] {
+            for limit in [1, 4_095, 4_096, 4_097, 10_000, 123_457] {
+                let mut cfg = pin_config(tier1);
+                cfg.step_limit = Some(limit);
+                let mut vm = Vm::new(&p, cfg);
+                assert_eq!(vm.run(&mut NoHooks).unwrap_err(), VmError::StepLimit);
+                assert_eq!(vm.bytecodes, limit + 1, "tier1 {tier1}, limit {limit}");
+            }
+        }
+    }
+
+    /// Values recorded before the epilogue gained its inlined fast path;
+    /// the flattened engine must keep landing on them. (The legacy
+    /// per-step engine charges different cycles by design.)
+    #[cfg(not(feature = "slow-path"))]
+    mod epilogue_pins {
+        use super::*;
+
+        /// Hooks that record the clock stamps the dispatch loop hands out.
+        /// Each poll charges a few cycles so the stamps also pin how poll
+        /// overhead feeds back into the clock.
+        #[derive(Default)]
+        struct Stamps {
+            polls: Vec<u64>,
+            compiles: Vec<(MethodId, Tier)>,
+            retired: Vec<(MethodId, Tier, u64)>,
+        }
+
+        impl RuntimeHooks for Stamps {
+            fn on_poll(&mut self, _: &Program, cycles: u64) -> u64 {
+                self.polls.push(cycles);
+                7
+            }
+            fn on_compile(&mut self, _: &Program, code: &CompiledCode) {
+                self.compiles.push((code.method, code.tier));
+            }
+            fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
+                self.retired.push((ev.method, ev.tier, cycles));
+            }
+        }
+
+        fn fold_stamps(stamps: &[u64]) -> u64 {
+            stamps.iter().fold(0xcbf2_9ce4_8422_2325, |h, &c| {
+                (h ^ c).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+
+        #[test]
+        fn step_limit_stop_cycle_is_pinned() {
+            let p = field_bump_loop(1_000_000);
+            let mut got = Vec::new();
+            for tier1 in [false, true] {
+                for limit in [4_096, 123_457] {
+                    let mut cfg = pin_config(tier1);
+                    cfg.step_limit = Some(limit);
+                    let mut vm = Vm::new(&p, cfg);
+                    vm.run(&mut NoHooks).unwrap_err();
+                    got.push(vm.cycles);
+                }
+            }
+            assert_eq!(got, PIN_STEP_CYCLES);
+        }
+        const PIN_STEP_CYCLES: [u64; 4] = [5_930, 170_768, 5_930, 153_693];
+
+        #[test]
+        fn cycle_budget_kill_lands_on_the_pinned_cycle() {
+            let p = field_bump_loop(1_000_000);
+            let mut got = Vec::new();
+            for tier1 in [false, true] {
+                for budget in [100_000, 1_234_567] {
+                    let mut cfg = pin_config(tier1);
+                    cfg.cycle_budget = Some(budget);
+                    let mut vm = Vm::new(&p, cfg);
+                    assert_eq!(vm.run(&mut NoHooks).unwrap_err(), VmError::CycleBudget);
+                    got.push((vm.cycles, vm.bytecodes));
+                }
+            }
+            assert_eq!(got, PIN_BUDGET);
+        }
+        const PIN_BUDGET: [(u64, u64); 4] = [
+            (100_002, 72_215),
+            (1_234_569, 893_777),
+            (100_001, 72_215),
+            (1_234_571, 1_805_529),
+        ];
+
+        #[test]
+        fn poll_stamps_are_pinned() {
+            let p = field_bump_loop(20_000);
+            let mut got = Vec::new();
+            for tier1 in [false, true] {
+                let mut hooks = Stamps::default();
+                let mut vm = Vm::new(&p, pin_config(tier1));
+                let s = vm.run(&mut hooks).unwrap();
+                got.push((
+                    hooks.polls.len(),
+                    fold_stamps(&hooks.polls),
+                    s.cycles,
+                    s.bytecodes_executed,
+                ));
+            }
+            assert_eq!(got, PIN_POLLS);
+        }
+        const PIN_POLLS: [(usize, u64, u64, u64); 2] = [
+            (102, 7_615_675_259_094_020_341, 581_269, 420_014),
+            (102, 6_425_845_246_960_413_813, 357_090, 420_014),
+        ];
+
+        #[test]
+        fn tier1_recompiles_at_the_pinned_cycles() {
+            let p = field_bump_loop(50_000);
+            let mut cfg = pin_config(true);
+            // A bounded (but never full) cache frees each replaced artifact,
+            // which reports the recompilation's cycle to the hooks.
+            cfg.jit.code_cache_capacity_bytes = Some(1 << 20);
+            let mut hooks = Stamps::default();
+            let mut vm = Vm::new(&p, cfg);
+            let s = vm.run(&mut hooks).unwrap();
+            assert_eq!(s.code_evictions, 0);
+            let compiles: Vec<(u32, Tier)> =
+                hooks.compiles.iter().map(|&(m, t)| (m.0, t)).collect();
+            let retired: Vec<(u32, Tier, u64)> =
+                hooks.retired.iter().map(|&(m, t, c)| (m.0, t, c)).collect();
+            assert_eq!(compiles, PIN_COMPILES);
+            assert_eq!(retired, PIN_RECOMPILES);
+            assert_eq!(s.cycles, PIN_TIER1_CYCLES);
+        }
+        const PIN_COMPILES: [(u32, Tier); 4] = [
+            (1, Tier::Baseline),
+            (0, Tier::Baseline),
+            (0, Tier::Opt),
+            (1, Tier::Opt),
+        ];
+        const PIN_RECOMPILES: [(u32, Tier, u64); 2] =
+            [(0, Tier::Baseline, 100_000), (1, Tier::Baseline, 200_000)];
+        const PIN_TIER1_CYCLES: u64 = 748_241;
     }
 }
