@@ -17,11 +17,6 @@
 //! baseline — commit the file to bank an improvement or to deliberately
 //! accept a behavior change. `--no-serve` skips the serve row (for fast
 //! smokes; a baseline written with it will fail a full `--check`).
-//!
-//! This binary lives in the root `hpmopt` package rather than
-//! `hpmopt-bench` because the serve row is measured by `hpmopt-serve`,
-//! which itself depends on `hpmopt-bench` for the trajectory schema —
-//! only the root crate sits above both.
 
 use std::process::ExitCode;
 
@@ -178,12 +173,7 @@ fn main() -> ExitCode {
         args.seeds,
         if args.serve { " + serve open-loop" } else { "" }
     );
-    let mut current = measure(&args.workloads, Size::Tiny, args.seeds);
-    if args.serve {
-        current
-            .serve
-            .push(hpmopt_serve::openloop::trajectory_point());
-    }
+    let current = measure(&args.workloads, Size::Tiny, args.seeds, args.serve);
     print_trajectory(&current);
 
     if args.update {

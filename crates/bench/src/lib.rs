@@ -40,11 +40,13 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fmt;
-pub mod setup;
 pub mod table1;
 pub mod table2;
 pub mod trajectory;
 pub mod warmstart;
+
+/// The shared run configuration, re-exported from `hpmopt-workloads`.
+pub use hpmopt_workloads::setup;
 
 /// The simulated-scale sampling intervals standing in for the paper's
 /// 25 K / 50 K / 100 K, with their display labels.

@@ -7,13 +7,13 @@
 //! telemetry disabled, monitored with telemetry enabled — plus a pinned
 //! *tiered* row ([`TIERED_WORKLOAD`] rerun with tier-2 region
 //! compilation and a deliberately tiny code cache, so
-//! compile/deopt/eviction churn is gated like any other cycle cost) and
-//! a pinned stress-seed shard
-//! whose per-seed cycle counts come straight from the shard runner's
-//! summary data. Simulated cycles are deterministic, so
-//! the committed baseline (`BENCH_trajectory.json`) only changes when
-//! the code's cost model actually changes; wall time is recorded for
-//! context but never gated on.
+//! compile/deopt/eviction churn is gated like any other cycle cost), a
+//! pinned stress-seed shard whose per-seed cycle counts come straight
+//! from the shard runner's summary data, and the serve open-loop row
+//! ([`hpmopt_serve::openloop::trajectory_point`]). Simulated cycles are
+//! deterministic, so the committed baseline (`BENCH_trajectory.json`)
+//! only changes when the code's cost model actually changes; wall time
+//! is recorded for context but never gated on.
 //!
 //! Two invariants are enforced at measurement time and again by
 //! [`compare`]:
@@ -26,15 +26,16 @@
 
 use std::time::Instant;
 
-use hpmopt_gc::CollectorKind;
+use hpmopt_core::runtime::{RunConfig, RunReport};
+use hpmopt_gc::{CollectorKind, HeapConfig};
 use hpmopt_hpm::SamplingInterval;
+use hpmopt_serve::openloop::{self, ServePoint};
 use hpmopt_stress::{run_shards, RunnerConfig};
 use hpmopt_telemetry::json::JsonWriter;
 use hpmopt_telemetry::read::{self, Value};
 use hpmopt_telemetry::{Telemetry, DEFAULT_TRACE_CAPACITY};
-use hpmopt_workloads::{by_name, Size};
-
-use crate::setup::{auto_interval, heap_config, run, run_config};
+use hpmopt_workloads::setup::{auto_interval, heap_config, run, run_config};
+use hpmopt_workloads::{by_name, Size, Workload};
 
 /// The fixed workload set a default trajectory measures.
 pub const DEFAULT_WORKLOADS: [&str; 3] = ["db", "fop", "jess"];
@@ -101,45 +102,6 @@ pub struct StressPoint {
     pub digest: u64,
 }
 
-/// One open-loop serve-bench measurement: the scale-out row of the
-/// trajectory. Produced by `hpmopt_serve::openloop` (the serve crate
-/// depends on this one, so the measurement function lives there and the
-/// root `hpmopt-bench` binary attaches the row); this crate owns the
-/// schema and the gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServePoint {
-    /// Row name (`"openloop"` for the pinned default run).
-    pub name: String,
-    /// Jobs the open-loop generator paced in.
-    pub jobs: u64,
-    /// Arrival rate in queries per second of simulated time.
-    pub qps: u64,
-    /// Completed jobs per second of simulated time with one virtual
-    /// worker.
-    pub throughput_1w_jobs_per_sec: f64,
-    /// Completed jobs per second of simulated time with four virtual
-    /// workers. Must be strictly above the 1-worker figure: if adding
-    /// workers stops helping, the scheduler has regressed.
-    pub throughput_4w_jobs_per_sec: f64,
-    /// Queue-wait percentiles (simulated cycles) under tenant-fair
-    /// dispatch at four virtual workers.
-    pub p50_queue_wait_cycles: u64,
-    /// 95th percentile queue wait (simulated cycles).
-    pub p95_queue_wait_cycles: u64,
-    /// 99th percentile queue wait (simulated cycles) — the gated tail.
-    pub p99_queue_wait_cycles: u64,
-    /// 99th percentile service time (simulated cycles).
-    pub p99_service_cycles: u64,
-    /// Profiles evicted by the bounded repository during the run. Exact
-    /// (deterministic): any drift is a behavior change.
-    pub repo_evictions: u64,
-    /// Completed jobs whose digest deviated from the unmonitored
-    /// baseline. Must be zero.
-    pub perturbation_deltas: u64,
-    /// Wall-clock milliseconds of the run. Informational only.
-    pub wall_ms: u64,
-}
-
 /// A full trajectory: the committable measurement set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
@@ -147,10 +109,8 @@ pub struct Trajectory {
     pub workloads: Vec<WorkloadPoint>,
     /// Per-seed stress points, in seed order.
     pub stress: Vec<StressPoint>,
-    /// Open-loop serve-bench rows. [`measure`] leaves this empty — the
-    /// root `hpmopt-bench` binary attaches it from
-    /// `hpmopt_serve::openloop` (dependency direction: serve depends on
-    /// this crate).
+    /// Open-loop serve-bench rows ([`openloop::trajectory_point`]);
+    /// empty when [`measure`] ran without the serve row.
     pub serve: Vec<ServePoint>,
 }
 
@@ -161,8 +121,10 @@ fn delta_pct(current: u64, reference: u64) -> f64 {
     (current as f64 - reference as f64) / reference as f64 * 100.0
 }
 
-/// Measure one workload at `size`: unmonitored baseline, then the two
-/// monitored arms (telemetry off, telemetry on).
+/// The body every workload row shares: the unmonitored baseline run,
+/// then two runs of the same monitored configuration `monitored(heap)`,
+/// telemetry off and on, recorded as row `row`. Returns the point with
+/// the baseline and telemetry-enabled reports, for rows that assert more.
 ///
 /// # Panics
 ///
@@ -170,8 +132,12 @@ fn delta_pct(current: u64, reference: u64) -> f64 {
 /// lands on a different cycle than the telemetry-off control — that is
 /// the zero-perturbation invariant failing, which must never reach a
 /// baseline file.
-#[must_use]
-pub fn measure_workload(name: &str, size: Size) -> WorkloadPoint {
+fn measure_row(
+    name: &str,
+    size: Size,
+    row: String,
+    monitored: impl Fn(&Workload, HeapConfig) -> RunConfig,
+) -> (WorkloadPoint, RunReport, RunReport) {
     let w = by_name(name, size).unwrap_or_else(|| panic!("unknown workload `{name}`"));
     let heap = heap_config(&w, 2, 1, CollectorKind::GenMs);
 
@@ -179,11 +145,8 @@ pub fn measure_workload(name: &str, size: Size) -> WorkloadPoint {
         &w,
         run_config(&w, size, heap.clone(), SamplingInterval::Off, false),
     );
-    let control = run(
-        &w,
-        run_config(&w, size, heap.clone(), auto_interval(), true),
-    );
-    let mut enabled_cfg = run_config(&w, size, heap, auto_interval(), true);
+    let control = run(&w, monitored(&w, heap.clone()));
+    let mut enabled_cfg = monitored(&w, heap);
     enabled_cfg.telemetry = Telemetry::enabled(DEFAULT_TRACE_CAPACITY);
     let started = Instant::now();
     let enabled = run(&w, enabled_cfg);
@@ -192,12 +155,12 @@ pub fn measure_workload(name: &str, size: Size) -> WorkloadPoint {
     let perturbation = delta_pct(enabled.cycles, control.cycles);
     assert!(
         perturbation == 0.0,
-        "telemetry perturbed {name}: {} cycles enabled vs {} disabled",
+        "telemetry perturbed {row}: {} cycles enabled vs {} disabled",
         enabled.cycles,
         control.cycles
     );
-    WorkloadPoint {
-        name: w.name.to_string(),
+    let point = WorkloadPoint {
+        name: row,
         size: size.to_string(),
         cycles: enabled.cycles,
         baseline_cycles: baseline.cycles,
@@ -213,7 +176,22 @@ pub fn measure_workload(name: &str, size: Size) -> WorkloadPoint {
         perturbation_delta_pct: perturbation,
         l1_misses: enabled.vm.mem.l1_misses,
         wall_ms,
-    }
+    };
+    (point, baseline, enabled)
+}
+
+/// Measure one workload at `size`: unmonitored baseline, then the two
+/// monitored arms (telemetry off, telemetry on).
+///
+/// # Panics
+///
+/// Panics on unknown workload names and on telemetry perturbation.
+#[must_use]
+pub fn measure_workload(name: &str, size: Size) -> WorkloadPoint {
+    measure_row(name, size, name.to_string(), |w, heap| {
+        run_config(w, size, heap, auto_interval(), true)
+    })
+    .0
 }
 
 /// Measure the tiered-churn arm of one workload: no pre-generated plan —
@@ -231,40 +209,20 @@ pub fn measure_workload(name: &str, size: Size) -> WorkloadPoint {
 /// evict (the row would silently stop measuring churn).
 #[must_use]
 pub fn measure_workload_tiered(name: &str, size: Size) -> WorkloadPoint {
-    let w = by_name(name, size).unwrap_or_else(|| panic!("unknown workload `{name}`"));
-    let heap = heap_config(&w, 2, 1, CollectorKind::GenMs);
-
-    let baseline = run(
-        &w,
-        run_config(&w, size, heap.clone(), SamplingInterval::Off, false),
-    );
-    let tiered_cfg = |sampling| {
-        let mut cfg = run_config(&w, size, heap.clone(), sampling, true);
-        cfg.vm.plan = None;
-        cfg.vm.jit.tier1_enabled = true;
-        cfg.vm.jit.sample_period_cycles = 200_000;
-        cfg.vm.jit.tier1_threshold = 2;
-        cfg.vm.jit.tier2_enabled = true;
-        cfg.vm.jit.tier2_threshold = 64;
-        // Well under the workload's code footprint: every compile must
-        // fight for space, so eviction and range reuse run constantly.
-        cfg.vm.jit.code_cache_capacity_bytes = Some(512);
-        cfg
-    };
-    let control = run(&w, tiered_cfg(auto_interval()));
-    let mut enabled_cfg = tiered_cfg(auto_interval());
-    enabled_cfg.telemetry = Telemetry::enabled(DEFAULT_TRACE_CAPACITY);
-    let started = Instant::now();
-    let enabled = run(&w, enabled_cfg);
-    let wall_ms = started.elapsed().as_millis() as u64;
-
-    let perturbation = delta_pct(enabled.cycles, control.cycles);
-    assert!(
-        perturbation == 0.0,
-        "telemetry perturbed tiered {name}: {} cycles enabled vs {} disabled",
-        enabled.cycles,
-        control.cycles
-    );
+    let (point, baseline, enabled) =
+        measure_row(name, size, format!("{name}+tiered"), |w, heap| {
+            let mut cfg = run_config(w, size, heap, auto_interval(), true);
+            cfg.vm.plan = None;
+            cfg.vm.jit.tier1_enabled = true;
+            cfg.vm.jit.sample_period_cycles = 200_000;
+            cfg.vm.jit.tier1_threshold = 2;
+            cfg.vm.jit.tier2_enabled = true;
+            cfg.vm.jit.tier2_threshold = 64;
+            // Well under the workload's code footprint: every compile must
+            // fight for space, so eviction and range reuse run constantly.
+            cfg.vm.jit.code_cache_capacity_bytes = Some(512);
+            cfg
+        });
     assert_eq!(
         enabled.result_digest, baseline.result_digest,
         "tier churn changed {name}'s program-visible state"
@@ -273,29 +231,13 @@ pub fn measure_workload_tiered(name: &str, size: Size) -> WorkloadPoint {
         enabled.vm.code_evictions > 0,
         "tiered {name}: the tiny code cache produced no evictions"
     );
-    WorkloadPoint {
-        name: format!("{name}+tiered"),
-        size: size.to_string(),
-        cycles: enabled.cycles,
-        baseline_cycles: baseline.cycles,
-        bytecodes: enabled.vm.bytecodes_executed,
-        throughput_bc_per_kcycle: enabled.vm.bytecodes_executed as f64 * 1000.0
-            / enabled.cycles as f64,
-        monitoring_overhead_pct: if baseline.cycles == 0 {
-            0.0
-        } else {
-            enabled.vm.monitor_cycles as f64 / baseline.cycles as f64 * 100.0
-        },
-        optimization_delta_pct: delta_pct(enabled.cycles, baseline.cycles),
-        perturbation_delta_pct: perturbation,
-        l1_misses: enabled.vm.mem.l1_misses,
-        wall_ms,
-    }
+    point
 }
 
 /// Measure a full trajectory: every named workload at `size`, the
-/// pinned [`TIERED_WORKLOAD`] tiered-churn row, then the pinned stress
-/// shard `0..seeds`.
+/// pinned [`TIERED_WORKLOAD`] tiered-churn row, the pinned stress shard
+/// `0..seeds`, and, when `serve` is set, the serve open-loop row
+/// ([`openloop::trajectory_point`]).
 ///
 /// # Panics
 ///
@@ -303,7 +245,7 @@ pub fn measure_workload_tiered(name: &str, size: Size) -> WorkloadPoint {
 /// meaningful cost to record, and the stress suite (not the perf gate)
 /// is the place to debug it.
 #[must_use]
-pub fn measure(workloads: &[String], size: Size, seeds: u64) -> Trajectory {
+pub fn measure(workloads: &[String], size: Size, seeds: u64, serve: bool) -> Trajectory {
     let mut points: Vec<WorkloadPoint> = workloads
         .iter()
         .map(|name| measure_workload(name, size))
@@ -336,7 +278,11 @@ pub fn measure(workloads: &[String], size: Size, seeds: u64) -> Trajectory {
     Trajectory {
         workloads: points,
         stress,
-        serve: Vec::new(),
+        serve: if serve {
+            vec![openloop::trajectory_point()]
+        } else {
+            Vec::new()
+        },
     }
 }
 
@@ -409,55 +355,55 @@ impl Trajectory {
     /// carry a byte offset; structural errors name the field).
     pub fn parse(input: &str) -> Result<Trajectory, String> {
         let doc = read::parse(input)?;
-        let version = need(&doc, "version")?.as_u64();
+        let version = u64_field(&doc, "version")?;
         if version != 3 {
             return Err(format!("unsupported trajectory version {version}"));
         }
         let mut workloads = Vec::new();
-        for p in need(&doc, "workloads")?.as_array() {
+        for p in array_field(&doc, "workloads")? {
             workloads.push(WorkloadPoint {
-                name: need(p, "workload")?.as_str().to_string(),
-                size: need(p, "size")?.as_str().to_string(),
-                cycles: need(p, "cycles")?.as_u64(),
-                baseline_cycles: need(p, "baseline_cycles")?.as_u64(),
-                bytecodes: need(p, "bytecodes")?.as_u64(),
-                throughput_bc_per_kcycle: need(p, "throughput_bc_per_kcycle")?.as_f64(),
-                monitoring_overhead_pct: need(p, "monitoring_overhead_pct")?.as_f64(),
-                optimization_delta_pct: need(p, "optimization_delta_pct")?.as_f64(),
-                perturbation_delta_pct: need(p, "perturbation_delta_pct")?.as_f64(),
-                l1_misses: need(p, "l1_misses")?.as_u64(),
-                wall_ms: need(p, "wall_ms")?.as_u64(),
+                name: str_field(p, "workload")?.to_string(),
+                size: str_field(p, "size")?.to_string(),
+                cycles: u64_field(p, "cycles")?,
+                baseline_cycles: u64_field(p, "baseline_cycles")?,
+                bytecodes: u64_field(p, "bytecodes")?,
+                throughput_bc_per_kcycle: f64_field(p, "throughput_bc_per_kcycle")?,
+                monitoring_overhead_pct: f64_field(p, "monitoring_overhead_pct")?,
+                optimization_delta_pct: f64_field(p, "optimization_delta_pct")?,
+                perturbation_delta_pct: f64_field(p, "perturbation_delta_pct")?,
+                l1_misses: u64_field(p, "l1_misses")?,
+                wall_ms: u64_field(p, "wall_ms")?,
             });
         }
         let mut stress = Vec::new();
-        for p in need(&doc, "stress")?.as_array() {
-            let hex = need(p, "digest")?.as_str();
+        for p in array_field(&doc, "stress")? {
+            let hex = str_field(p, "digest")?;
             let digit = hex
                 .strip_prefix("0x")
                 .ok_or_else(|| format!("digest {hex:?} is not 0x-prefixed"))?;
             stress.push(StressPoint {
-                seed: need(p, "seed")?.as_u64(),
-                cycles: need(p, "cycles")?.as_u64(),
-                monitored_cycles: need(p, "monitored_cycles")?.as_u64(),
+                seed: u64_field(p, "seed")?,
+                cycles: u64_field(p, "cycles")?,
+                monitored_cycles: u64_field(p, "monitored_cycles")?,
                 digest: u64::from_str_radix(digit, 16)
                     .map_err(|e| format!("bad digest {hex:?}: {e}"))?,
             });
         }
         let mut serve = Vec::new();
-        for p in need(&doc, "serve")?.as_array() {
+        for p in array_field(&doc, "serve")? {
             serve.push(ServePoint {
-                name: need(p, "name")?.as_str().to_string(),
-                jobs: need(p, "jobs")?.as_u64(),
-                qps: need(p, "qps")?.as_u64(),
-                throughput_1w_jobs_per_sec: need(p, "throughput_1w_jobs_per_sec")?.as_f64(),
-                throughput_4w_jobs_per_sec: need(p, "throughput_4w_jobs_per_sec")?.as_f64(),
-                p50_queue_wait_cycles: need(p, "p50_queue_wait_cycles")?.as_u64(),
-                p95_queue_wait_cycles: need(p, "p95_queue_wait_cycles")?.as_u64(),
-                p99_queue_wait_cycles: need(p, "p99_queue_wait_cycles")?.as_u64(),
-                p99_service_cycles: need(p, "p99_service_cycles")?.as_u64(),
-                repo_evictions: need(p, "repo_evictions")?.as_u64(),
-                perturbation_deltas: need(p, "perturbation_deltas")?.as_u64(),
-                wall_ms: need(p, "wall_ms")?.as_u64(),
+                name: str_field(p, "name")?.to_string(),
+                jobs: u64_field(p, "jobs")?,
+                qps: u64_field(p, "qps")?,
+                throughput_1w_jobs_per_sec: f64_field(p, "throughput_1w_jobs_per_sec")?,
+                throughput_4w_jobs_per_sec: f64_field(p, "throughput_4w_jobs_per_sec")?,
+                p50_queue_wait_cycles: u64_field(p, "p50_queue_wait_cycles")?,
+                p95_queue_wait_cycles: u64_field(p, "p95_queue_wait_cycles")?,
+                p99_queue_wait_cycles: u64_field(p, "p99_queue_wait_cycles")?,
+                p99_service_cycles: u64_field(p, "p99_service_cycles")?,
+                repo_evictions: u64_field(p, "repo_evictions")?,
+                perturbation_deltas: u64_field(p, "perturbation_deltas")?,
+                wall_ms: u64_field(p, "wall_ms")?,
             });
         }
         Ok(Trajectory {
@@ -471,6 +417,35 @@ impl Trajectory {
 fn need<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
     v.try_get(key)
         .ok_or_else(|| format!("missing field {key:?}"))
+}
+
+fn wrong_type(key: &str, expected: &str, got: &Value) -> String {
+    format!("field {key:?}: expected {expected}, got {got:?}")
+}
+
+fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
+    match need(v, key)? {
+        Value::Number(n) => Ok(*n),
+        other => Err(wrong_type(key, "number", other)),
+    }
+}
+
+fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
+    f64_field(v, key).map(|n| n as u64)
+}
+
+fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
+    match need(v, key)? {
+        Value::Str(s) => Ok(s),
+        other => Err(wrong_type(key, "string", other)),
+    }
+}
+
+fn array_field<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    match need(v, key)? {
+        Value::Array(items) => Ok(items),
+        other => Err(wrong_type(key, "array", other)),
+    }
 }
 
 /// Gate `current` against a committed `baseline`: returns one line per
@@ -711,6 +686,29 @@ mod tests {
     }
 
     #[test]
+    fn wrong_typed_fields_are_errors_naming_the_field() {
+        let json = sample().to_json();
+        for (field, from, to) in [
+            ("version", r#""version": 3"#, r#""version": "3""#),
+            ("cycles", r#""cycles": 1000000"#, r#""cycles": "1000000""#),
+            (
+                "digest",
+                r#""digest": "0xdeadbeef00000000""#,
+                r#""digest": 7"#,
+            ),
+            (
+                "workloads",
+                r#""workloads": ["#,
+                r#""workloads": 1, "rows": ["#,
+            ),
+        ] {
+            assert!(json.contains(from), "{from} is not in the sample");
+            let err = Trajectory::parse(&json.replacen(from, to, 1)).expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        }
+    }
+
+    #[test]
     fn serve_row_regressions_are_caught() {
         let base = sample();
 
@@ -746,8 +744,8 @@ mod tests {
     #[test]
     fn measured_trajectory_is_deterministic_and_gate_clean() {
         let names = vec!["fop".to_string()];
-        let a = measure(&names, Size::Tiny, 2);
-        let b = measure(&names, Size::Tiny, 2);
+        let a = measure(&names, Size::Tiny, 2, false);
+        let b = measure(&names, Size::Tiny, 2, false);
         assert_eq!(a.workloads[0].cycles, b.workloads[0].cycles);
         assert_eq!(a.workloads[1].name, "jython+tiered");
         assert_eq!(a.workloads[1].cycles, b.workloads[1].cycles);

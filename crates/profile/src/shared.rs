@@ -55,23 +55,23 @@ fn key_of(fp: &Fingerprint) -> RepoKey {
     (fp.program_hash, fp.config_hash, fp.workload.clone())
 }
 
-/// FNV-1a over the key, for shard selection.
-fn hash_key(key: &RepoKey) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    };
-    for b in key.0.to_le_bytes() {
-        mix(b);
-    }
-    for b in key.1.to_le_bytes() {
-        mix(b);
-    }
-    for b in key.2.bytes() {
-        mix(b);
-    }
-    h
+/// The hash both sharded structures pick a shard with: this repository
+/// (over a key's bytes) and the serve scheduler (over a tenant name).
+/// It has FNV-1a's offset basis and shape, but multiplies by
+/// `0x1_0000_0000_01b3` rather than the FNV prime of
+/// [`crate::wire::fnv1a`]. The two agree only in their low 40 bits, so
+/// swapping one for the other keeps power-of-two shard counts but moves
+/// keys between shards at any other count.
+#[must_use]
+pub fn shard_hash(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3)
+    })
+}
+
+fn hash_key((program, config, workload): &RepoKey) -> u64 {
+    let [program, config] = [program, config].map(|n| n.to_le_bytes());
+    shard_hash(program.into_iter().chain(config).chain(workload.bytes()))
 }
 
 /// Bounding and sharding parameters of a [`SharedProfileRepo`].
@@ -571,6 +571,20 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.ttl_evictions, 1);
         assert!(repo.checkout(&fp(1)).is_none(), "expired is cold");
+    }
+
+    #[test]
+    fn key_hash_is_pinned() {
+        // A changed value moves fingerprints between shards, and with
+        // them every per-shard eviction.
+        assert_eq!(
+            hash_key(&(0x0123_4567_89ab_cdef, 42, "db".to_string())),
+            0x9f57_b117_f4be_d979
+        );
+        assert_eq!(
+            hash_key(&(7, u64::MAX, "hsqldb".to_string())),
+            0x8fa0_bd5e_52ec_ace0
+        );
     }
 
     #[test]

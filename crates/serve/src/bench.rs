@@ -28,12 +28,12 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use hpmopt_bench::setup;
 use hpmopt_profile::SharedProfileRepo;
 use hpmopt_stress::pool;
-use hpmopt_workloads::Size;
+use hpmopt_workloads::{setup, Size};
 
 use crate::job::{fingerprint_of, run_job, JobOutcome, JobRun, JobSpec};
+use crate::scheduler::xorshift;
 
 /// Load-generator parameters.
 #[derive(Debug, Clone)]
@@ -114,29 +114,19 @@ impl BenchReport {
     }
 }
 
-/// Tiny deterministic xorshift64 for schedule drawing.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0.max(1);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-}
-
 /// Draw the full job schedule from the seed, flat in execution order
 /// (`rounds * jobs_per_round` entries).
 #[must_use]
 pub fn schedule(config: &BenchConfig) -> Vec<JobSpec> {
-    let mut rng = XorShift(config.seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut state = config.seed ^ 0x9e37_79b9_7f4a_7c15;
+    let mut next = || {
+        state = xorshift(state.max(1));
+        state
+    };
     let mut specs = Vec::with_capacity(config.rounds * config.jobs_per_round);
     for _ in 0..config.rounds * config.jobs_per_round {
-        let workload = &config.workloads[(rng.next() as usize) % config.workloads.len().max(1)];
-        let tenant = format!("t{}", rng.next() % config.tenants.max(1) as u64);
+        let workload = &config.workloads[(next() as usize) % config.workloads.len().max(1)];
+        let tenant = format!("t{}", next() % config.tenants.max(1) as u64);
         let mut spec = JobSpec::new(&tenant, workload);
         spec.size = config.size;
         spec.heap_mult = config.heap_mult;
@@ -298,5 +288,19 @@ mod tests {
             ..config.clone()
         });
         assert_ne!(a, other, "different seed, different schedule");
+    }
+
+    #[test]
+    fn default_schedule_is_pinned() {
+        // The summary `hpmopt-serve bench` prints depends on this draw.
+        let drawn: Vec<String> = schedule(&BenchConfig::default())
+            .iter()
+            .map(|s| format!("{}/{}", s.workload, s.tenant))
+            .collect();
+        assert_eq!(
+            drawn.join(" "),
+            "db/t0 hsqldb/t0 hsqldb/t1 db/t0 db/t1 db/t1 \
+             hsqldb/t1 db/t1 hsqldb/t0 hsqldb/t0 db/t0 hsqldb/t0"
+        );
     }
 }

@@ -12,14 +12,13 @@
 //! no mutable state at all until their frozen results are folded into
 //! the repository and the fleet registry.
 
-use hpmopt_bench::setup;
 use hpmopt_core::runtime::{HpmRuntime, RunConfig};
 use hpmopt_core::{warmstart, ProfileOptions};
 use hpmopt_gc::CollectorKind;
 use hpmopt_profile::{Fingerprint, Profile};
 use hpmopt_telemetry::{Telemetry, TelemetrySnapshot};
 use hpmopt_vm::{CancelToken, VmError};
-use hpmopt_workloads::{by_name, Size, Workload};
+use hpmopt_workloads::{by_name, setup, Size, Workload};
 
 /// What a tenant asks the service to execute.
 #[derive(Debug, Clone, PartialEq, Eq)]

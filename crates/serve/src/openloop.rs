@@ -39,12 +39,10 @@
 
 use std::time::{Duration, Instant};
 
-use hpmopt_bench::setup;
-use hpmopt_bench::trajectory::ServePoint;
 use hpmopt_profile::{RepoConfig, SharedProfileRepo};
 use hpmopt_stress::pool;
 use hpmopt_telemetry::{HistogramId, Telemetry, TelemetrySnapshot};
-use hpmopt_workloads::Size;
+use hpmopt_workloads::{setup, Size};
 
 use crate::job::{fingerprint_of, run_job, JobOutcome, JobRun, JobSpec};
 use crate::scheduler::DrrQueue;
@@ -501,6 +499,43 @@ pub fn run_openloop(config: &OpenLoopConfig) -> OpenLoopReport {
         telemetry: telemetry.snapshot(0),
         wall: start.elapsed(),
     }
+}
+
+/// One open-loop serve-bench measurement: the scale-out row of the
+/// performance trajectory (`hpmopt-bench`, which owns the JSON schema
+/// and the gate).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServePoint {
+    /// Row name (`"openloop"` for the pinned default run).
+    pub name: String,
+    /// Jobs the open-loop generator paced in.
+    pub jobs: u64,
+    /// Arrival rate in queries per second of simulated time.
+    pub qps: u64,
+    /// Completed jobs per second of simulated time with one virtual
+    /// worker.
+    pub throughput_1w_jobs_per_sec: f64,
+    /// Completed jobs per second of simulated time with four virtual
+    /// workers. Must be strictly above the 1-worker figure: if adding
+    /// workers stops helping, the scheduler has regressed.
+    pub throughput_4w_jobs_per_sec: f64,
+    /// Queue-wait percentiles (simulated cycles) under tenant-fair
+    /// dispatch at four virtual workers.
+    pub p50_queue_wait_cycles: u64,
+    /// 95th percentile queue wait (simulated cycles).
+    pub p95_queue_wait_cycles: u64,
+    /// 99th percentile queue wait (simulated cycles) — the gated tail.
+    pub p99_queue_wait_cycles: u64,
+    /// 99th percentile service time (simulated cycles).
+    pub p99_service_cycles: u64,
+    /// Profiles evicted by the bounded repository during the run. Exact
+    /// (deterministic): any drift is a behavior change.
+    pub repo_evictions: u64,
+    /// Completed jobs whose digest deviated from the unmonitored
+    /// baseline. Must be zero.
+    pub perturbation_deltas: u64,
+    /// Wall-clock milliseconds of the run. Informational only.
+    pub wall_ms: u64,
 }
 
 /// Measure the pinned `serve` trajectory row: the default open-loop

@@ -34,6 +34,8 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
+use hpmopt_profile::shared::shard_hash;
+
 /// Scheduling parameters of a [`ShardedScheduler`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerConfig {
@@ -157,21 +159,12 @@ impl<T> DrrQueue<T> {
     }
 }
 
-fn xorshift(mut x: u64) -> u64 {
+/// One xorshift64 step. Zero is a fixpoint, so seed with a nonzero state.
+pub(crate) fn xorshift(mut x: u64) -> u64 {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
     x
-}
-
-/// FNV-1a of a tenant name, for shard selection.
-fn shard_hash(tenant: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tenant.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
 }
 
 struct Gate {
@@ -225,7 +218,7 @@ impl<T> ShardedScheduler<T> {
     /// The shard `tenant`'s submissions land on.
     #[must_use]
     pub fn shard_of(&self, tenant: &str) -> usize {
-        (shard_hash(tenant) % self.shards.len() as u64) as usize
+        (shard_hash(tenant.bytes()) % self.shards.len() as u64) as usize
     }
 
     /// Enqueue one item for `tenant` with DRR cost `cost` and wake a
@@ -411,6 +404,14 @@ mod tests {
             std::iter::from_fn(|| q.pop()).collect::<Vec<_>>(),
             [0, 1, 2, 3, 4]
         );
+    }
+
+    #[test]
+    fn tenant_shards_are_pinned() {
+        // A changed mapping moves tenants to other home shards.
+        let s: ShardedScheduler<()> = ShardedScheduler::new(4, &SchedulerConfig::default());
+        let shards: Vec<usize> = (0..8).map(|i| s.shard_of(&format!("t{i}"))).collect();
+        assert_eq!(shards, [1, 2, 3, 0, 1, 2, 3, 0]);
     }
 
     #[test]

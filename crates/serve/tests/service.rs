@@ -5,7 +5,6 @@
 //! (evicted fingerprints fall back to a clean cold start), the
 //! shutdown-vs-Drop asymmetry, and open-loop tenant fairness.
 
-use hpmopt_bench::setup;
 use hpmopt_profile::RepoConfig;
 use hpmopt_serve::bench::{run_bench, BenchConfig};
 use hpmopt_serve::job::fingerprint_of;
@@ -14,6 +13,7 @@ use hpmopt_serve::{
     TenantCaps,
 };
 use hpmopt_telemetry::{MetricId, Telemetry};
+use hpmopt_workloads::setup;
 
 fn one_worker() -> ServiceConfig {
     ServiceConfig {

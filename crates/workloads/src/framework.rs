@@ -10,7 +10,7 @@ pub enum Size {
     /// Default experiment size (what the `experiments` binary uses).
     #[default]
     Small,
-    /// Largest practical size for Criterion benches.
+    /// Largest practical size, for long experiment runs.
     Full,
 }
 

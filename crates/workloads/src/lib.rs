@@ -25,7 +25,9 @@
 //! | [`pmd`] | DaCapo | AST nodes with child arrays |
 //!
 //! Sizes are scaled by [`Size`] so unit tests stay fast while benches get
-//! meaningful working sets.
+//! meaningful working sets. [`setup`] holds the run configuration every
+//! harness shares: heap sizing, the cached compilation plan, and the
+//! unmonitored baseline digest.
 //!
 //! # Example
 //!
@@ -56,6 +58,8 @@ pub mod mpegaudio;
 pub mod mtrt;
 pub mod pmd;
 pub mod pseudojbb;
+
+pub mod setup;
 
 pub use framework::{Size, Suite, Workload};
 

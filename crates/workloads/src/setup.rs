@@ -8,7 +8,8 @@ use hpmopt_core::runtime::{HpmRuntime, RunConfig, RunReport};
 use hpmopt_gc::{CollectorKind, HeapConfig};
 use hpmopt_hpm::{HpmConfig, SamplingInterval};
 use hpmopt_vm::{CompilationPlan, VmConfig};
-use hpmopt_workloads::{Size, Workload};
+
+use crate::{Size, Workload};
 
 /// The monitoring clock at simulation scale. The paper's collector
 /// thread polls every 10-1000 ms of a minutes-long run; our runs are four
@@ -18,8 +19,8 @@ use hpmopt_workloads::{Size, Workload};
 /// untouched.
 pub const MONITOR_CPU_HZ: u64 = 100_000_000;
 
-/// The auto-mode sample-rate target at simulation scale (see the
-/// crate-level scaling note): ~10 samples per simulated 10 ms poll.
+/// The auto-mode sample-rate target at simulation scale (see
+/// [`MONITOR_CPU_HZ`]): ~10 samples per simulated 10 ms poll.
 pub const AUTO_TARGET_PER_SEC: u64 = 1_000;
 
 /// Kernel sample-buffer capacity at simulation scale (the paper's 80 KB /
@@ -163,7 +164,7 @@ pub fn baseline_digest(w: &Workload, size: Size, num: u64, den: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpmopt_workloads::by_name;
+    use crate::by_name;
 
     #[test]
     fn plans_are_cached_and_contain_entry() {

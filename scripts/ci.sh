@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml: formatting, lints, and the
-# tier-1 gate. The build is fully offline — no network needed.
+# The whole CI, run as-is by .github/workflows/ci.yml and locally:
+# formatting, lints, the tier-1 gate, the perf-trajectory gate and the
+# smokes. The build is fully offline — no network needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,13 +38,13 @@ cmp target/ci-prom-a.txt target/ci-prom-b.txt
 echo "==> smoke: fast hpmopt-bench measurement (one workload, two seeds)"
 # --no-serve skips the open-loop serve row: this smoke only proves the
 # measurement path writes a parseable baseline.
-cargo run --release --bin hpmopt-bench -- --update --no-serve \
+cargo run --release -p hpmopt-bench --bin hpmopt-bench -- --update --no-serve \
     --workloads fop --seeds 2 --out target/ci-bench-smoke.json >/dev/null
 
 echo "==> perf trajectory gate: hpmopt-bench --check vs committed baseline"
 # Gates workload cycles, stress digests, perturbation, and the serve
 # open-loop row (queue-wait tail, evictions, multi-worker speedup).
-cargo run --release --bin hpmopt-bench -- --check
+cargo run --release -p hpmopt-bench --bin hpmopt-bench -- --check
 
 echo "==> smoke: warm-start a profile and inspect it"
 rm -f target/ci-db.hpmprof
