@@ -12,27 +12,27 @@
 //!
 //! With a *bounded* code cache the VM frees and reuses code-address
 //! ranges, so a PC alone no longer names an artifact: a sample buffered
-//! before an eviction can surface after the range was reassigned. Every
-//! registered artifact therefore carries an epoch window
-//! `[install_epoch, retire_epoch)`, and [`SampleResolver::resolve`]
-//! takes the sample's capture-time epoch: only a *live* artifact
-//! installed no later than the stamp may claim the PC. A sample whose
-//! PC lands in a known range owned by no such artifact — it hit code
-//! that has since been freed, or pre-dates the range's current tenant —
-//! is [`ResolveFailure::Stale`]: counted and dropped, never
-//! misattributed.
+//! before an eviction can surface after the range was reassigned. The
+//! registry therefore holds only *live* artifacts, each stamped with its
+//! install epoch, and [`SampleResolver::resolve`] takes the sample's
+//! capture-time epoch: only a live artifact installed no later than the
+//! stamp may claim the PC. Retiring an artifact frees its maps and keeps
+//! just its `(start, end)` range until the next drain. A sample whose PC
+//! lands in a live range it may not claim, or in a range retired since
+//! the last drain, hit code that has since been freed (or pre-dates the
+//! range's current tenant): it is [`ResolveFailure::Stale`], counted and
+//! dropped, never misattributed. [`SampleResolver::forget_retired`]
+//! drops the retired ranges once every sample captured before their
+//! frees has been resolved.
 
 use hpmopt_bytecode::MethodId;
 use hpmopt_vm::machine::{CompiledCode, Tier};
 
-/// Epoch window sentinel: the artifact has not been retired.
-const LIVE: u64 = u64::MAX;
-
 /// Why a sample could not be attributed to a bytecode instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResolveFailure {
-    /// PC outside every registered code range (kernel, native libraries,
-    /// or stale pre-registration code).
+    /// PC outside every live and recently retired code range (kernel,
+    /// native libraries, or stale pre-registration code).
     ForeignPc,
     /// PC inside a method whose map has no entry there (opt-compiled code
     /// without the full-map extension).
@@ -56,23 +56,16 @@ pub struct ResolvedPc {
     pub bytecode_index: u32,
 }
 
-/// One registered artifact plus its retirement epoch.
-#[derive(Debug, Clone)]
-struct Registered {
-    code: CompiledCode,
-    /// First epoch at which this artifact's range no longer belongs to
-    /// it ([`LIVE`] while the artifact is installed).
-    retire_epoch: u64,
-}
-
 /// PC → bytecode resolver over a registry of compiled artifacts.
 #[derive(Debug, Clone, Default)]
 pub struct SampleResolver {
-    /// Artifacts sorted by code start (the paper's sorted method table).
-    /// Retired artifacts stay registered — their epoch windows are what
-    /// keeps late samples honest — so starts can repeat once the bounded
-    /// cache reuses a range.
-    artifacts: Vec<Registered>,
+    /// Live artifacts sorted by code start (the paper's sorted method
+    /// table).
+    artifacts: Vec<CompiledCode>,
+    /// `(start, end)` of the artifacts retired since the last
+    /// [`SampleResolver::forget_retired`]: a late sample landing there is
+    /// stale, not foreign.
+    retired: Vec<(u64, u64)>,
 }
 
 impl SampleResolver {
@@ -86,31 +79,38 @@ impl SampleResolver {
     /// never overlap and stale artifacts of recompiled methods stay
     /// registered, exactly like the immortal code space; with a bounded
     /// cache the same span may be re-registered after
-    /// [`SampleResolver::retire`] closed the previous tenant's window.
+    /// [`SampleResolver::retire`] removed the previous tenant.
     pub fn register(&mut self, code: CompiledCode) {
         let pos = self
             .artifacts
-            .partition_point(|c| c.code.code_start < code.code_start);
-        self.artifacts.insert(
-            pos,
-            Registered {
-                code,
-                retire_epoch: LIVE,
-            },
-        );
+            .partition_point(|c| c.code_start < code.code_start);
+        self.artifacts.insert(pos, code);
     }
 
-    /// Close the epoch window of the live artifact starting at
-    /// `code_start`: samples stamped `epoch` or later no longer resolve
-    /// to it. Called from the code-retired hook with the post-free epoch.
-    pub fn retire(&mut self, code_start: u64, epoch: u64) {
-        if let Some(a) = self
+    /// Remove the live artifact starting at `code_start`: no sample
+    /// resolves to it any more, and until the next
+    /// [`SampleResolver::forget_retired`] a sample in its range is stale.
+    /// Called from the code-retired hook.
+    pub fn retire(&mut self, code_start: u64) {
+        let pos = self
             .artifacts
-            .iter_mut()
-            .find(|a| a.code.code_start == code_start && a.retire_epoch == LIVE)
+            .partition_point(|c| c.code_start < code_start);
+        if self
+            .artifacts
+            .get(pos)
+            .is_some_and(|c| c.code_start == code_start)
         {
-            a.retire_epoch = epoch;
+            let code = self.artifacts.remove(pos);
+            self.retired.push((code.code_start, code.code_end()));
         }
+    }
+
+    /// Forget the ranges retired so far. Exact once every sample captured
+    /// before their frees has been resolved: a sample captured later hit
+    /// code that was live at capture time, so it lands in a live artifact
+    /// or in a range retired after this call.
+    pub fn forget_retired(&mut self) {
+        self.retired.clear();
     }
 
     /// Resolve a sampled PC captured at code epoch `epoch`.
@@ -120,52 +120,64 @@ impl SampleResolver {
     /// [`ResolveFailure`] describing why the sample must be dropped.
     pub fn resolve(&self, pc: u64, epoch: u64) -> Result<ResolvedPc, ResolveFailure> {
         // Only artifacts starting at or before `pc` can contain it; the
-        // common case (live, non-overlapping ranges) exits on the first
+        // common case (non-overlapping ranges) exits on the first
         // reverse-scan step.
-        let hi = self.artifacts.partition_point(|c| c.code.code_start <= pc);
-        let mut in_known_range = false;
-        for a in self.artifacts[..hi].iter().rev() {
-            if pc >= a.code.code_end() {
+        let hi = self.artifacts.partition_point(|c| c.code_start <= pc);
+        let mut in_live_range = false;
+        for code in self.artifacts[..hi].iter().rev() {
+            if pc >= code.code_end() {
                 continue;
             }
-            in_known_range = true;
-            // Retired artifacts never resolve: by the time a buffered
-            // sample drains, the code it hit is gone and its counters may
-            // already be torn down — dropping beats a late attribution.
             // A live artifact claims the PC only if the sample was
             // captured after its install, so pre-free samples cannot leak
             // onto a range's new tenant.
-            if a.retire_epoch == LIVE && a.code.install_epoch <= epoch {
-                let bytecode_index = a.code.bytecode_at(pc).ok_or(ResolveFailure::Unmapped)?;
+            if code.install_epoch <= epoch {
+                let bytecode_index = code.bytecode_at(pc).ok_or(ResolveFailure::Unmapped)?;
                 return Ok(ResolvedPc {
-                    method: a.code.method,
-                    tier: a.code.tier,
+                    method: code.method,
+                    tier: code.tier,
                     bytecode_index,
                 });
             }
+            in_live_range = true;
         }
-        Err(if in_known_range {
-            ResolveFailure::Stale
+        // Retired artifacts never resolve: by the time a buffered sample
+        // drains, the code it hit is gone and its counters may already be
+        // torn down — dropping beats a late attribution.
+        if in_live_range
+            || self
+                .retired
+                .iter()
+                .any(|&(start, end)| (start..end).contains(&pc))
+        {
+            Err(ResolveFailure::Stale)
         } else {
-            ResolveFailure::ForeignPc
-        })
+            Err(ResolveFailure::ForeignPc)
+        }
     }
 
-    /// Number of registered artifacts (retired ones included).
+    /// Number of live artifacts.
     #[must_use]
     pub fn len(&self) -> usize {
         self.artifacts.len()
     }
 
-    /// Whether no artifact is registered.
+    /// Whether no artifact is live.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.artifacts.is_empty()
     }
 
-    /// Iterate over registered artifacts (address order).
+    /// Number of ranges retired since the last
+    /// [`SampleResolver::forget_retired`].
+    #[must_use]
+    pub fn retired_len(&self) -> usize {
+        self.retired.len()
+    }
+
+    /// Iterate over live artifacts (address order).
     pub fn artifacts(&self) -> impl Iterator<Item = &CompiledCode> {
-        self.artifacts.iter().map(|a| &a.code)
+        self.artifacts.iter()
     }
 }
 
@@ -314,7 +326,9 @@ mod tests {
 
         // The cache frees the range (epoch 0 → 1) and installs denser
         // opt code of the same method over it.
-        r.retire(0x4000_0000, 1);
+        r.retire(0x4000_0000);
+        assert_eq!(r.len(), 0, "retired artifacts leave the registry");
+        assert_eq!(r.retired_len(), 1);
         let mut tenant = compile(&p, id, Tier::Opt, 0x4000_0000, true);
         tenant.install_epoch = 1;
         let tenant_end = tenant.code_end();
@@ -333,5 +347,15 @@ mod tests {
             r.resolve(evicted_end - 1, 5).unwrap_err(),
             ResolveFailure::Stale
         );
+
+        // Once every pre-free sample has drained, the retired range is
+        // forgotten: only the live tenant remains known.
+        r.forget_retired();
+        assert_eq!(r.retired_len(), 0);
+        assert_eq!(
+            r.resolve(evicted_end - 1, 5).unwrap_err(),
+            ResolveFailure::ForeignPc
+        );
+        assert_eq!(r.resolve(tenant_pc, 1).unwrap().tier, Tier::Opt);
     }
 }

@@ -286,11 +286,18 @@ impl OnlineMonitor {
         self.batches
     }
 
-    /// Close the epoch window of the artifact at `code_start` (the code
-    /// cache freed its range at `epoch`). Late samples stamped with an
-    /// older epoch will resolve [`ResolveFailure::Stale`] from now on.
-    pub fn retire_artifact(&mut self, code_start: u64, epoch: u64) {
-        self.resolver.retire(code_start, epoch);
+    /// Retire the artifact at `code_start` (the code cache freed its
+    /// range). Samples landing in it resolve [`ResolveFailure::Stale`]
+    /// until [`OnlineMonitor::forget_retired`].
+    pub fn retire_artifact(&mut self, code_start: u64) {
+        self.resolver.retire(code_start);
+    }
+
+    /// Forget the ranges retired so far; call only after every sample
+    /// captured before their frees has been processed (see
+    /// [`SampleResolver::forget_retired`]).
+    pub fn forget_retired(&mut self) {
+        self.resolver.forget_retired();
     }
 
     /// The PC resolver (for diagnostics).
@@ -436,7 +443,7 @@ mod tests {
 
         // The cache evicts the opt artifact (epoch 0 → 1) and reinstalls
         // the method as baseline code over the same range.
-        mon.retire_artifact(0x4000_0000, 1);
+        mon.retire_artifact(0x4000_0000);
         let mut tenant = compile(&p, p.entry(), Tier::Baseline, 0x4000_0000, true);
         tenant.install_epoch = 1;
         mon.register_artifact(&p, &tenant);

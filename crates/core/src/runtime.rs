@@ -614,11 +614,11 @@ impl RuntimeHooks for Hooks {
 
     fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
         self.last_cycles = cycles;
-        // Stamp subsequent samples with the new epoch and close the
-        // retired artifact's resolution window — the two halves of the
+        // Stamp subsequent samples with the new epoch and take the
+        // artifact out of resolution — the two halves of the
         // attribution-across-code-churn contract.
         self.hpm.set_code_epoch(ev.epoch);
-        self.monitor.retire_artifact(ev.code_start, ev.epoch);
+        self.monitor.retire_artifact(ev.code_start);
         self.telemetry.incr(MetricId::JitCodeFrees);
         if ev.evicted {
             self.telemetry.incr(MetricId::JitEvictions);
@@ -717,6 +717,11 @@ impl Hooks {
         self.samples_scratch.clear();
         let mut cost = self.hpm.poll_into(cycles, &mut self.samples_scratch);
         cost += self.monitor.process_batch(&self.samples_scratch, cycles);
+        // Every buffered sample has just drained, and the VM flushes its
+        // access batch before any install or free, so each later sample
+        // carries a PC in code that is live when it is captured: the
+        // ranges retired so far can no longer be hit.
+        self.monitor.forget_retired();
         self.telemetry.record(
             cycles,
             TraceKind::PollCompleted {

@@ -1,13 +1,6 @@
-//! Property-based tests for the instructions-of-interest analysis and
-//! the sample resolver.
-
-//
-// These tests need the external `proptest` crate, which the offline
-// build cannot fetch; enable with `--features proptest-tests` after
-// adding proptest as a dev-dependency.
-#![cfg(feature = "proptest-tests")]
-
-use proptest::prelude::*;
+//! Properties of the instructions-of-interest analysis and the sample
+//! resolver, checked over seeded random inputs (each case is
+//! reproducible from its seed).
 
 use hpmopt_bytecode::builder::{MethodBuilder, ProgramBuilder};
 use hpmopt_bytecode::{FieldType, Program};
@@ -15,6 +8,26 @@ use hpmopt_core::interest::analyze_method;
 use hpmopt_core::mapping::SampleResolver;
 use hpmopt_vm::compiler::compile;
 use hpmopt_vm::machine::Tier;
+
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// SplitMix64: a seeded stream of well-mixed `u64`s.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
 
 /// Straight-line access-path programs: a chain of `getfield` hops from a
 /// fresh object, optionally stashed in locals along the way.
@@ -28,11 +41,12 @@ enum Hop {
     Noise,
 }
 
-fn hops() -> impl Strategy<Value = Vec<Hop>> {
-    proptest::collection::vec(
-        prop_oneof![Just(Hop::Deref), Just(Hop::ViaLocal), Just(Hop::Noise)],
-        0..12,
-    )
+/// Up to 11 hops, each drawn uniformly.
+fn hops(rng: &mut Rng) -> Vec<Hop> {
+    let n = rng.below(12);
+    (0..n)
+        .map(|_| [Hop::Deref, Hop::ViaLocal, Hop::Noise][rng.below(3) as usize])
+        .collect()
 }
 
 /// Build `new A; (hops); getfield i; pop; ret` and return (program,
@@ -71,29 +85,38 @@ fn build(hopseq: &[Hop]) -> (Program, u32, bool) {
     (pb.finish().unwrap(), final_get, came_from_field)
 }
 
-proptest! {
-    /// The final `getfield i` is an instruction of interest exactly when
-    /// its base object flowed through at least one reference-field load —
-    /// and the blamed field is then `A::y`, no matter how many local
-    /// stashes or stack shuffles intervened.
-    #[test]
-    fn interest_tracks_access_paths(hopseq in hops()) {
+/// The final `getfield i` is an instruction of interest exactly when its
+/// base object flowed through at least one reference-field load — and
+/// the blamed field is then `A::y`, no matter how many local stashes or
+/// stack shuffles intervened.
+#[test]
+fn interest_tracks_access_paths() {
+    let mut via_field = 0;
+    for seed in 0..CASES {
+        let hopseq = hops(&mut Rng(seed));
         let (p, final_get, expect) = build(&hopseq);
         let map = analyze_method(&p, p.entry());
         let a = p.class_by_name("A").unwrap();
         let y = p.field_by_name(a, "y").unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             map.field_for(final_get),
             if expect { Some(y) } else { None },
-            "hops: {:?}",
-            hopseq
+            "seed {seed}, hops: {hopseq:?}"
         );
+        via_field += u64::from(expect);
     }
+    assert!(
+        via_field > 0 && via_field < CASES,
+        "both outcomes are drawn"
+    );
+}
 
-    /// Every machine PC of a full-map artifact resolves to a bytecode
-    /// index within the method body; PCs outside resolve to errors.
-    #[test]
-    fn resolver_is_total_over_full_maps(hopseq in hops()) {
+/// Every machine PC of a full-map artifact resolves to a bytecode index
+/// within the method body; PCs outside resolve to errors.
+#[test]
+fn resolver_is_total_over_full_maps() {
+    for seed in 0..CASES {
+        let hopseq = hops(&mut Rng(seed));
         let (p, _, _) = build(&hopseq);
         let code = compile(&p, p.entry(), Tier::Opt, 0x4000_0000, true);
         let start = code.code_start;
@@ -102,11 +125,11 @@ proptest! {
         let mut r = SampleResolver::new();
         r.register(code);
         for pc in (start..end).step_by(4) {
-            let resolved = r.resolve(pc);
-            prop_assert!(resolved.is_ok(), "pc {pc:#x} must resolve");
-            prop_assert!(resolved.unwrap().bytecode_index < body_len);
+            let resolved = r.resolve(pc, 0);
+            assert!(resolved.is_ok(), "seed {seed}: pc {pc:#x} must resolve");
+            assert!(resolved.unwrap().bytecode_index < body_len, "seed {seed}");
         }
-        prop_assert!(r.resolve(start - 4).is_err());
-        prop_assert!(r.resolve(end).is_err());
+        assert!(r.resolve(start - 4, 0).is_err(), "seed {seed}");
+        assert!(r.resolve(end, 0).is_err(), "seed {seed}");
     }
 }

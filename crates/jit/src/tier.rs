@@ -148,6 +148,18 @@ impl TierManager {
         self.config.tier1_enabled && cycles >= self.next_sample_at
     }
 
+    /// The first clock value at which the tier-1 timer fires
+    /// (`u64::MAX` when tier 1 is off): [`TierManager::should_sample`]
+    /// holds from there until the next [`TierManager::sample`].
+    #[must_use]
+    pub fn timer_deadline(&self) -> u64 {
+        if self.config.tier1_enabled {
+            self.next_sample_at
+        } else {
+            u64::MAX
+        }
+    }
+
     /// Record a timer sample of the executing method; returns
     /// `Some(method)` when the method just crossed the tier-1
     /// recompilation threshold.
@@ -285,6 +297,20 @@ mod tests {
             ..JitConfig::default()
         });
         assert!(!tiers.should_sample(u64::MAX));
+        assert_eq!(tiers.timer_deadline(), u64::MAX);
+    }
+
+    #[test]
+    fn timer_deadline_is_the_first_sampling_clock() {
+        let mut tiers = TierManager::new(tier1_config(100, 5));
+        assert_eq!(tiers.timer_deadline(), 100);
+        assert!(!tiers.should_sample(99));
+        assert!(tiers.should_sample(100));
+        // A late tick moves the timer to the next period boundary.
+        tiers.sample(MethodId(0), 250);
+        assert_eq!(tiers.timer_deadline(), 300);
+        assert!(!tiers.should_sample(299));
+        assert!(tiers.should_sample(300));
     }
 
     #[test]

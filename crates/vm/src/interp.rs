@@ -140,9 +140,11 @@ pub struct Vm<'p> {
     /// Retirement width of the block's tier (set at frame entry; a batch
     /// never spans a control transfer, so it is single-tier).
     batch_width: u64,
-    /// No cycle budget and no tier-1 timer: nothing reads the clock
-    /// between polls, so the epilogue's fast path may skip it.
-    clock_free: bool,
+    /// The first clock value at which the epilogue must look at the
+    /// clock: the smaller of `cycle_budget + 1` and the tier-1 timer's
+    /// next tick (`u64::MAX` when neither is set). Set at run start and
+    /// after each timer tick.
+    clock_deadline: u64,
     /// Bytecodes allowed before [`VmError::StepLimit`] (`u64::MAX` when
     /// unlimited).
     step_cap: u64,
@@ -194,7 +196,7 @@ impl<'p> Vm<'p> {
             batch_outcomes: Vec::with_capacity(BATCH_CAP),
             batch_mach: 0,
             batch_width: 1,
-            clock_free: config.cycle_budget.is_none() && !config.jit.tier1_enabled,
+            clock_deadline: 0,
             step_cap: config.step_limit.unwrap_or(u64::MAX),
             roots_scratch: Vec::with_capacity(64),
             program,
@@ -346,6 +348,7 @@ impl<'p> Vm<'p> {
     /// block's heap accesses through one hierarchy call.
     fn run_fast<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<(), VmError> {
         let mut next_poll = POLL_EVERY_BYTECODES;
+        self.reset_clock_deadline();
         let r = self.exec_fast(hooks, &mut next_poll);
         // Any exit — normal or error — drains the batch so the hooks see
         // every access that architecturally completed before the stop
@@ -730,10 +733,13 @@ impl<'p> Vm<'p> {
     }
 
     /// Per-bytecode bookkeeping shared by every fast-path op. Counts the
-    /// bytecode and returns at once unless something is due: a step
+    /// bytecode and returns at once unless something may be due: a step
     /// limit, a poll, or a clock check (a cycle budget or the tier-1
-    /// timer), which [`Vm::epilogue_slow`] handles. Returns `true` when a
-    /// recompilation replaced a decoded body and the caller must refetch.
+    /// timer), which [`Vm::epilogue_slow`] handles. `cycles + batch_mach`
+    /// bounds the running clock `cycles + ceil(batch_mach / width)` from
+    /// above, so the slow path runs on every bytecode where the budget or
+    /// the timer could fire. Returns `true` when a recompilation replaced
+    /// a decoded body and the caller must refetch.
     #[inline(always)]
     fn epilogue<H: RuntimeHooks>(
         &mut self,
@@ -741,10 +747,23 @@ impl<'p> Vm<'p> {
         next_poll: &mut u64,
     ) -> Result<bool, VmError> {
         self.bytecodes += 1;
-        if self.clock_free && self.bytecodes < *next_poll && self.bytecodes <= self.step_cap {
+        if self.bytecodes < *next_poll
+            && self.bytecodes <= self.step_cap
+            && self.cycles + self.batch_mach < self.clock_deadline
+        {
             return Ok(false);
         }
         self.epilogue_slow(hooks, next_poll)
+    }
+
+    /// Recompute [`Vm::clock_deadline`] from the cycle budget and the
+    /// tier-1 timer.
+    fn reset_clock_deadline(&mut self) {
+        let budget = self
+            .config
+            .cycle_budget
+            .map_or(u64::MAX, |b| b.saturating_add(1));
+        self.clock_deadline = budget.min(self.tiers.timer_deadline());
     }
 
     /// The epilogue's slow path, run after the bytecode is counted: step
@@ -773,7 +792,9 @@ impl<'p> Vm<'p> {
                 // A timer tick that lands in a method is also the cache's
                 // recency signal: sampled code is hot code.
                 self.cache.touch(m, clock);
-                if let Some(hot) = self.tiers.sample(m, clock) {
+                let hot = self.tiers.sample(m, clock);
+                self.reset_clock_deadline();
+                if let Some(hot) = hot {
                     // Recompilation swaps the running artifact: settle
                     // the batch so the install lands on an ordered clock.
                     self.flush_batch(hooks);

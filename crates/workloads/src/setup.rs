@@ -173,6 +173,25 @@ mod tests {
         let b = plan_for(&w, Size::Tiny);
         assert_eq!(a, b);
         assert!(a.contains(w.program.entry()));
+        // The plan-profiling run decides by tier-1 timer ticks: a tick
+        // that moved would change a plan, and with it the cycles of
+        // every planned run. Pinned for the six programs the service
+        // benchmark mixes and for jython.
+        let pinned: [(&str, &[u32]); 7] = [
+            ("db", &[0, 1, 2]),
+            ("lusearch", &[0, 1, 2]),
+            ("hsqldb", &[0, 1, 2, 3]),
+            ("jess", &[0, 1, 2]),
+            ("antlr", &[0, 1, 2]),
+            ("fop", &[0]),
+            ("jython", &[0, 1, 6, 96, 97, 98]),
+        ];
+        for (name, methods) in pinned {
+            let w = by_name(name, Size::Tiny).unwrap();
+            let plan = plan_for(&w, Size::Tiny);
+            let got: Vec<u32> = plan.methods().iter().map(|m| m.0).collect();
+            assert_eq!(got, methods, "{name} tiny plan");
+        }
     }
 
     #[test]

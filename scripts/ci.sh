@@ -15,6 +15,18 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --workspace --release
 
+echo "==> benchmark package: build and test perfbench"
+# perfbench is a package of its own that drives the system through public
+# APIs, so no workspace step compiles it; building it here catches an API
+# change before a benchmark run does. Its committed Cargo.lock is stale
+# and the build rewrites it, but that file changes only together with the
+# benchmark, so it is put back whether or not the tests pass.
+cp perfbench/Cargo.lock target/perfbench-Cargo.lock.orig
+perfbench_status=0
+cargo test --release --offline --manifest-path perfbench/Cargo.toml || perfbench_status=$?
+cp target/perfbench-Cargo.lock.orig perfbench/Cargo.lock
+[ "$perfbench_status" -eq 0 ]
+
 echo "==> slow-path escape hatch: vm suite under the legacy per-step engine"
 # Digest parity between the flattened and per-step engines is asserted
 # in-process by the default build; this run proves the legacy engine
