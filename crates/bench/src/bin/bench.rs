@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use hpmopt_bench::trajectory::{
     compare, measure, Trajectory, DEFAULT_STRESS_SEEDS, DEFAULT_WORKLOADS,
 };
-use hpmopt_workloads::Size;
+use hpmopt_workloads::{names, Size};
 
 const DEFAULT_BASELINE: &str = "BENCH_trajectory.json";
 const DEFAULT_THRESHOLD_PCT: f64 = 5.0;
@@ -81,6 +81,10 @@ fn parse_args() -> Result<Args, ()> {
                     .split(',')
                     .map(ToString::to_string)
                     .collect();
+                if let Some(bad) = a.workloads.iter().find(|w| !names().contains(&w.as_str())) {
+                    eprintln!("hpmopt-bench: unknown workload {bad:?}");
+                    return Err(());
+                }
             }
             "--seeds" => a.seeds = args.next().ok_or(())?.parse().map_err(|_| ())?,
             "--no-serve" => a.serve = false,

@@ -31,7 +31,6 @@
 //! results.
 
 pub mod ablations;
-pub mod export;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;

@@ -1,116 +1,125 @@
-//! Property-based tests for the bytecode substrate.
-
-//
-// These tests need the external `proptest` crate, which the offline
-// build cannot fetch; enable with `--features proptest-tests` after
-// adding proptest as a dev-dependency.
-#![cfg(feature = "proptest-tests")]
-
-use proptest::prelude::*;
+//! Properties of the bytecode substrate, checked over seeded random
+//! inputs (each case is reproducible from its seed) and, where the
+//! domain is small, over all of it.
 
 use hpmopt_bytecode::builder::{MethodBuilder, ProgramBuilder};
 use hpmopt_bytecode::verify::max_stack_depth;
 use hpmopt_bytecode::{FieldType, Instr};
+use hpmopt_prim::Rng;
 
-/// Generate a random but *well-formed* straight-line body: a sequence of
-/// stack-neutral snippets.
-fn snippet() -> impl Strategy<Value = Vec<Instr>> {
-    prop_oneof![
+/// Cases per seeded property.
+const CASES: u64 = 256;
+
+fn int(rng: &mut Rng) -> i64 {
+    rng.next_u64() as i64
+}
+
+/// A random stack-neutral snippet.
+fn snippet(rng: &mut Rng) -> Vec<Instr> {
+    match rng.below(5) {
         // push-pop
-        any::<i64>().prop_map(|v| vec![Instr::Const(v), Instr::Pop]),
+        0 => vec![Instr::Const(int(rng)), Instr::Pop],
         // arithmetic on two constants
-        (any::<i64>(), any::<i64>()).prop_map(|(a, b)| vec![
-            Instr::Const(a),
-            Instr::Const(b),
+        1 => vec![
+            Instr::Const(int(rng)),
+            Instr::Const(int(rng)),
             Instr::Add,
-            Instr::Pop
-        ]),
+            Instr::Pop,
+        ],
         // local round trip
-        any::<i64>().prop_map(|v| vec![
-            Instr::Const(v),
+        2 => vec![
+            Instr::Const(int(rng)),
             Instr::Store(0),
             Instr::Load(0),
-            Instr::Pop
-        ]),
+            Instr::Pop,
+        ],
         // dup/swap gymnastics
-        Just(vec![
+        3 => vec![
             Instr::Const(1),
             Instr::Dup,
             Instr::Swap,
             Instr::Pop,
-            Instr::Pop
-        ]),
+            Instr::Pop,
+        ],
         // comparison
-        (any::<i64>(), any::<i64>()).prop_map(|(a, b)| vec![
-            Instr::Const(a),
-            Instr::Const(b),
+        _ => vec![
+            Instr::Const(int(rng)),
+            Instr::Const(int(rng)),
             Instr::Lt,
-            Instr::Pop
-        ]),
-    ]
+            Instr::Pop,
+        ],
+    }
 }
 
-proptest! {
-    /// Any concatenation of stack-neutral snippets plus a return
-    /// verifies, and the verifier's max-stack matches a direct
-    /// simulation.
-    #[test]
-    fn neutral_snippets_verify(snips in proptest::collection::vec(snippet(), 0..40)) {
+/// Any concatenation of up to 39 stack-neutral snippets plus a return
+/// verifies, and the verifier's max-stack matches a direct simulation.
+#[test]
+fn neutral_snippets_verify() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let snips: Vec<Vec<Instr>> = (0..rng.below(40)).map(|_| snippet(&mut rng)).collect();
         let mut pb = ProgramBuilder::new();
         let mut m = MethodBuilder::new("main", 0, 1, false);
         let mut depth = 0i64;
         let mut max_depth = 0i64;
         for s in snips.iter().flatten() {
             m.emit(*s);
+            // `Add`/`Lt` pop 2 and push 1: a net -1, like `Pop`.
             depth += match s {
                 Instr::Const(_) | Instr::Load(_) | Instr::Dup => 1,
                 Instr::Pop | Instr::Store(_) | Instr::Add | Instr::Lt => -1,
                 Instr::Swap => 0,
                 _ => unreachable!(),
             };
-            // `Add`/`Lt` pop 2 push 1; adjust: they were counted as -1
-            // which is exactly the net effect.
             max_depth = max_depth.max(depth);
         }
         m.ret();
         let id = pb.add_method(m);
         pb.set_entry(id);
         let p = pb.finish().expect("neutral snippets verify");
-        prop_assert_eq!(max_stack_depth(&p, id) as i64, max_depth);
+        assert_eq!(max_stack_depth(&p, id) as i64, max_depth, "seed {seed}");
     }
+}
 
-    /// Truncating a verified body (removing the trailing return) always
-    /// fails verification — control must not fall off the end.
-    #[test]
-    fn truncated_bodies_fail(n in 1usize..20) {
+/// Truncating a verified body (removing the trailing return) always
+/// fails verification — control must not fall off the end.
+#[test]
+fn truncated_bodies_fail() {
+    for n in 1..20 {
         let mut pb = ProgramBuilder::new();
         let mut m = MethodBuilder::new("main", 0, 0, false);
         for i in 0..n {
-            m.const_i(i as i64);
+            m.const_i(i);
             m.pop();
         }
         // no return
         let id = pb.add_method(m);
         pb.set_entry(id);
-        prop_assert!(pb.finish().is_err());
+        assert!(pb.finish().is_err(), "{n} snippets without a return");
     }
+}
 
-    /// Random branch targets beyond the body are rejected.
-    #[test]
-    fn wild_branch_targets_rejected(target in 10u32..1000) {
+/// Branch targets beyond the body are rejected.
+#[test]
+fn wild_branch_targets_rejected() {
+    for target in 10u32..1000 {
         let mut pb = ProgramBuilder::new();
         let mut m = MethodBuilder::new("main", 0, 0, false);
         m.emit(Instr::Jump(target));
         m.ret();
         let id = pb.add_method(m);
         pb.set_entry(id);
-        prop_assert!(pb.finish().is_err());
+        assert!(pb.finish().is_err(), "jump to {target}");
     }
+}
 
-    /// Class layout: field offsets are disjoint, 8-byte-spaced slots
-    /// after the header, for any field list.
-    #[test]
-    fn layout_is_dense_and_disjoint(refs in proptest::collection::vec(any::<bool>(), 0..32)) {
+/// Class layout: field offsets are disjoint, 8-byte-spaced slots after
+/// the header, for any list of up to 31 fields.
+#[test]
+fn layout_is_dense_and_disjoint() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let refs: Vec<bool> = (0..rng.below(32)).map(|_| rng.chance(50)).collect();
         let mut pb = ProgramBuilder::new();
         let names: Vec<String> = (0..refs.len()).map(|i| format!("f{i}")).collect();
         let fields: Vec<(&str, FieldType)> = names
@@ -125,11 +134,19 @@ proptest! {
         pb.set_entry(id);
         let p = pb.finish().unwrap();
         let class = p.class(c);
-        prop_assert_eq!(class.instance_size(), 16 + 8 * refs.len() as u64);
+        assert_eq!(
+            class.instance_size(),
+            16 + 8 * refs.len() as u64,
+            "seed {seed}"
+        );
         for (i, f) in class.fields().iter().enumerate() {
-            prop_assert_eq!(f.offset(), 16 + 8 * i as u64);
+            assert_eq!(f.offset(), 16 + 8 * i as u64, "seed {seed}, field {i}");
         }
         let ref_count = class.ref_field_indices().count();
-        prop_assert_eq!(ref_count, refs.iter().filter(|&&r| r).count());
+        assert_eq!(
+            ref_count,
+            refs.iter().filter(|&&r| r).count(),
+            "seed {seed}"
+        );
     }
 }

@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 
 use hpmopt_bytecode::{ClassId, FieldId, MethodId, Program};
-use hpmopt_profile::wire::Fnv1a;
+use hpmopt_prim::Fnv1a;
 use hpmopt_profile::{DecisionKind, Fingerprint, Profile};
 use hpmopt_vm::VmConfig;
 

@@ -6,27 +6,17 @@ use hpmopt_bytecode::builder::{MethodBuilder, ProgramBuilder};
 use hpmopt_bytecode::{FieldType, Program};
 use hpmopt_core::interest::analyze_method;
 use hpmopt_core::mapping::SampleResolver;
+use hpmopt_prim::Rng;
 use hpmopt_vm::compiler::compile;
 use hpmopt_vm::machine::Tier;
 
 /// Cases per property.
 const CASES: u64 = 256;
 
-/// SplitMix64: a seeded stream of well-mixed `u64`s.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
+/// Uniform in `0..n` by `next % n`: the reduction these streams were
+/// recorded with (`Rng::below` reduces by multiply-shift instead).
+fn below(rng: &mut Rng, n: u64) -> u64 {
+    rng.next_u64() % n
 }
 
 /// Straight-line access-path programs: a chain of `getfield` hops from a
@@ -43,9 +33,9 @@ enum Hop {
 
 /// Up to 11 hops, each drawn uniformly.
 fn hops(rng: &mut Rng) -> Vec<Hop> {
-    let n = rng.below(12);
+    let n = below(rng, 12);
     (0..n)
-        .map(|_| [Hop::Deref, Hop::ViaLocal, Hop::Noise][rng.below(3) as usize])
+        .map(|_| [Hop::Deref, Hop::ViaLocal, Hop::Noise][below(rng, 3) as usize])
         .collect()
 }
 
@@ -93,7 +83,7 @@ fn build(hopseq: &[Hop]) -> (Program, u32, bool) {
 fn interest_tracks_access_paths() {
     let mut via_field = 0;
     for seed in 0..CASES {
-        let hopseq = hops(&mut Rng(seed));
+        let hopseq = hops(&mut Rng::new(seed));
         let (p, final_get, expect) = build(&hopseq);
         let map = analyze_method(&p, p.entry());
         let a = p.class_by_name("A").unwrap();
@@ -116,7 +106,7 @@ fn interest_tracks_access_paths() {
 #[test]
 fn resolver_is_total_over_full_maps() {
     for seed in 0..CASES {
-        let hopseq = hops(&mut Rng(seed));
+        let hopseq = hops(&mut Rng::new(seed));
         let (p, _, _) = build(&hopseq);
         let code = compile(&p, p.entry(), Tier::Opt, 0x4000_0000, true);
         let start = code.code_start;

@@ -11,6 +11,7 @@
 use hpmopt_bytecode::builder::{MethodBuilder, ProgramBuilder};
 use hpmopt_bytecode::{FieldType, MethodId, Program};
 use hpmopt_core::mapping::{ResolveFailure, ResolvedPc, SampleResolver};
+use hpmopt_prim::Rng;
 use hpmopt_vm::compiler::compile;
 use hpmopt_vm::machine::{CompiledCode, Tier};
 
@@ -23,21 +24,10 @@ const BASE: u64 = 0x4000_0000;
 /// Size of the code window: every artifact lies inside it.
 const WINDOW: u64 = 1024;
 
-/// SplitMix64: a seeded stream of well-mixed `u64`s.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
+/// Uniform in `0..n` by `next % n`: the reduction these streams were
+/// recorded with (`Rng::below` reduces by multiply-shift instead).
+fn below(rng: &mut Rng, n: u64) -> u64 {
+    rng.next_u64() % n
 }
 
 /// Epoch window sentinel: the artifact has not been retired.
@@ -165,9 +155,9 @@ impl Churn {
     /// `Vm::install` does: free the method's previous artifact, then
     /// every live artifact the new range overlaps, then register.
     fn install(&mut self, program: &Program, rng: &mut Rng) {
-        let method = MethodId(rng.below(program.methods().len() as u64) as u32);
-        let tier = [Tier::Baseline, Tier::Opt, Tier::Region][rng.below(3) as usize];
-        let full_maps = rng.below(4) != 0;
+        let method = MethodId(below(rng, program.methods().len() as u64) as u32);
+        let tier = [Tier::Baseline, Tier::Opt, Tier::Region][below(rng, 3) as usize];
+        let full_maps = below(rng, 4) != 0;
         if let Some(i) = self.live.iter().position(|l| l.method == method) {
             self.free(i);
         }
@@ -176,7 +166,7 @@ impl Churn {
             size <= WINDOW,
             "artifact of {size} bytes exceeds the window"
         );
-        let start = BASE + rng.below((WINDOW - size) / 4 + 1) * 4;
+        let start = BASE + below(rng, (WINDOW - size) / 4 + 1) * 4;
         let end = start + size;
         while let Some(i) = self
             .live
@@ -196,15 +186,15 @@ impl Churn {
     /// artifact, or (rarely) outside all code, stamped with the current
     /// epoch.
     fn capture(&mut self, rng: &mut Rng) {
-        let pc = if self.live.is_empty() || rng.below(16) == 0 {
-            if rng.below(2) == 0 {
-                rng.below(BASE)
+        let pc = if self.live.is_empty() || below(rng, 16) == 0 {
+            if below(rng, 2) == 0 {
+                below(rng, BASE)
             } else {
-                BASE + WINDOW + rng.below(1 << 20)
+                BASE + WINDOW + below(rng, 1 << 20)
             }
         } else {
-            let l = self.live[rng.below(self.live.len() as u64) as usize];
-            l.start + rng.below(l.end - l.start)
+            let l = self.live[below(rng, self.live.len() as u64) as usize];
+            l.start + below(rng, l.end - l.start)
         };
         self.pending.push((pc, self.epoch));
     }
@@ -231,10 +221,10 @@ impl Churn {
 fn live_only_resolver_matches_the_retain_everything_reference() {
     let program = program();
     for seed in 0..STREAMS {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let mut churn = Churn::new();
         for step in 0..STEPS {
-            match rng.below(10) {
+            match below(&mut rng, 10) {
                 0..=3 => churn.install(&program, &mut rng),
                 4..=8 => churn.capture(&mut rng),
                 _ => churn.drain(seed, step),

@@ -1,20 +1,16 @@
-//! Property-based tests for the heap and collectors: random object
-//! graphs and mutation sequences must survive arbitrary collection
-//! schedules with their data intact.
-
-//
-// These tests need the external `proptest` crate, which the offline
-// build cannot fetch; enable with `--features proptest-tests` after
-// adding proptest as a dev-dependency.
-#![cfg(feature = "proptest-tests")]
-
-use proptest::prelude::*;
+//! Properties of the heap and collectors: random object graphs and
+//! mutation sequences must survive arbitrary collection schedules with
+//! their data intact. Each seeded case is reproducible from its seed.
 
 use hpmopt_bytecode::builder::{MethodBuilder, ProgramBuilder};
 use hpmopt_bytecode::{ElemKind, FieldType, Program};
 use hpmopt_gc::freelist::{size_class_for, size_class_table};
-use hpmopt_gc::policy::{NoCoalloc, StaticPolicy};
+use hpmopt_gc::policy::StaticPolicy;
 use hpmopt_gc::{Address, CollectorKind, Heap, HeapConfig, LOS_THRESHOLD_BYTES};
+use hpmopt_prim::Rng;
+
+/// Cases per seeded property.
+const CASES: u64 = 64;
 
 fn program() -> Program {
     let mut pb = ProgramBuilder::new();
@@ -34,10 +30,10 @@ fn program() -> Program {
 }
 
 /// One mutation step against a growing object population.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
-    /// Allocate a node and remember it at a root slot (mod population).
-    Alloc(u8),
+    /// Allocate a node and remember it at a new root slot.
+    Alloc,
     /// Link `roots[x].a = roots[y]`.
     LinkA(u8, u8),
     /// Link `roots[x].b = roots[y]`.
@@ -52,19 +48,48 @@ enum Op {
     Major,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => any::<u8>().prop_map(Op::Alloc),
-        3 => (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::LinkA(a, b)),
-        3 => (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::LinkB(a, b)),
-        3 => (any::<u8>(), any::<i32>()).prop_map(|(a, v)| Op::SetV(a, v)),
-        2 => any::<u8>().prop_map(Op::Drop),
-        2 => Just(Op::Minor),
-        1 => Just(Op::Major),
-    ]
+/// Two shrunk failures found by an earlier random search. They run
+/// before the seeded sequences, under every collector.
+const REGRESSIONS: [&[Op]; 2] = [
+    &[Op::Alloc, Op::Alloc, Op::Alloc],
+    &[
+        Op::Alloc,
+        Op::Alloc,
+        Op::LinkA(0, 0),
+        Op::Alloc,
+        Op::Alloc,
+        Op::Alloc,
+        Op::Alloc,
+        Op::Alloc,
+        Op::Alloc,
+        Op::Alloc,
+        Op::Alloc,
+        Op::Alloc,
+        Op::Minor,
+    ],
+];
+
+/// One op, drawn with weights 4:3:3:3:2:2:1 in declaration order.
+fn op(rng: &mut Rng) -> Op {
+    let byte = |rng: &mut Rng| rng.next_u64() as u8;
+    match rng.below(18) {
+        0..=3 => Op::Alloc,
+        4..=6 => Op::LinkA(byte(rng), byte(rng)),
+        7..=9 => Op::LinkB(byte(rng), byte(rng)),
+        10..=12 => Op::SetV(byte(rng), rng.next_u64() as i32),
+        13..=14 => Op::Drop(byte(rng)),
+        15..=16 => Op::Minor,
+        _ => Op::Major,
+    }
 }
 
-fn run_ops(collector: CollectorKind, ops: &[Op], coalloc: bool) -> Result<(), TestCaseError> {
+/// Between 1 and 249 ops.
+fn ops(seed: u64) -> Vec<Op> {
+    let mut rng = Rng::new(seed);
+    (0..rng.range(1, 249)).map(|_| op(&mut rng)).collect()
+}
+
+fn run_ops(collector: CollectorKind, ops: &[Op], coalloc: bool, case: &str) {
     let p = program();
     let node = p.class_by_name("Node").unwrap();
     let mut heap = Heap::new(&p, HeapConfig::small().with_collector(collector));
@@ -77,28 +102,27 @@ fn run_ops(collector: CollectorKind, ops: &[Op], coalloc: bool) -> Result<(), Te
     let mut roots: Vec<Address> = Vec::new();
     let mut expect: Vec<(i64, Option<usize>, Option<usize>)> = Vec::new();
 
-    let mut collect = |heap: &mut Heap, roots: &mut Vec<Address>, major: bool| {
+    let collect = |heap: &mut Heap, roots: &mut Vec<Address>, major: bool| {
         let res = if major {
             heap.collect_major(roots, &policy)
         } else {
             heap.collect_minor(roots, &policy)
         };
-        prop_assert!(res.is_ok(), "collection failed: {res:?}");
-        Ok(())
+        assert!(res.is_ok(), "{case}: collection failed: {res:?}");
     };
 
     for op in ops {
         match *op {
-            Op::Alloc(_) if roots.len() >= 48 => {}
-            Op::Alloc(_) => {
+            Op::Alloc if roots.len() >= 48 => {}
+            Op::Alloc => {
                 let obj = match heap.alloc_object(node) {
                     Ok(o) => o,
                     Err(_) => {
-                        collect(&mut heap, &mut roots, false)?;
+                        collect(&mut heap, &mut roots, false);
                         match heap.alloc_object(node) {
                             Ok(o) => o,
                             Err(_) => {
-                                collect(&mut heap, &mut roots, true)?;
+                                collect(&mut heap, &mut roots, true);
                                 heap.alloc_object(node).expect("heap large enough")
                             }
                         }
@@ -128,7 +152,7 @@ fn run_ops(collector: CollectorKind, ops: &[Op], coalloc: bool) -> Result<(), Te
             Op::Drop(x) if !roots.is_empty() => {
                 let xi = x as usize % roots.len();
                 roots.remove(xi);
-                let (..) = expect.remove(xi);
+                expect.remove(xi);
                 // Linked expectations now refer to shifted indices; fix up.
                 for e in &mut expect {
                     for slot in [&mut e.1, &mut e.2] {
@@ -140,78 +164,106 @@ fn run_ops(collector: CollectorKind, ops: &[Op], coalloc: bool) -> Result<(), Te
                     }
                 }
             }
-            Op::Minor => collect(&mut heap, &mut roots, false)?,
-            Op::Major => collect(&mut heap, &mut roots, true)?,
+            Op::Minor => collect(&mut heap, &mut roots, false),
+            Op::Major => collect(&mut heap, &mut roots, true),
             _ => {}
         }
     }
 
     // Everything reachable from roots must verify, and the mirrored data
     // must match (where the mirror still knows the edge target).
-    heap.verify(&roots).map_err(|e| TestCaseError::fail(e))?;
+    if let Err(e) = heap.verify(&roots) {
+        panic!("{case}: heap verification failed: {e}");
+    }
     for (i, &(v, a, b)) in expect.iter().enumerate() {
-        prop_assert_eq!(heap.get_field(roots[i], 32) as i64, v, "v of root {}", i);
+        assert_eq!(
+            heap.get_field(roots[i], 32) as i64,
+            v,
+            "{case}: v of root {i}"
+        );
         if let Some(ai) = a {
-            prop_assert_eq!(Address(heap.get_field(roots[i], 16)), roots[ai]);
+            let got = Address(heap.get_field(roots[i], 16));
+            assert_eq!(got, roots[ai], "{case}: a of root {i}");
         }
         if let Some(bi) = b {
-            prop_assert_eq!(Address(heap.get_field(roots[i], 24)), roots[bi]);
+            let got = Address(heap.get_field(roots[i], 24));
+            assert_eq!(got, roots[bi], "{case}: b of root {i}");
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn genms_preserves_random_graphs(ops in proptest::collection::vec(op_strategy(), 1..250)) {
-        run_ops(CollectorKind::GenMs, &ops, false)?;
+/// The regressions, then the seeded op sequences, under one collector.
+fn preserves_random_graphs(collector: CollectorKind, coalloc: bool) {
+    for (i, ops) in REGRESSIONS.iter().enumerate() {
+        run_ops(collector, ops, coalloc, &format!("regression {i}"));
     }
-
-    #[test]
-    fn genms_with_coalloc_preserves_random_graphs(ops in proptest::collection::vec(op_strategy(), 1..250)) {
-        run_ops(CollectorKind::GenMs, &ops, true)?;
+    for seed in 0..CASES {
+        run_ops(collector, &ops(seed), coalloc, &format!("seed {seed}"));
     }
+}
 
-    #[test]
-    fn gencopy_preserves_random_graphs(ops in proptest::collection::vec(op_strategy(), 1..250)) {
-        run_ops(CollectorKind::GenCopy, &ops, false)?;
-    }
+#[test]
+fn genms_preserves_random_graphs() {
+    preserves_random_graphs(CollectorKind::GenMs, false);
+}
 
-    /// Size classes: every size maps to the smallest class that fits.
-    #[test]
-    fn size_class_is_tight(bytes in 1u64..=4096) {
-        let table = size_class_table();
+#[test]
+fn genms_with_coalloc_preserves_random_graphs() {
+    preserves_random_graphs(CollectorKind::GenMs, true);
+}
+
+#[test]
+fn gencopy_preserves_random_graphs() {
+    preserves_random_graphs(CollectorKind::GenCopy, false);
+}
+
+/// Size classes: every size maps to the smallest class that fits.
+#[test]
+fn size_class_is_tight() {
+    let table = size_class_table();
+    for bytes in 1u64..=4096 {
         let class = size_class_for(bytes).expect("≤ 4096 has a class");
-        prop_assert!(table[class] >= bytes);
+        assert!(table[class] >= bytes, "{bytes} B");
         if class > 0 {
-            prop_assert!(table[class - 1] < bytes, "not the smallest fitting class");
+            assert!(
+                table[class - 1] < bytes,
+                "{bytes} B: not the smallest fitting class"
+            );
         }
     }
+}
 
-    /// Sizes beyond the LOS threshold have no class.
-    #[test]
-    fn oversize_has_no_class(bytes in LOS_THRESHOLD_BYTES + 1..1 << 20) {
-        prop_assert!(size_class_for(bytes).is_none());
+/// Sizes beyond the LOS threshold have no class.
+#[test]
+fn oversize_has_no_class() {
+    for seed in 0..CASES {
+        let bytes = Rng::new(seed).range(LOS_THRESHOLD_BYTES + 1, (1 << 20) - 1);
+        assert!(size_class_for(bytes).is_none(), "{bytes} B");
     }
+}
 
-    /// Array round trip through the heap for every element kind.
-    #[test]
-    fn array_elements_round_trip(
-        len in 1u64..64,
-        values in proptest::collection::vec(any::<u64>(), 64),
-    ) {
-        let p = program();
+/// Array round trip through the heap for every element kind.
+#[test]
+fn array_elements_round_trip() {
+    let p = program();
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let len = rng.range(1, 63);
+        let values: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
         let mut heap = Heap::new(&p, HeapConfig::small());
         for kind in [ElemKind::I8, ElemKind::I16, ElemKind::I32, ElemKind::I64] {
             let arr = heap.alloc_array(kind, len).unwrap();
-            let mask = if kind.width() == 8 { u64::MAX } else { (1u64 << (kind.width() * 8)) - 1 };
-            for i in 0..len {
-                heap.array_set(arr, kind, i, values[i as usize]);
+            let mask = if kind.width() == 8 {
+                u64::MAX
+            } else {
+                (1u64 << (kind.width() * 8)) - 1
+            };
+            for (i, &v) in values.iter().enumerate() {
+                heap.array_set(arr, kind, i as u64, v);
             }
-            for i in 0..len {
-                prop_assert_eq!(heap.array_get(arr, kind, i), values[i as usize] & mask);
+            for (i, &v) in values.iter().enumerate() {
+                let got = heap.array_get(arr, kind, i as u64);
+                assert_eq!(got, v & mask, "seed {seed}, {kind:?}[{i}]");
             }
         }
     }

@@ -1,6 +1,7 @@
 //! The precise event-based sampling unit.
 
 use hpmopt_memsim::EventKind;
+use hpmopt_prim::Rng;
 
 /// Size of one sample record in bytes: PC, data address, event id, cycle
 /// stamp, and a register snapshot — matching the paper's 40-byte P4
@@ -29,21 +30,6 @@ pub struct Sample {
     pub epoch: u64,
 }
 
-/// SplitMix64 — a tiny deterministic generator for interval
-/// randomization (no external dependency needed for 8 random bits).
-#[derive(Debug, Clone, Copy)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 /// The sampling "hardware": an event down-counter that captures a sample
 /// into a kernel-supplied buffer every time it reaches zero.
 ///
@@ -54,7 +40,7 @@ impl SplitMix64 {
 pub struct PebsUnit {
     interval: u64,
     countdown: u64,
-    rng: SplitMix64,
+    rng: Rng,
     buffer: Vec<Sample>,
     capacity: usize,
     dropped: u64,
@@ -72,7 +58,7 @@ impl PebsUnit {
         let mut unit = PebsUnit {
             interval,
             countdown: 0,
-            rng: SplitMix64(seed),
+            rng: Rng::new(seed),
             buffer: Vec::with_capacity(capacity),
             capacity,
             dropped: 0,
@@ -90,7 +76,7 @@ impl PebsUnit {
         // Replace the low 8 bits with random ones — a perturbation for the
         // realistic intervals (25 K+); tiny test intervals are used as-is.
         self.countdown = if self.interval >= 512 {
-            let random_low = self.rng.next() & 0xff;
+            let random_low = self.rng.next_u64() & 0xff;
             ((self.interval & !0xff) | random_low).max(1)
         } else {
             self.interval

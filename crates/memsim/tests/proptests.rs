@@ -2,39 +2,29 @@
 //! random inputs (each case is reproducible from its seed).
 
 use hpmopt_memsim::{AccessKind, Cache, CacheGeometry, MemConfig, MemoryHierarchy, Tlb};
+use hpmopt_prim::Rng;
 
 /// Cases per property.
 const CASES: u64 = 256;
 
-/// SplitMix64: a seeded stream of well-mixed `u64`s.
-struct Rng(u64);
+/// Uniform in `lo..hi` by `next % (hi - lo)`: the reduction these
+/// streams were recorded with (`Rng::range` is inclusive and reduces
+/// by multiply-shift instead).
+fn range(rng: &mut Rng, lo: u64, hi: u64) -> u64 {
+    lo + rng.next_u64() % (hi - lo)
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `lo..hi`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-
-    /// Between `min_len` and `max_len - 1` addresses, each below `limit`.
-    fn addrs(&mut self, limit: u64, min_len: u64, max_len: u64) -> Vec<u64> {
-        let n = self.range(min_len, max_len);
-        (0..n).map(|_| self.range(0, limit)).collect()
-    }
+/// Between `min_len` and `max_len - 1` addresses, each below `limit`.
+fn addrs(rng: &mut Rng, limit: u64, min_len: u64, max_len: u64) -> Vec<u64> {
+    let n = range(rng, min_len, max_len);
+    (0..n).map(|_| range(rng, 0, limit)).collect()
 }
 
 /// Immediately re-accessing any address hits L1 regardless of history.
 #[test]
 fn repeat_access_always_hits() {
     for seed in 0..CASES {
-        let addrs = Rng(seed).addrs(1 << 30, 1, 200);
+        let addrs = addrs(&mut Rng::new(seed), 1 << 30, 1, 200);
         let mut mem = MemoryHierarchy::new(MemConfig::pentium4());
         for a in addrs {
             let aligned = a & !7;
@@ -51,7 +41,7 @@ fn repeat_access_always_hits() {
 #[test]
 fn stats_are_consistent() {
     for seed in 0..CASES {
-        let addrs = Rng(seed).addrs(1 << 26, 1, 500);
+        let addrs = addrs(&mut Rng::new(seed), 1 << 26, 1, 500);
         let mut mem = MemoryHierarchy::new(MemConfig::pentium4());
         for a in &addrs {
             let out = mem.access(a & !7, 8, AccessKind::Write);
@@ -74,16 +64,16 @@ fn stats_are_consistent() {
 fn residency_never_exceeds_capacity() {
     let mut checked = 0;
     for seed in 0..CASES {
-        let mut rng = Rng(seed);
-        let size = 1u64 << rng.range(8, 16);
-        let line = 1u64 << rng.range(5, 8);
-        let assoc = 1usize << rng.range(0, 4);
+        let mut rng = Rng::new(seed);
+        let size = 1u64 << range(&mut rng, 8, 16);
+        let line = 1u64 << range(&mut rng, 5, 8);
+        let assoc = 1usize << range(&mut rng, 0, 4);
         if size < line * assoc as u64 {
             continue;
         }
         checked += 1;
         let mut c = Cache::new(CacheGeometry::new(size, line, assoc));
-        for a in rng.addrs(1 << 22, 1, 400) {
+        for a in addrs(&mut rng, 1 << 22, 1, 400) {
             c.access(a);
             assert!(
                 c.resident_lines() as u64 <= size / line,
@@ -125,7 +115,7 @@ fn lru_evicts_least_recent() {
 #[test]
 fn tlb_deterministic() {
     for seed in 0..CASES {
-        let addrs = Rng(seed).addrs(1 << 30, 1, 300);
+        let addrs = addrs(&mut Rng::new(seed), 1 << 30, 1, 300);
         let run = |addrs: &[u64]| {
             let mut t = Tlb::new(64, 4096);
             for &a in addrs {
@@ -145,7 +135,7 @@ fn latency_is_bounded() {
     let worst = lat.l1_hit + lat.l2_hit + lat.memory + lat.tlb_miss;
     for seed in 0..CASES {
         let mut mem = MemoryHierarchy::new(cfg.clone());
-        for a in Rng(seed).addrs(1 << 30, 1, 200) {
+        for a in addrs(&mut Rng::new(seed), 1 << 30, 1, 200) {
             let out = mem.access(a & !7, 8, AccessKind::Read);
             assert!(out.cycles >= lat.l1_hit, "seed {seed}");
             assert!(out.cycles <= worst, "seed {seed}");

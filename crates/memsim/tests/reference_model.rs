@@ -10,22 +10,12 @@
 use hpmopt_memsim::{
     AccessKind, BatchAccess, Cache, CacheGeometry, MemConfig, MemoryHierarchy, Tlb,
 };
+use hpmopt_prim::Rng;
 
-/// SplitMix64: a seeded stream of well-mixed `u64`s.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
+/// Uniform in `0..n` by `next % n`: the reduction these streams were
+/// recorded with (`Rng::below` reduces by multiply-shift instead).
+fn below(rng: &mut Rng, n: u64) -> u64 {
+    rng.next_u64() % n
 }
 
 /// The original set-associative cache: per set, a `Vec` of resident
@@ -155,10 +145,10 @@ impl RefTlb {
 /// reach (so hits, conflicts and evictions all occur), sometimes from
 /// a small hot set, sometimes anywhere.
 fn draw_addr(rng: &mut Rng, reach: u64) -> u64 {
-    match rng.below(10) {
-        0..=5 => rng.below(4 * reach),
-        6..=8 => rng.below(reach / 4 + 1),
-        _ => rng.next() >> 20,
+    match below(rng, 10) {
+        0..=5 => below(rng, 4 * reach),
+        6..=8 => below(rng, reach / 4 + 1),
+        _ => rng.next_u64() >> 20,
     }
 }
 
@@ -174,13 +164,13 @@ fn cache_matches_reference_model_at_every_step() {
     ];
     for g in geometries {
         for seed in 0..4u64 {
-            let mut rng = Rng(seed ^ g.size_bytes() ^ (g.associativity() as u64) << 32);
+            let mut rng = Rng::new(seed ^ g.size_bytes() ^ (g.associativity() as u64) << 32);
             let mut flat = Cache::new(g);
             let mut reference = RefCache::new(g);
             for step in 0..20_000 {
                 let addr = draw_addr(&mut rng, g.size_bytes());
                 let ctx = || format!("{g:?} seed {seed} step {step} addr {addr:#x}");
-                match rng.below(100) {
+                match below(&mut rng, 100) {
                     0..=69 => assert_eq!(flat.access(addr), reference.access(addr), "{}", ctx()),
                     70..=84 => {
                         flat.fill_prefetch(addr);
@@ -215,13 +205,13 @@ fn cache_matches_reference_model_at_every_step() {
 fn tlb_matches_reference_model_at_every_step() {
     for entries in [1usize, 4, 64] {
         for seed in 0..4u64 {
-            let mut rng = Rng(seed ^ (entries as u64) << 40);
+            let mut rng = Rng::new(seed ^ (entries as u64) << 40);
             let mut flat = Tlb::new(entries, 4096);
             let mut reference = RefTlb::new(entries, 4096);
             let reach = entries as u64 * 4096;
             for step in 0..20_000 {
                 let addr = draw_addr(&mut rng, reach);
-                if rng.below(200) == 0 {
+                if below(&mut rng, 200) == 0 {
                     flat.flush();
                     reference.flush();
                 } else {
@@ -252,7 +242,7 @@ fn fold(h: u64, x: u64) -> u64 {
 /// occasional GC flush), folded into one digest.
 #[test]
 fn pentium4_batch_digest_is_pinned() {
-    let mut rng = Rng(0x5eed);
+    let mut rng = Rng::new(0x5eed);
     let mut mem = MemoryHierarchy::new(MemConfig::pentium4());
     let mut outs = Vec::new();
     let mut batch = Vec::new();
@@ -260,17 +250,17 @@ fn pentium4_batch_digest_is_pinned() {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for round in 0..8_000u64 {
         batch.clear();
-        for _ in 0..=rng.below(32) {
-            let addr = match rng.below(10) {
-                0..=3 => 0x10_0000 + rng.below(64) * 8,
-                4..=5 => 0x200_0000 + rng.below(512 * 1024),
+        for _ in 0..=below(&mut rng, 32) {
+            let addr = match below(&mut rng, 10) {
+                0..=3 => 0x10_0000 + below(&mut rng, 64) * 8,
+                4..=5 => 0x200_0000 + below(&mut rng, 512 * 1024),
                 6..=7 => {
                     stream += 128;
                     stream
                 }
-                _ => rng.below(64 << 20),
+                _ => below(&mut rng, 64 << 20),
             };
-            let kind = if rng.below(3) == 0 {
+            let kind = if below(&mut rng, 3) == 0 {
                 AccessKind::Write
             } else {
                 AccessKind::Read

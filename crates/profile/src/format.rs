@@ -25,7 +25,9 @@
 //! hot_method_count u32 · { name str }*          (v2+; absent in v1)
 //! ```
 
-use crate::wire::{fnv1a, ByteReader, ByteWriter};
+use hpmopt_prim::fnv1a;
+
+use crate::wire::{ByteReader, ByteWriter};
 use crate::{DecisionKind, DecisionRecord, FieldProfile, Fingerprint, Profile};
 
 /// File magic: "HPMP" (HPM Profile).

@@ -59,7 +59,7 @@ fn key_of(fp: &Fingerprint) -> RepoKey {
 /// (over a key's bytes) and the serve scheduler (over a tenant name).
 /// It has FNV-1a's offset basis and shape, but multiplies by
 /// `0x1_0000_0000_01b3` rather than the FNV prime of
-/// [`crate::wire::fnv1a`]. The two agree only in their low 40 bits, so
+/// [`hpmopt_prim::fnv1a`]. The two agree only in their low 40 bits, so
 /// swapping one for the other keeps power-of-two shard counts but moves
 /// keys between shards at any other count.
 #[must_use]

@@ -1,67 +1,11 @@
 //! Little-endian byte-level primitives for the on-disk format.
 //!
 //! The workspace is dependency-free, so serialization is hand-rolled:
-//! a growing [`ByteWriter`], a bounds-checked [`ByteReader`] whose
-//! every read can fail with [`ProfileError::Truncated`], and the
-//! FNV-1a hash used both as the payload checksum and (by
-//! `hpmopt-core`) as the fingerprint hash function.
+//! a growing [`ByteWriter`] and a bounds-checked [`ByteReader`] whose
+//! every read can fail with [`ProfileError::Truncated`]. The payload
+//! checksum is [`hpmopt_prim::fnv1a`].
 
 use crate::format::ProfileError;
-
-/// 64-bit FNV-1a over a byte slice.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Incremental FNV-1a hasher for callers that hash structured data
-/// without materializing one big buffer.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a {
-    /// Start a fresh hash.
-    #[must_use]
-    pub fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Feed bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Feed one little-endian `u64`.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Feed a length-prefixed string (so `"ab","c"` ≠ `"a","bc"`).
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-
-    /// The digest so far.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Append-only little-endian encoder.
 #[derive(Debug, Default)]
@@ -236,14 +180,5 @@ mod tests {
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_str().unwrap_err(), ProfileError::Malformed);
-    }
-
-    #[test]
-    fn fnv_matches_incremental() {
-        let bytes = b"hello profile";
-        let mut h = Fnv1a::new();
-        h.write(bytes);
-        assert_eq!(h.finish(), fnv1a(bytes));
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
     }
 }

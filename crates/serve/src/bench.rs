@@ -2,20 +2,14 @@
 //!
 //! The bench replays a mixed-workload job schedule at configurable
 //! concurrency and prints a summary that is *byte-identical for any
-//! worker count*. Determinism comes from round/generation execution:
+//! worker count*. It draws the full schedule up front from the seed and
+//! runs it in rounds, each one wave of [`run_wave`], whose contract
+//! makes the results independent of the worker count. The open-loop
+//! generator ([`crate::openloop`]) runs its waves the same way.
 //!
-//! 1. The full schedule is drawn up front from the seed.
-//! 2. Each round checks out every job's warm profile from the
-//!    repository state *at round start* — concurrent jobs in a round
-//!    cannot observe each other.
-//! 3. The round's jobs run on the indexed work-stealing pool
-//!    ([`hpmopt_stress::pool`]), whose output depends only on the task
-//!    function and index range.
-//! 4. Merges apply at the round barrier, in job-index order.
-//!
-//! The live daemon ([`crate::service`]) intentionally skips steps 2 and
-//! 4 (merge-on-completion, lower latency); the bench is the mode CI can
-//! diff byte for byte. Wall-clock throughput is reported separately
+//! The live daemon ([`crate::service`]) intentionally skips the wave
+//! snapshot and barrier (merge-on-completion, lower latency); the bench
+//! is the mode CI can diff byte for byte. Wall-clock throughput is reported separately
 //! ([`BenchReport::throughput_line`]) so the deterministic summary
 //! stays free of timing.
 //!
@@ -135,6 +129,42 @@ pub fn schedule(config: &BenchConfig) -> Vec<JobSpec> {
     specs
 }
 
+/// Run one wave of jobs against `repo` so that the results depend only
+/// on the jobs, never on `workers`:
+///
+/// 1. every job checks out its warm profile from the repository state
+///    at wave start, so concurrent jobs cannot observe each other;
+/// 2. the jobs run on the indexed work-stealing pool
+///    ([`hpmopt_stress::pool`]), whose output depends only on the task
+///    function and the index range;
+/// 3. the fresh profiles merge at the wave barrier, in job-index order.
+///
+/// Returns the runs in job order and the number of checkouts that found
+/// a warm profile.
+pub(crate) fn run_wave(
+    jobs: &[JobSpec],
+    repo: &SharedProfileRepo,
+    workers: usize,
+    decay: f64,
+) -> (Vec<JobRun>, usize) {
+    let checkouts: Vec<_> = jobs
+        .iter()
+        .map(|spec| {
+            spec.resolve()
+                .and_then(|w| repo.checkout(&fingerprint_of(spec, &w)))
+        })
+        .collect();
+    let warm_checkouts = checkouts.iter().filter(|c| c.is_some()).count();
+    let runs: Vec<JobRun> =
+        pool::contiguous_prefix(pool::run_indexed(jobs.len() as u64, workers, None, |i| {
+            run_job(&jobs[i as usize], checkouts[i as usize].clone(), None, None)
+        }));
+    for fresh in runs.iter().filter_map(|run| run.fresh_profile.as_ref()) {
+        repo.merge(fresh, decay);
+    }
+    (runs, warm_checkouts)
+}
+
 fn mean(values: &[u64]) -> f64 {
     if values.is_empty() {
         0.0
@@ -167,34 +197,8 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
     let mut completed = 0usize;
 
     for (r, round) in specs.chunks(config.jobs_per_round.max(1)).enumerate() {
-        // Round-start snapshot: every job in the round checks out
-        // against the same repository state.
-        let checkouts: Vec<_> = round
-            .iter()
-            .map(|spec| {
-                spec.resolve()
-                    .and_then(|w| repo.checkout(&fingerprint_of(spec, &w)))
-            })
-            .collect();
-        let runs: Vec<JobRun> = pool::contiguous_prefix(pool::run_indexed(
-            round.len() as u64,
-            config.workers,
-            None,
-            |i| {
-                run_job(
-                    &round[i as usize],
-                    checkouts[i as usize].clone(),
-                    None,
-                    None,
-                )
-            },
-        ));
+        let (runs, _) = run_wave(round, &repo, config.workers, config.decay);
         for (j, (spec, run)) in round.iter().zip(&runs).enumerate() {
-            // Merge at the barrier, in job-index order: the repository
-            // evolves identically for any worker count.
-            if let Some(fresh) = &run.fresh_profile {
-                repo.merge(fresh, config.decay);
-            }
             if run.outcome == JobOutcome::Completed {
                 completed += 1;
                 let baseline = spec

@@ -15,10 +15,9 @@
 //! requires separating two concerns the live daemon fuses:
 //!
 //! 1. **Service times** are measured by executing the schedule in
-//!    fixed arrival-order *waves* (checkout snapshot at wave start,
-//!    merges at the wave barrier in job-index order against the
-//!    *bounded* repository) on the indexed work-stealing pool — the
-//!    real worker count changes wall time, never results.
+//!    fixed arrival-order waves against the *bounded* repository, each
+//!    one [`crate::bench::run_wave`] — the real worker count changes
+//!    wall time, never results.
 //! 2. **Queueing** is then computed by a discrete-event simulation
 //!    (G/G/W on the simulated clock) over those service times, at
 //!    *pinned virtual worker counts* (1 and 4) and under two dispatch
@@ -40,11 +39,11 @@
 use std::time::{Duration, Instant};
 
 use hpmopt_profile::{RepoConfig, SharedProfileRepo};
-use hpmopt_stress::pool;
 use hpmopt_telemetry::{HistogramId, Telemetry, TelemetrySnapshot};
 use hpmopt_workloads::{setup, Size};
 
-use crate::job::{fingerprint_of, run_job, JobOutcome, JobRun, JobSpec};
+use crate::bench::run_wave;
+use crate::job::{JobOutcome, JobSpec};
 use crate::scheduler::DrrQueue;
 
 /// The two tenants of the canonical open-loop mix.
@@ -307,7 +306,9 @@ fn fmt_jobs_per_sec(jobs: usize, makespan_cycles: u64) -> f64 {
 pub fn run_openloop(config: &OpenLoopConfig) -> OpenLoopReport {
     let period = config.heavy_share + 1;
     let gap = setup::MONITOR_CPU_HZ / config.qps.max(1);
-    let specs: Vec<(usize, JobSpec, u64)> = (0..config.jobs)
+    // Each job's spec, and its arrival for the queueing simulation; the
+    // service cycles are filled in once the job has run.
+    let (specs, mut sim_jobs): (Vec<JobSpec>, Vec<SimJob>) = (0..config.jobs)
         .map(|i| {
             let tenant = usize::from(i % period == period - 1); // 0 heavy, 1 light
             let name = [HEAVY, LIGHT][tenant];
@@ -315,41 +316,30 @@ pub fn run_openloop(config: &OpenLoopConfig) -> OpenLoopReport {
             let mut spec = JobSpec::new(name, workload);
             spec.size = config.size;
             spec.heap_mult = config.heap_mult;
-            (tenant, spec, i as u64 * gap)
+            let arrival = i as u64 * gap;
+            (
+                spec,
+                SimJob {
+                    tenant,
+                    arrival,
+                    service: 0,
+                },
+            )
         })
-        .collect();
+        .unzip();
 
     let repo = SharedProfileRepo::with_config(config.repo.clone());
     let telemetry = Telemetry::enabled(hpmopt_telemetry::DEFAULT_TRACE_CAPACITY);
     let start = Instant::now();
 
     // Phase 1: measure service times deterministically, wave by wave.
-    let mut sim_jobs: Vec<SimJob> = Vec::with_capacity(specs.len());
     let mut deltas = 0usize;
     let mut warm_checkouts = 0usize;
-    for wave in specs.chunks(config.wave.max(1)) {
-        let checkouts: Vec<_> = wave
-            .iter()
-            .map(|(_, spec, _)| {
-                spec.resolve()
-                    .and_then(|w| repo.checkout(&fingerprint_of(spec, &w)))
-            })
-            .collect();
-        warm_checkouts += checkouts.iter().filter(|c| c.is_some()).count();
-        let runs: Vec<JobRun> = pool::contiguous_prefix(pool::run_indexed(
-            wave.len() as u64,
-            config.workers.max(1),
-            None,
-            |i| {
-                run_job(
-                    &wave[i as usize].1,
-                    checkouts[i as usize].clone(),
-                    None,
-                    None,
-                )
-            },
-        ));
-        for ((tenant, spec, arrival), run) in wave.iter().zip(&runs) {
+    let wave_len = config.wave.max(1);
+    for (wave, sims) in specs.chunks(wave_len).zip(sim_jobs.chunks_mut(wave_len)) {
+        let (runs, warm) = run_wave(wave, &repo, config.workers, config.decay);
+        warm_checkouts += warm;
+        for ((spec, run), sim) in wave.iter().zip(&runs).zip(sims) {
             assert!(
                 run.outcome == JobOutcome::Completed,
                 "open-loop job ({} {}) did not complete: {:?}",
@@ -357,9 +347,6 @@ pub fn run_openloop(config: &OpenLoopConfig) -> OpenLoopReport {
                 spec.workload,
                 run.outcome
             );
-            if let Some(fresh) = &run.fresh_profile {
-                repo.merge(fresh, config.decay);
-            }
             let baseline = spec
                 .resolve()
                 .map(|w| setup::baseline_digest(&w, spec.size, spec.heap_mult, 1));
@@ -367,11 +354,7 @@ pub fn run_openloop(config: &OpenLoopConfig) -> OpenLoopReport {
                 deltas += 1;
             }
             telemetry.observe(HistogramId::ServeServiceCycles, run.cycles);
-            sim_jobs.push(SimJob {
-                tenant: *tenant,
-                arrival: *arrival,
-                service: run.cycles,
-            });
+            sim.service = run.cycles;
         }
     }
 

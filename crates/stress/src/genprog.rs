@@ -28,8 +28,7 @@
 
 use hpmopt_bytecode::builder::{MethodBuilder, ProgramBuilder};
 use hpmopt_bytecode::{ElemKind, FieldType, MethodId, Program, StaticId};
-
-use crate::rng::Rng;
+use hpmopt_prim::Rng;
 
 /// Number of live slots in the static churn table (bounds the live set).
 const TABLE_SLOTS: i64 = 8;

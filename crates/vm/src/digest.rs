@@ -15,32 +15,9 @@
 
 use hpmopt_bytecode::{ElemKind, Program};
 use hpmopt_gc::{Address, Heap, TypeTag};
+use hpmopt_prim::Fnv1a;
 
 use crate::value::Value;
-
-/// FNV-1a, 64-bit. Hand-rolled so the digest is stable across Rust
-/// versions (unlike `DefaultHasher`) and needs no external crates.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Visit-order index of `addr`, assigning the next index (and queueing
 /// the object for scanning) on first encounter. Index 0 is reserved for

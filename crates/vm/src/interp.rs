@@ -6,7 +6,9 @@
 //! heap access is reported to the [`RuntimeHooks`] with the machine PC of
 //! its memory instruction — the raw feed a PEBS-style sampling unit sees.
 
-use hpmopt_bytecode::{ElemKind, Instr, MethodId, Program};
+#[cfg(test)]
+use hpmopt_bytecode::Instr;
+use hpmopt_bytecode::{ElemKind, MethodId, Program};
 use hpmopt_gc::{Address, GcNeeded, GcStats, Heap, TypeTag};
 use hpmopt_memsim::{AccessKind, AccessOutcome, BatchAccess, MemStats, MemoryHierarchy};
 
@@ -19,7 +21,9 @@ use crate::machine::{CompiledCode, Tier};
 use crate::methodtable::{CodeRange, MethodTable};
 use crate::predecode::{decode, DecodedMethod, IcSlot, Op, IC_ARRAY_KEY};
 use crate::value::{Value, VmError};
-use crate::{CODE_BASE, STATICS_BASE};
+use crate::CODE_BASE;
+#[cfg(test)]
+use crate::STATICS_BASE;
 
 /// Per-method code-size report (Table 2 rows).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -270,26 +274,18 @@ impl<'p> Vm<'p> {
 
     /// Run the program to completion.
     ///
-    /// The default engine executes pre-decoded bodies with inline caches
-    /// and block-batched memory simulation; building with the
-    /// `slow-path` feature forces the legacy per-step engine instead
-    /// (same semantics and digests, unbatched cost accounting) for
-    /// differential debugging.
+    /// The engine executes pre-decoded bodies with inline caches and
+    /// block-batched memory simulation. The tests check it against the
+    /// per-step reference engine (`run_slow`): same outcome, bytecode
+    /// count and state digest.
     ///
     /// # Errors
     ///
     /// Returns the first [`VmError`] raised (null dereference, division by
     /// zero, index error, out of memory, step limit, ...).
     pub fn run<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<RunSummary, VmError> {
-        hooks.on_startup(self.program, self.cycles);
-        let entry = self.program.entry();
-        self.ensure_compiled(entry, hooks);
-        self.push_frame(entry, 0, self.config.call_overhead_cycles)?;
-        if cfg!(feature = "slow-path") {
-            self.run_slow(hooks)?;
-        } else {
-            self.run_fast(hooks)?;
-        }
+        self.prologue(hooks)?;
+        self.run_fast(hooks)?;
         // Final drain so buffered samples are processed before reporting.
         let overhead = hooks.on_exit(self.program, self.cycles);
         self.cycles += overhead;
@@ -297,9 +293,20 @@ impl<'p> Vm<'p> {
         Ok(self.summary())
     }
 
-    /// The legacy per-step engine: re-decode and re-cost every bytecode
-    /// from the artifact on each step, play every heap access through
-    /// the hierarchy immediately.
+    /// Announce the run to the hooks and push the entry frame.
+    fn prologue<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<(), VmError> {
+        hooks.on_startup(self.program, self.cycles);
+        let entry = self.program.entry();
+        self.ensure_compiled(entry, hooks);
+        self.push_frame(entry, 0, self.config.call_overhead_cycles)
+    }
+
+    /// The per-step reference engine, kept for the tests to compare
+    /// [`Vm::run`] against: re-decode and re-cost every bytecode from the
+    /// artifact on each step, play every heap access through the
+    /// hierarchy immediately. Same semantics and digests as the fast
+    /// engine, unbatched cost accounting.
+    #[cfg(test)]
     fn run_slow<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<(), VmError> {
         let mut next_poll = POLL_EVERY_BYTECODES;
         while !self.frames.is_empty() {
@@ -1175,10 +1182,11 @@ impl<'p> Vm<'p> {
         Err(VmError::OutOfMemory)
     }
 
-    // ----- data access helper ----------------------------------------------
+    // ----- the per-step reference engine (tests only) ------------------------
 
     /// Play a data access through the memory hierarchy and report it to
     /// the hooks; returns the latency-plus-overhead cycles.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     fn data_access<H: RuntimeHooks>(
         &mut self,
@@ -1204,8 +1212,7 @@ impl<'p> Vm<'p> {
         outcome.cycles + overhead
     }
 
-    // ----- the interpreter step ---------------------------------------------
-
+    #[cfg(test)]
     #[allow(clippy::too_many_lines)]
     fn step<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<(), VmError> {
         let frame = *self.frames.last().expect("running frame");
@@ -1224,9 +1231,8 @@ impl<'p> Vm<'p> {
         // instruction (last of the bytecode) adds its hierarchy latency
         // below on top.
         // The per-step engine never installs region code (tier-2
-        // promotion is driven by the fast engine's back-edge counters),
-        // but a region artifact installed before a `slow-path` fallback
-        // costs like opt code here.
+        // promotion is driven by the fast engine's back-edge counters);
+        // a region artifact would cost like opt code here.
         let mut cycles = match tier {
             Tier::Baseline => mach_count,
             Tier::Opt | Tier::Region => mach_count.div_ceil(self.config.issue_width),
@@ -1490,14 +1496,45 @@ mod tests {
     use hpmopt_bytecode::builder::{MethodBuilder, ProgramBuilder};
     use hpmopt_bytecode::FieldType;
 
+    /// Run `program` under `cfg` on [`Vm::run`] and on the per-step
+    /// reference engine, both with [`NoHooks`], and return the shipped
+    /// run. The engines must stop the same way. Unless the stop is a
+    /// `CycleBudget` kill, whose point is on the clock and so differs by
+    /// design, they must also agree on the bytecode count and the state
+    /// digest.
+    fn run_checked(program: &Program, cfg: VmConfig) -> (Vm<'_>, Result<RunSummary, VmError>) {
+        let mut reference = Vm::new(program, cfg.clone());
+        let expected = reference
+            .prologue(&mut NoHooks)
+            .and_then(|()| reference.run_slow(&mut NoHooks));
+        let mut vm = Vm::new(program, cfg);
+        let got = vm.run(&mut NoHooks);
+        assert_eq!(
+            got.as_ref().err(),
+            expected.as_ref().err(),
+            "the engines stop the same way"
+        );
+        if !matches!(got, Err(VmError::CycleBudget)) {
+            assert_eq!(vm.bytecodes, reference.bytecodes, "bytecode counts agree");
+            assert_eq!(
+                vm.state_digest(),
+                reference.state_digest(),
+                "the engines agree on program state"
+            );
+        }
+        (vm, got)
+    }
+
     fn run_program(program: &Program) -> RunSummary {
-        let mut vm = Vm::new(program, VmConfig::test());
-        vm.run(&mut NoHooks).expect("program runs")
+        run_checked(program, VmConfig::test())
+            .1
+            .expect("program runs")
     }
 
     fn run_expect_err(program: &Program) -> VmError {
-        let mut vm = Vm::new(program, VmConfig::test());
-        vm.run(&mut NoHooks).expect_err("program must fail")
+        run_checked(program, VmConfig::test())
+            .1
+            .expect_err("program must fail")
     }
 
     /// Program that stores `expr_result` into static 0 and returns.
@@ -1515,8 +1552,8 @@ mod tests {
 
     fn eval(build: impl FnOnce(&mut MethodBuilder)) -> i64 {
         let p = expr_program(build);
-        let mut vm = Vm::new(&p, VmConfig::test());
-        vm.run(&mut NoHooks).unwrap();
+        let (vm, r) = run_checked(&p, VmConfig::test());
+        r.unwrap();
         vm.statics[0].as_int().unwrap()
     }
 
@@ -1525,16 +1562,12 @@ mod tests {
         let p = expr_program(|m| {
             m.const_i(1);
         });
-        let free = {
-            let mut vm = Vm::new(&p, VmConfig::test());
-            vm.run(&mut NoHooks).unwrap()
-        };
+        let free = run_program(&p);
         assert_eq!(free.compile_cycles, 0, "compilation is free by default");
 
         let mut cfg = VmConfig::test();
         cfg.baseline_compile_cycles_per_bc = 25;
-        let mut vm = Vm::new(&p, cfg);
-        let charged = vm.run(&mut NoHooks).unwrap();
+        let charged = run_checked(&p, cfg).1.unwrap();
         let expected = 25 * p.method(p.entry()).len() as u64;
         assert_eq!(charged.compile_cycles, expected);
         assert_eq!(charged.cycles, free.cycles + expected);
@@ -1622,8 +1655,8 @@ mod tests {
         let id = pb.add_method(m);
         pb.set_entry(id);
         let p = pb.finish().unwrap();
-        let mut vm = Vm::new(&p, VmConfig::test());
-        vm.run(&mut NoHooks).unwrap();
+        let (vm, r) = run_checked(&p, VmConfig::test());
+        r.unwrap();
         assert_eq!(vm.statics[0], Value::Int(31));
     }
 
@@ -1702,8 +1735,8 @@ mod tests {
         let id = pb.add_method(m);
         pb.set_entry(id);
         let p = pb.finish().unwrap();
-        let mut vm = Vm::new(&p, VmConfig::test());
-        vm.run(&mut NoHooks).unwrap();
+        let (vm, r) = run_checked(&p, VmConfig::test());
+        r.unwrap();
         assert_eq!(vm.statics[0], Value::Int(6));
     }
 
@@ -1740,8 +1773,8 @@ mod tests {
         let id = pb.add_method(main);
         pb.set_entry(id);
         let p = pb.finish().unwrap();
-        let mut vm = Vm::new(&p, VmConfig::test());
-        vm.run(&mut NoHooks).unwrap();
+        let (vm, r) = run_checked(&p, VmConfig::test());
+        r.unwrap();
         assert_eq!(vm.statics[0], Value::Int(144));
     }
 
@@ -1806,8 +1839,8 @@ mod tests {
         pb.set_entry(id);
         let p = pb.finish().unwrap();
 
-        let mut vm = Vm::new(&p, VmConfig::test());
-        let summary = vm.run(&mut NoHooks).unwrap();
+        let (vm, summary) = run_checked(&p, VmConfig::test());
+        let summary = summary.unwrap();
         assert_eq!(vm.statics[1], Value::Int((0..5000).sum::<i64>()));
         assert!(summary.gc.minor_collections > 0, "nursery overflowed");
         // Everything allocated before the last collection was live (the
@@ -1855,8 +1888,7 @@ mod tests {
         let mut cfg = VmConfig::test();
         cfg.plan = Some(crate::CompilationPlan::new(vec![entry]));
         cfg.jit.tier1_enabled = false;
-        let mut vm = Vm::new(&p, cfg);
-        let summary = vm.run(&mut NoHooks).unwrap();
+        let summary = run_checked(&p, cfg).1.unwrap();
         assert_eq!(summary.opt_compiled, vec![entry]);
     }
 
@@ -1884,12 +1916,12 @@ mod tests {
 
         let mut base_cfg = VmConfig::test();
         base_cfg.jit.tier1_enabled = false;
-        let base = Vm::new(&p, base_cfg).run(&mut NoHooks).unwrap();
+        let base = run_checked(&p, base_cfg).1.unwrap();
 
         let mut opt_cfg = VmConfig::test();
         opt_cfg.jit.tier1_enabled = false;
         opt_cfg.plan = Some(crate::CompilationPlan::new(vec![entry]));
-        let opt = Vm::new(&p, opt_cfg).run(&mut NoHooks).unwrap();
+        let opt = run_checked(&p, opt_cfg).1.unwrap();
 
         assert!(
             opt.cycles < base.cycles,
@@ -1922,10 +1954,9 @@ mod tests {
     }
 
     // Tier-2 back-edge promotion and region execution live in the fast
-    // pre-decoded engine; the legacy `slow-path` engine never promotes,
-    // so the two region tests below only run on the default engine.
+    // pre-decoded engine; the per-step reference engine never promotes,
+    // so in the two region tests below it checks only the semantics.
     #[test]
-    #[cfg(not(feature = "slow-path"))]
     fn tier2_promotes_hot_loop_and_beats_opt_code() {
         let p = hot_loop_program(5_000);
         let entry = p.entry();
@@ -1935,8 +1966,8 @@ mod tests {
             cfg.jit.tier2_enabled = tier2;
             cfg.jit.tier2_threshold = 100;
             cfg.plan = Some(crate::CompilationPlan::new(vec![entry]));
-            let mut vm = Vm::new(&p, cfg);
-            let s = vm.run(&mut NoHooks).unwrap();
+            let (vm, s) = run_checked(&p, cfg);
+            let s = s.unwrap();
             let v = vm.statics[0].as_int().unwrap();
             (s, v, vm.state_digest())
         };
@@ -1963,7 +1994,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "slow-path"))]
     fn tiny_region_cap_deopts_immediately_and_preserves_semantics() {
         let p = hot_loop_program(2_000);
         let entry = p.entry();
@@ -1973,8 +2003,8 @@ mod tests {
         cfg.jit.tier2_threshold = 50;
         cfg.jit.max_region_blocks = 1;
         cfg.plan = Some(crate::CompilationPlan::new(vec![entry]));
-        let mut vm = Vm::new(&p, cfg);
-        let s = vm.run(&mut NoHooks).unwrap();
+        let (vm, s) = run_checked(&p, cfg);
+        let s = s.unwrap();
         // A one-block region cannot hold the loop: the first out-of-
         // region bytecode deopts, the method is banned from tier 2, and
         // the program still computes the right answer.
@@ -2027,8 +2057,8 @@ mod tests {
             let mut cfg = VmConfig::test();
             cfg.jit.tier1_enabled = false;
             cfg.jit.code_cache_capacity_bytes = capacity;
-            let mut vm = Vm::new(&p, cfg);
-            let s = vm.run(&mut NoHooks).unwrap();
+            let (vm, s) = run_checked(&p, cfg);
+            let s = s.unwrap();
             let v = vm.statics[0].as_int().unwrap();
             (vm.state_digest(), v, s.code_evictions, s.bytecodes_executed)
         };
@@ -2059,8 +2089,7 @@ mod tests {
         let p = pb.finish().unwrap();
         let mut cfg = VmConfig::test();
         cfg.step_limit = Some(10_000);
-        let mut vm = Vm::new(&p, cfg);
-        assert_eq!(vm.run(&mut NoHooks).unwrap_err(), VmError::StepLimit);
+        assert_eq!(run_checked(&p, cfg).1.unwrap_err(), VmError::StepLimit);
     }
 
     #[test]
@@ -2077,9 +2106,8 @@ mod tests {
             let mut cfg = VmConfig::test();
             cfg.step_limit = None;
             cfg.cycle_budget = Some(100_000);
-            let mut vm = Vm::new(&p, cfg);
-            let err = vm.run(&mut NoHooks).unwrap_err();
-            (err, vm.cycles)
+            let (vm, r) = run_checked(&p, cfg);
+            (r.unwrap_err(), vm.cycles)
         };
         let (err, cycles) = run();
         assert_eq!(err, VmError::CycleBudget);
@@ -2106,8 +2134,7 @@ mod tests {
         let mut cfg = VmConfig::test();
         cfg.step_limit = None;
         cfg.cancel = Some(token);
-        let mut vm = Vm::new(&p, cfg);
-        assert_eq!(vm.run(&mut NoHooks).unwrap_err(), VmError::Cancelled);
+        assert_eq!(run_checked(&p, cfg).1.unwrap_err(), VmError::Cancelled);
     }
 
     #[test]
@@ -2195,8 +2222,8 @@ mod tests {
         let run_with = |ic: bool| {
             let mut cfg = VmConfig::test();
             cfg.inline_caches = ic;
-            let mut vm = Vm::new(&p, cfg);
-            let s = vm.run(&mut NoHooks).unwrap();
+            let (vm, s) = run_checked(&p, cfg);
+            let s = s.unwrap();
             let acc = vm.statics[0].as_int().unwrap();
             (vm.state_digest(), acc, s.cycles, s.bytecodes_executed)
         };
@@ -2246,9 +2273,7 @@ mod tests {
         for (i, p) in programs.iter().enumerate() {
             let run_engine = |slow: bool| {
                 let mut vm = Vm::new(p, VmConfig::test());
-                vm.ensure_compiled(p.entry(), &mut NoHooks);
-                vm.push_frame(p.entry(), 0, vm.config.call_overhead_cycles)
-                    .unwrap();
+                vm.prologue(&mut NoHooks).unwrap();
                 if slow {
                     vm.run_slow(&mut NoHooks).unwrap();
                 } else {
@@ -2327,17 +2352,16 @@ mod tests {
             for limit in [1, 4_095, 4_096, 4_097, 10_000, 123_457] {
                 let mut cfg = pin_config(tier1);
                 cfg.step_limit = Some(limit);
-                let mut vm = Vm::new(&p, cfg);
-                assert_eq!(vm.run(&mut NoHooks).unwrap_err(), VmError::StepLimit);
+                let (vm, r) = run_checked(&p, cfg);
+                assert_eq!(r.unwrap_err(), VmError::StepLimit);
                 assert_eq!(vm.bytecodes, limit + 1, "tier1 {tier1}, limit {limit}");
             }
         }
     }
 
     /// Values recorded before the epilogue gained its inlined fast path;
-    /// the flattened engine must keep landing on them. (The legacy
-    /// per-step engine charges different cycles by design.)
-    #[cfg(not(feature = "slow-path"))]
+    /// the flattened engine must keep landing on them. (The per-step
+    /// reference engine charges different cycles by design.)
     mod epilogue_pins {
         use super::*;
 
@@ -2378,8 +2402,8 @@ mod tests {
                 for limit in [4_096, 123_457] {
                     let mut cfg = pin_config(tier1);
                     cfg.step_limit = Some(limit);
-                    let mut vm = Vm::new(&p, cfg);
-                    vm.run(&mut NoHooks).unwrap_err();
+                    let (vm, r) = run_checked(&p, cfg);
+                    r.unwrap_err();
                     got.push(vm.cycles);
                 }
             }
@@ -2395,8 +2419,8 @@ mod tests {
                 for budget in [100_000, 1_234_567] {
                     let mut cfg = pin_config(tier1);
                     cfg.cycle_budget = Some(budget);
-                    let mut vm = Vm::new(&p, cfg);
-                    assert_eq!(vm.run(&mut NoHooks).unwrap_err(), VmError::CycleBudget);
+                    let (vm, r) = run_checked(&p, cfg);
+                    assert_eq!(r.unwrap_err(), VmError::CycleBudget);
                     got.push((vm.cycles, vm.bytecodes));
                 }
             }

@@ -1,20 +1,17 @@
 //! Differential testing: random expression programs are executed by the
-//! VM and by a direct Rust evaluator; results must agree exactly.
-
-//
-// These tests need the external `proptest` crate, which the offline
-// build cannot fetch; enable with `--features proptest-tests` after
-// adding proptest as a dev-dependency.
-#![cfg(feature = "proptest-tests")]
-
-use proptest::prelude::*;
+//! VM and by a direct Rust evaluator; results must agree exactly. Each
+//! case is reproducible from its seed.
 
 use hpmopt_bytecode::builder::{MethodBuilder, ProgramBuilder};
 use hpmopt_bytecode::{FieldType, Program};
+use hpmopt_prim::Rng;
 use hpmopt_vm::{NoHooks, Value, Vm, VmConfig};
 
+/// Cases per property.
+const CASES: u64 = 128;
+
 /// A random arithmetic expression tree.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Expr {
     Const(i64),
     Add(Box<Expr>, Box<Expr>),
@@ -26,19 +23,27 @@ enum Expr {
     Neg(Box<Expr>),
 }
 
-fn expr_strategy() -> impl Strategy<Value = Expr> {
-    let leaf = any::<i64>().prop_map(Expr::Const);
-    leaf.prop_recursive(6, 64, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Add(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Sub(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Mul(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Xor(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Shl(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Lt(a.into(), b.into())),
-            inner.prop_map(|a| Expr::Neg(a.into())),
-        ]
-    })
+/// A tree at most `depth` operators deep, in which each node is a leaf
+/// with probability 1/4.
+fn expr(rng: &mut Rng, depth: u32) -> Expr {
+    if depth == 0 || rng.chance(25) {
+        return Expr::Const(rng.next_u64() as i64);
+    }
+    let sub = |rng: &mut Rng| Box::new(expr(rng, depth - 1));
+    match rng.below(7) {
+        0 => Expr::Add(sub(rng), sub(rng)),
+        1 => Expr::Sub(sub(rng), sub(rng)),
+        2 => Expr::Mul(sub(rng), sub(rng)),
+        3 => Expr::Xor(sub(rng), sub(rng)),
+        4 => Expr::Shl(sub(rng), sub(rng)),
+        5 => Expr::Lt(sub(rng), sub(rng)),
+        _ => Expr::Neg(sub(rng)),
+    }
+}
+
+/// The expression for one seed, up to six operators deep.
+fn case(seed: u64) -> Expr {
+    expr(&mut Rng::new(seed), 6)
 }
 
 /// The reference semantics.
@@ -119,26 +124,27 @@ fn run_vm(p: &Program) -> i64 {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The interpreter agrees with direct evaluation on every expression.
-    #[test]
-    fn vm_matches_reference_semantics(e in expr_strategy()) {
+/// The interpreter agrees with direct evaluation on every expression.
+#[test]
+fn vm_matches_reference_semantics() {
+    for seed in 0..CASES {
+        let e = case(seed);
         let p = program_for(&e);
-        prop_assert_eq!(run_vm(&p), eval(&e));
+        assert_eq!(run_vm(&p), eval(&e), "seed {seed}: {e:?}");
     }
+}
 
-    /// Cycle accounting is deterministic and positive.
-    #[test]
-    fn execution_is_deterministic(e in expr_strategy()) {
-        let p = program_for(&e);
+/// Cycle accounting is deterministic and positive.
+#[test]
+fn execution_is_deterministic() {
+    for seed in 0..CASES {
+        let p = program_for(&case(seed));
         let run = || {
             let mut vm = Vm::new(&p, VmConfig::test());
             vm.run(&mut NoHooks).unwrap().cycles
         };
         let a = run();
-        prop_assert!(a > 0);
-        prop_assert_eq!(a, run());
+        assert!(a > 0, "seed {seed}");
+        assert_eq!(a, run(), "seed {seed}");
     }
 }

@@ -27,12 +27,6 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml || perfbench
 cp target/perfbench-Cargo.lock.orig perfbench/Cargo.lock
 [ "$perfbench_status" -eq 0 ]
 
-echo "==> slow-path escape hatch: vm suite under the legacy per-step engine"
-# Digest parity between the flattened and per-step engines is asserted
-# in-process by the default build; this run proves the legacy engine
-# still passes the full vm suite when forced via the feature flag.
-cargo test -q -p hpmopt-vm --release --features slow-path
-
 echo "==> profile round-trip tests"
 cargo test -q -p hpmopt-profile --release
 cargo test -q --release --test profile_warm_start

@@ -39,24 +39,15 @@ use hpmopt::bytecode::{FieldId, MethodId, Program};
 use hpmopt::core::policy::PolicyConfig;
 use hpmopt::core::runtime::{ForcedBadPlacement, HpmRuntime, RunConfig, RunReport};
 use hpmopt::core::ProfileOptions;
-use hpmopt::gc::{CollectorKind, HeapConfig};
+use hpmopt::gc::CollectorKind;
 use hpmopt::hpm::{HpmConfig, SamplingInterval};
 use hpmopt::telemetry::json::{number, JsonWriter};
 use hpmopt::telemetry::{
     prom, DecisionRecord, Telemetry, TelemetrySnapshot, TraceKind, DEFAULT_TRACE_CAPACITY,
 };
 use hpmopt::vm::VmConfig;
+use hpmopt::workloads::setup::{self, BUFFER_CAPACITY, MONITOR_CPU_HZ};
 use hpmopt::workloads::{by_name, names, Size, Workload};
-
-/// Simulation-scale monitoring clock (see `hpmopt-bench`'s setup
-/// module): simulated runs are ~10^4 shorter than the paper's, so the
-/// monitoring stack is told the CPU runs at 100 MHz to scale poll
-/// periods accordingly.
-const MONITOR_CPU_HZ: u64 = 100_000_000;
-/// Kernel sample-buffer capacity at simulation scale.
-const BUFFER_CAPACITY: usize = 256;
-/// Auto-mode sample-rate target at simulation scale.
-const AUTO_TARGET_PER_SEC: u64 = 1_000;
 
 fn usage() -> ExitCode {
     eprintln!("usage: hpmopt-report [workload] [tiny|small|full] [-o FILE.json] [--profile FILE]");
@@ -204,9 +195,10 @@ fn main() -> ExitCode {
 }
 
 /// Run `workload` under monitoring with the given telemetry handle.
-/// Mirrors the experiment configuration in `hpmopt-bench`, plus
-/// nonzero compile costs and a live tier-1 timer so the recompilation
-/// bucket is exercised.
+/// Uses the shared simulation-scale configuration of
+/// `hpmopt_workloads::setup` (heap at 4× the minimum, monitoring clock,
+/// buffer, auto-mode target), plus nonzero compile costs and a live
+/// tier-1 timer so the recompilation bucket is exercised.
 ///
 /// With `forced_bad`, the Figure 8 sabotage (a 128-byte gap pinned on
 /// `String` a third of the way in, with a tight feedback loop) is
@@ -219,13 +211,7 @@ fn run(
     forced_bad: bool,
 ) -> RunReport {
     let mut vm = VmConfig {
-        heap: HeapConfig {
-            heap_bytes: workload.min_heap_bytes * 4,
-            nursery_bytes: 256 * 1024,
-            los_bytes: 64 * 1024 * 1024,
-            collector: CollectorKind::GenMs,
-            ..Default::default()
-        },
+        heap: setup::heap_config(workload, 4, 1, CollectorKind::GenMs),
         ..VmConfig::default()
     };
     vm.jit.tier1_enabled = true;
@@ -240,9 +226,7 @@ fn run(
         // the feedback loop to see the sabotage.
         SamplingInterval::Fixed(256)
     } else {
-        SamplingInterval::Auto {
-            target_per_sec: AUTO_TARGET_PER_SEC,
-        }
+        setup::auto_interval()
     };
     let mut config = RunConfig {
         vm,
