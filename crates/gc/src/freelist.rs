@@ -12,8 +12,6 @@
 //! whereas separate requests would typically land in different size
 //! classes, i.e. different blocks, far apart.
 
-use std::collections::HashMap;
-
 use crate::object::Address;
 use crate::{LOS_THRESHOLD_BYTES, SIZE_CLASS_COUNT};
 
@@ -23,7 +21,7 @@ pub const BLOCK_BYTES: u64 = 8192;
 /// The 40 cell sizes: 16-byte steps to 256, 64-byte steps to 1024, then
 /// 256-byte steps to 4096.
 #[must_use]
-pub fn size_class_table() -> [u64; SIZE_CLASS_COUNT] {
+pub const fn size_class_table() -> [u64; SIZE_CLASS_COUNT] {
     let mut t = [0u64; SIZE_CLASS_COUNT];
     let mut i = 0;
     let mut s = 16;
@@ -44,9 +42,12 @@ pub fn size_class_table() -> [u64; SIZE_CLASS_COUNT] {
         i += 1;
         s += 256;
     }
-    debug_assert_eq!(i, SIZE_CLASS_COUNT);
+    assert!(i == SIZE_CLASS_COUNT);
     t
 }
+
+/// [`size_class_table`], built once at compile time.
+const SIZE_CLASSES: [u64; SIZE_CLASS_COUNT] = size_class_table();
 
 /// The smallest size class whose cells fit `bytes`, or `None` for
 /// large-object-space sizes (> [`LOS_THRESHOLD_BYTES`]).
@@ -55,17 +56,16 @@ pub fn size_class_for(bytes: u64) -> Option<usize> {
     if bytes > LOS_THRESHOLD_BYTES {
         return None;
     }
-    let table = size_class_table();
-    table.iter().position(|&s| s >= bytes)
+    SIZE_CLASSES.iter().position(|&s| s >= bytes)
 }
 
 /// Per-block metadata.
 #[derive(Debug, Clone)]
 struct Block {
-    /// Cell size of this block's size class.
-    cell_bytes: u64,
     /// Which cells are currently allocated.
     allocated: Vec<bool>,
+    /// The block's size class (an index into [`SIZE_CLASSES`]).
+    class: usize,
 }
 
 /// The mark-and-sweep mature space.
@@ -75,16 +75,17 @@ pub struct MsSpace {
     end: Address,
     /// Bump cursor for carving fresh blocks.
     next_block: u64,
-    /// Fully empty blocks returned by sweeps, reusable by any size class.
+    /// Fully empty blocks returned by sweeps, reusable by any size class,
+    /// in descending order (the next carve pops the lowest).
     free_blocks: Vec<u64>,
     /// Per-size-class free cell lists.
     free_cells: Vec<Vec<Address>>,
-    /// Block index (from region start) → metadata.
-    blocks: HashMap<u64, Block>,
+    /// Metadata of every carved block, indexed by block number from the
+    /// region start (`None` while the block sits in `free_blocks`).
+    blocks: Vec<Option<Block>>,
     /// Bytes in allocated cells (cell-granular, so internal fragmentation
     /// counts as used — as it does for a real segregated-fit allocator).
     used_bytes: u64,
-    size_table: [u64; SIZE_CLASS_COUNT],
 }
 
 impl MsSpace {
@@ -106,9 +107,8 @@ impl MsSpace {
             next_block: 0,
             free_blocks: Vec::new(),
             free_cells: vec![Vec::new(); SIZE_CLASS_COUNT],
-            blocks: HashMap::new(),
+            blocks: Vec::new(),
             used_bytes: 0,
-            size_table: size_class_table(),
         }
     }
 
@@ -120,13 +120,9 @@ impl MsSpace {
             self.carve_block(class)?;
         }
         let cell = self.free_cells[class].pop()?;
-        let cell_bytes = self.size_table[class];
-        let (bi, ci) = self.locate(cell);
-        self.blocks
-            .get_mut(&bi)
-            .expect("cell in carved block")
-            .allocated[ci] = true;
-        self.used_bytes += cell_bytes;
+        let (block, ci) = self.locate(cell);
+        block.allocated[ci] = true;
+        self.used_bytes += SIZE_CLASSES[class];
         Some(cell)
     }
 
@@ -136,16 +132,11 @@ impl MsSpace {
     ///
     /// Panics if the cell is not currently allocated.
     pub fn free(&mut self, cell: Address) {
-        let (bi, ci) = self.locate(cell);
-        let block = self.blocks.get_mut(&bi).expect("freeing unknown cell");
+        let (block, ci) = self.locate(cell);
         assert!(block.allocated[ci], "double free at {cell}");
         block.allocated[ci] = false;
-        let class = self
-            .size_table
-            .iter()
-            .position(|&s| s == block.cell_bytes)
-            .expect("block has valid class");
-        self.used_bytes -= block.cell_bytes;
+        let class = block.class;
+        self.used_bytes -= SIZE_CLASSES[class];
         self.free_cells[class].push(cell);
     }
 
@@ -159,31 +150,35 @@ impl MsSpace {
             }
             let bi = self.next_block;
             self.next_block += 1;
+            self.blocks.push(None);
             bi
         };
         let base = self.start.0 + bi * BLOCK_BYTES;
-        let cell_bytes = self.size_table[class];
+        let cell_bytes = SIZE_CLASSES[class];
         let cells = (BLOCK_BYTES / cell_bytes) as usize;
-        self.blocks.insert(
-            bi,
-            Block {
-                cell_bytes,
-                allocated: vec![false; cells],
-            },
-        );
+        self.blocks[bi as usize] = Some(Block {
+            allocated: vec![false; cells],
+            class,
+        });
         for c in (0..cells).rev() {
             self.free_cells[class].push(Address(base + c as u64 * cell_bytes));
         }
         Some(())
     }
 
-    fn locate(&self, cell: Address) -> (u64, usize) {
+    /// The carved block holding `cell`, and the cell's index in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell`'s block is not carved.
+    fn locate(&mut self, cell: Address) -> (&mut Block, usize) {
         debug_assert!(self.contains(cell));
         let off = cell.0 - self.start.0;
-        let bi = off / BLOCK_BYTES;
-        let block = &self.blocks[&bi];
-        let ci = ((off % BLOCK_BYTES) / block.cell_bytes) as usize;
-        (bi, ci)
+        let block = self.blocks[(off / BLOCK_BYTES) as usize]
+            .as_mut()
+            .expect("cell in a carved block");
+        let ci = ((off % BLOCK_BYTES) / SIZE_CLASSES[block.class]) as usize;
+        (block, ci)
     }
 
     /// The allocated cells, as `(address, cell_bytes)` pairs, in address
@@ -191,17 +186,13 @@ impl MsSpace {
     #[must_use]
     pub fn allocated_cells(&self) -> Vec<(Address, u64)> {
         let mut out = Vec::new();
-        let mut indices: Vec<&u64> = self.blocks.keys().collect();
-        indices.sort();
-        for &bi in indices {
-            let block = &self.blocks[&bi];
-            let base = self.start.0 + bi * BLOCK_BYTES;
+        for (bi, block) in self.blocks.iter().enumerate() {
+            let Some(block) = block else { continue };
+            let base = self.start.0 + bi as u64 * BLOCK_BYTES;
+            let cell_bytes = SIZE_CLASSES[block.class];
             for (ci, &alloc) in block.allocated.iter().enumerate() {
                 if alloc {
-                    out.push((
-                        Address(base + ci as u64 * block.cell_bytes),
-                        block.cell_bytes,
-                    ));
+                    out.push((Address(base + ci as u64 * cell_bytes), cell_bytes));
                 }
             }
         }
@@ -225,27 +216,22 @@ impl MsSpace {
     /// without it, a shifting size-class mix (e.g. co-allocation starting
     /// mid-run) strands mostly-empty blocks forever.
     pub fn reclaim_empty_blocks(&mut self) {
-        let empty: Vec<u64> = self
+        // Unbind the empty blocks in one pass, then drop their cells from
+        // the free lists in one more, keeping each list's order.
+        let empty: Vec<bool> = self
             .blocks
-            .iter()
-            .filter(|(_, b)| b.allocated.iter().all(|&a| !a))
-            .map(|(&bi, _)| bi)
+            .iter_mut()
+            .map(|slot| slot.take_if(|b| !b.allocated.contains(&true)).is_some())
             .collect();
-        if empty.is_empty() {
+        if !empty.contains(&true) {
             return;
         }
-        for &bi in &empty {
-            let block = self.blocks.remove(&bi).expect("listed block exists");
-            let class = self
-                .size_table
-                .iter()
-                .position(|&s| s == block.cell_bytes)
-                .expect("block has valid class");
-            let base = self.start.0 + bi * BLOCK_BYTES;
-            let end = base + BLOCK_BYTES;
-            self.free_cells[class].retain(|c| c.0 < base || c.0 >= end);
-            self.free_blocks.push(bi);
+        let start = self.start.0;
+        for cells in &mut self.free_cells {
+            cells.retain(|c| !empty[((c.0 - start) / BLOCK_BYTES) as usize]);
         }
+        self.free_blocks
+            .extend((0..empty.len() as u64).filter(|&bi| empty[bi as usize]));
         self.free_blocks.sort_unstable_by(|a, b| b.cmp(a));
     }
 
@@ -257,8 +243,8 @@ impl MsSpace {
         let in_cells: u64 = self
             .free_cells
             .iter()
-            .zip(self.size_table.iter())
-            .map(|(cells, &s)| cells.len() as u64 * s)
+            .zip(SIZE_CLASSES)
+            .map(|(cells, s)| cells.len() as u64 * s)
             .sum();
         uncarved + in_cells + self.free_blocks.len() as u64 * BLOCK_BYTES
     }

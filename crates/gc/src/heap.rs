@@ -1,9 +1,10 @@
 //! The heap facade: allocation, field access with write barrier, and the
 //! minor/major collection algorithms for both collector configurations.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hpmopt_bytecode::{ClassId, ElemKind, Program, OBJECT_HEADER_BYTES};
+use hpmopt_prim::IntMap;
 
 use crate::classtable::ClassTable;
 use crate::freelist::{MsSpace, BLOCK_BYTES};
@@ -16,6 +17,18 @@ use crate::remset::RememberedSet;
 use crate::semispace::CopySpace;
 use crate::stats::{GcCostModel, GcStats};
 use crate::LOS_THRESHOLD_BYTES;
+
+/// An object's reference slots, walked by index so that tracing
+/// allocates nothing: a class instance's reference fields, or a
+/// reference array's elements.
+#[derive(Debug, Clone, Copy)]
+struct RefSlots {
+    obj: Address,
+    /// The instance's class; `None` for an array.
+    class: Option<ClassId>,
+    /// Number of slots.
+    len: u64,
+}
 
 /// Which mature-space policy the heap uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -162,8 +175,9 @@ pub struct Heap {
     fault_skip_zeroing: bool,
     /// GenMS cells holding a co-allocated pair: cell (parent) address →
     /// child address within the same cell. Needed by the sweep to keep a
-    /// cell whose parent died but whose child is still live.
-    coalloc_children: HashMap<u64, Address>,
+    /// cell whose parent died but whose child is still live. Only ever
+    /// probed, so its iteration order cannot leak into a result.
+    coalloc_children: IntMap<u64, Address>,
     mature_start: Address,
 }
 
@@ -193,7 +207,7 @@ impl Heap {
             stats: GcStats::default(),
             cost: config.cost,
             fault_skip_zeroing: config.fault_skip_zeroing,
-            coalloc_children: HashMap::new(),
+            coalloc_children: IntMap::default(),
             mature_start,
         }
     }
@@ -251,6 +265,7 @@ impl Heap {
     // ----- field and array access --------------------------------------
 
     /// Read a field slot.
+    #[inline]
     #[must_use]
     pub fn get_field(&self, obj: Address, offset: u64) -> u64 {
         self.raw.read_u64(obj.offset(offset))
@@ -259,6 +274,7 @@ impl Heap {
     /// Write a field slot, applying the generational write barrier when
     /// `is_ref` (mature/LOS object pointing into the nursery → slot is
     /// remembered).
+    #[inline]
     pub fn set_field(&mut self, obj: Address, offset: u64, value: u64, is_ref: bool) {
         let slot = obj.offset(offset);
         self.raw.write_u64(slot, value);
@@ -268,18 +284,21 @@ impl Heap {
     }
 
     /// Address of a field slot (what the memory simulator sees).
+    #[inline]
     #[must_use]
     pub fn field_addr(&self, obj: Address, offset: u64) -> Address {
         obj.offset(offset)
     }
 
     /// Address of array element `idx`.
+    #[inline]
     #[must_use]
     pub fn elem_addr(&self, obj: Address, kind: ElemKind, idx: u64) -> Address {
         ObjectModel::array_data(obj).offset(idx * kind.width())
     }
 
     /// Read array element `idx`.
+    #[inline]
     #[must_use]
     pub fn array_get(&self, obj: Address, kind: ElemKind, idx: u64) -> u64 {
         debug_assert!(idx < self.array_len(obj));
@@ -288,6 +307,7 @@ impl Heap {
     }
 
     /// Write array element `idx`, with the write barrier for ref arrays.
+    #[inline]
     pub fn array_set(&mut self, obj: Address, kind: ElemKind, idx: u64, value: u64) {
         debug_assert!(idx < self.array_len(obj));
         let addr = self.elem_addr(obj, kind, idx);
@@ -298,12 +318,22 @@ impl Heap {
     }
 
     /// The object's type tag.
+    #[inline]
     #[must_use]
     pub fn type_of(&self, obj: Address) -> TypeTag {
         ObjectModel::type_tag(&self.raw, obj)
     }
 
+    /// The object's class, or `None` for an array. Reads the raw type
+    /// word without decoding an array's element kind.
+    #[inline]
+    #[must_use]
+    pub fn class_of(&self, obj: Address) -> Option<ClassId> {
+        ObjectModel::class_of(&self.raw, obj)
+    }
+
     /// Array length (0 for instances).
+    #[inline]
     #[must_use]
     pub fn array_len(&self, obj: Address) -> u64 {
         ObjectModel::array_len(&self.raw, obj)
@@ -519,7 +549,9 @@ impl Heap {
         policy: &dyn CoallocPolicy,
         queue: &mut VecDeque<Address>,
     ) -> Result<(), GcError> {
-        for slot in self.ref_slots(obj) {
+        let slots = self.ref_slots(obj);
+        for i in 0..slots.len {
+            let slot = self.ref_slot(slots, i);
             let old = Address(self.raw.read_u64(slot));
             let new = self.forward_minor(old, policy, queue)?;
             if new != old {
@@ -529,23 +561,23 @@ impl Heap {
         Ok(())
     }
 
-    /// Addresses of the reference slots of `obj`.
-    fn ref_slots(&self, obj: Address) -> Vec<Address> {
-        match ObjectModel::type_tag(&self.raw, obj) {
-            TypeTag::Class(c) => self
-                .classes
-                .layout(c)
-                .ref_offsets
-                .iter()
-                .map(|&off| obj.offset(off))
-                .collect(),
-            TypeTag::Array(ElemKind::Ref) => {
-                let len = ObjectModel::array_len(&self.raw, obj);
-                (0..len)
-                    .map(|i| ObjectModel::array_data(obj).offset(i * 8))
-                    .collect()
-            }
-            TypeTag::Array(_) => Vec::new(),
+    /// The reference slots of `obj`, to walk with [`Heap::ref_slot`].
+    fn ref_slots(&self, obj: Address) -> RefSlots {
+        let (class, len) = match ObjectModel::type_tag(&self.raw, obj) {
+            TypeTag::Class(c) => (Some(c), self.classes.layout(c).ref_offsets.len() as u64),
+            TypeTag::Array(ElemKind::Ref) => (None, ObjectModel::array_len(&self.raw, obj)),
+            TypeTag::Array(_) => (None, 0),
+        };
+        RefSlots { obj, class, len }
+    }
+
+    /// Address of reference slot `i` of `slots` (`i < slots.len`).
+    fn ref_slot(&self, slots: RefSlots, i: u64) -> Address {
+        match slots.class {
+            Some(c) => slots
+                .obj
+                .offset(self.classes.layout(c).ref_offsets[i as usize]),
+            None => ObjectModel::array_data(slots.obj).offset(i * 8),
         }
     }
 
@@ -594,7 +626,9 @@ impl Heap {
             ObjectModel::set_flags(&mut self.raw, obj, flags::MARK);
             marked += 1;
             let obj_in_nursery = self.nursery.contains(obj);
-            for slot in self.ref_slots(obj) {
+            let slots = self.ref_slots(obj);
+            for i in 0..slots.len {
+                let slot = self.ref_slot(slots, i);
                 let child = Address(self.raw.read_u64(slot));
                 if child.is_null() {
                     continue;
@@ -698,7 +732,9 @@ impl Heap {
         }
         while let Some(obj) = queue.pop_front() {
             let obj_in_nursery = self.nursery.contains(obj);
-            for slot in self.ref_slots(obj) {
+            let slots = self.ref_slots(obj);
+            for i in 0..slots.len {
+                let slot = self.ref_slot(slots, i);
                 let old = Address(self.raw.read_u64(slot));
                 let new = forward_major(self, old, &mut to, &mut queue)?;
                 if new != old {
@@ -781,8 +817,9 @@ impl Heap {
                     }
                 }
             }
-            for slot in self.ref_slots(obj) {
-                let child = Address(self.raw.read_u64(slot));
+            let slots = self.ref_slots(obj);
+            for i in 0..slots.len {
+                let child = Address(self.raw.read_u64(self.ref_slot(slots, i)));
                 if !child.is_null() {
                     stack.push(child);
                 }

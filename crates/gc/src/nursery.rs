@@ -55,6 +55,7 @@ impl Nursery {
     }
 
     /// Whether `addr` lies in the nursery region.
+    #[inline]
     #[must_use]
     pub fn contains(&self, addr: Address) -> bool {
         addr >= self.start && addr < self.physical_end

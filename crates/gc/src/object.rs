@@ -27,12 +27,14 @@ pub const NULL: Address = Address(0);
 
 impl Address {
     /// Whether this is the null reference.
+    #[inline]
     #[must_use]
     pub fn is_null(self) -> bool {
         self.0 == 0
     }
 
     /// Address `bytes` past this one.
+    #[inline]
     #[must_use]
     pub fn offset(self, bytes: u64) -> Address {
         Address(self.0 + bytes)
@@ -62,6 +64,7 @@ const ARRAY_BIT: u32 = 1 << 31;
 
 impl TypeTag {
     /// Encode into a header word.
+    #[inline]
     #[must_use]
     pub fn encode(self) -> u32 {
         match self {
@@ -74,6 +77,7 @@ impl TypeTag {
     }
 
     /// Decode from a header word.
+    #[inline]
     #[must_use]
     pub fn decode(word: u32) -> TypeTag {
         if word & ARRAY_BIT != 0 {
@@ -119,48 +123,65 @@ impl ObjectModel {
     }
 
     /// The object's type.
+    #[inline]
     #[must_use]
     pub fn type_tag(heap: &RawHeap, obj: Address) -> TypeTag {
         TypeTag::decode(heap.read_u32(obj))
     }
 
+    /// The object's class, or `None` for an array (no element-kind
+    /// decode).
+    #[inline]
+    #[must_use]
+    pub fn class_of(heap: &RawHeap, obj: Address) -> Option<ClassId> {
+        let word = heap.read_u32(obj);
+        (word & ARRAY_BIT == 0).then_some(ClassId(word))
+    }
+
     /// Total object size in bytes (header included).
+    #[inline]
     #[must_use]
     pub fn size(heap: &RawHeap, obj: Address) -> u64 {
         u64::from(heap.read_u32(obj.offset(8)))
     }
 
     /// Array element count (0 for instances).
+    #[inline]
     #[must_use]
     pub fn array_len(heap: &RawHeap, obj: Address) -> u64 {
         u64::from(heap.read_u32(obj.offset(12)))
     }
 
     /// Read the flags word.
+    #[inline]
     #[must_use]
     pub fn flags(heap: &RawHeap, obj: Address) -> u32 {
         heap.read_u32(obj.offset(4))
     }
 
     /// Set flag bits.
+    #[inline]
     pub fn set_flags(heap: &mut RawHeap, obj: Address, bits: u32) {
         let f = Self::flags(heap, obj);
         heap.write_u32(obj.offset(4), f | bits);
     }
 
     /// Clear flag bits.
+    #[inline]
     pub fn clear_flags(heap: &mut RawHeap, obj: Address, bits: u32) {
         let f = Self::flags(heap, obj);
         heap.write_u32(obj.offset(4), f & !bits);
     }
 
     /// Whether the mark bit is set.
+    #[inline]
     #[must_use]
     pub fn is_marked(heap: &RawHeap, obj: Address) -> bool {
         Self::flags(heap, obj) & flags::MARK != 0
     }
 
     /// Whether the object has been forwarded by an in-progress collection.
+    #[inline]
     #[must_use]
     pub fn is_forwarded(heap: &RawHeap, obj: Address) -> bool {
         Self::flags(heap, obj) & flags::FORWARDED != 0
@@ -188,6 +209,7 @@ impl ObjectModel {
     }
 
     /// Address of the first array element.
+    #[inline]
     #[must_use]
     pub fn array_data(obj: Address) -> Address {
         obj.offset(OBJECT_HEADER_BYTES)

@@ -4,14 +4,15 @@
 //! is assigned a nursery reference; a minor collection treats those slots
 //! as additional roots.
 
-use std::collections::HashSet;
+use hpmopt_prim::IntSet;
 
 use crate::object::Address;
 
-/// A deduplicating remembered set of slot addresses.
+/// A deduplicating remembered set of slot addresses. The set is only
+/// probed and drained sorted, so its iteration order cannot leak.
 #[derive(Debug, Clone, Default)]
 pub struct RememberedSet {
-    slots: HashSet<u64>,
+    slots: IntSet<u64>,
 }
 
 impl RememberedSet {
@@ -22,6 +23,7 @@ impl RememberedSet {
     }
 
     /// Record a slot (idempotent).
+    #[inline]
     pub fn record(&mut self, slot: Address) {
         self.slots.insert(slot.0);
     }

@@ -8,7 +8,7 @@
 /// evicts everything anyway). Only relative magnitudes matter; the
 /// defaults make copying collections more expensive per byte than
 /// mark-sweep, reproducing GenCopy's higher GC cost at small heaps
-/// (Figure 6, [9]).
+/// (Figure 6, \[9\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcCostModel {
     /// Fixed cost of any collection (stack scan, bookkeeping).

@@ -201,6 +201,7 @@ impl HpmSystem {
     }
 
     /// Whether monitoring is enabled at all.
+    #[inline]
     #[must_use]
     pub fn enabled(&self) -> bool {
         !matches!(self.config.interval, SamplingInterval::Off)
@@ -209,6 +210,10 @@ impl HpmSystem {
     /// Report one memory access. If the access raised the selected event
     /// the event counter advances and the access may be sampled; returns
     /// the microcode cycles charged (0 when not sampled).
+    ///
+    /// Inlined into the caller: most accesses raise no event (an L1 hit
+    /// under the default L1-miss event) and stop at the first check.
+    #[inline]
     pub fn on_event(
         &mut self,
         pc: u64,
@@ -219,6 +224,13 @@ impl HpmSystem {
         if !self.enabled() || !outcome.raised(self.config.event) {
             return 0;
         }
+        self.count_event(pc, data_addr, cycles)
+    }
+
+    /// [`HpmSystem::on_event`] for an access that raised the event:
+    /// count it, and sample it when the interval expires.
+    #[inline(never)]
+    fn count_event(&mut self, pc: u64, data_addr: u64, cycles: u64) -> u64 {
         self.stats.events += 1;
         self.events_in_window += 1;
         self.telemetry.incr(MetricId::HpmEvents);

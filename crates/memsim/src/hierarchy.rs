@@ -44,6 +44,7 @@ pub struct AccessOutcome {
 
 impl AccessOutcome {
     /// Whether this outcome raised the given event.
+    #[inline]
     #[must_use]
     pub fn raised(&self, event: EventKind) -> bool {
         match event {
@@ -180,13 +181,14 @@ impl MemoryHierarchy {
     /// instruction itself). Any miss stalls the pipeline and pays the
     /// same serial latency stack `access` charges.
     pub fn access_batch(&mut self, batch: &[BatchAccess], out: &mut Vec<AccessOutcome>) {
-        out.reserve(batch.len());
-        for b in batch {
-            out.push(self.access_one(b.addr, b.size, b.kind, true));
-        }
+        out.extend(
+            batch
+                .iter()
+                .map(|b| self.access_one(b.addr, b.size, b.kind, true)),
+        );
     }
 
-    #[inline]
+    #[inline(always)]
     fn access_one(
         &mut self,
         addr: u64,

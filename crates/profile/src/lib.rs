@@ -13,7 +13,7 @@
 //!
 //! Like `hpmopt-telemetry`, the crate is dependency-free: the on-disk
 //! format is hand-rolled little-endian serialization
-//! ([`wire`]/[`format`]) with a magic number, a format version, and an
+//! ([`wire`]/[`format`](mod@format)) with a magic number, a format version, and an
 //! FNV-1a checksum over the payload. Loading is total: corruption,
 //! truncation, version skew, or a fingerprint mismatch never panic —
 //! they degrade to a cold start ([`store::LoadOutcome::Cold`]) that the

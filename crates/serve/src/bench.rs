@@ -3,7 +3,7 @@
 //! The bench replays a mixed-workload job schedule at configurable
 //! concurrency and prints a summary that is *byte-identical for any
 //! worker count*. It draws the full schedule up front from the seed and
-//! runs it in rounds, each one wave of [`run_wave`], whose contract
+//! runs it in rounds, each one wave of `run_wave`, whose contract
 //! makes the results independent of the worker count. The open-loop
 //! generator ([`crate::openloop`]) runs its waves the same way.
 //!

@@ -23,7 +23,7 @@
 //!   cycle caps → [`RejectReason`] / killed jobs) and the live
 //!   scheduler-and-workers daemon over a *bounded* profile repository
 //!   (LRU+TTL byte-capacity eviction);
-//! - [`bench`] + [`openloop`] — the deterministic load generators:
+//! - [`bench`](mod@bench) + [`openloop`] — the deterministic load generators:
 //!   closed-loop rounds for throughput/warm-start, and a QPS-paced
 //!   open-loop run for queue-wait tails and tenant fairness. Both
 //!   summaries are byte-identical for any worker count (CI diffs 1

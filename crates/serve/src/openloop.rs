@@ -16,7 +16,7 @@
 //!
 //! 1. **Service times** are measured by executing the schedule in
 //!    fixed arrival-order waves against the *bounded* repository, each
-//!    one [`crate::bench::run_wave`] — the real worker count changes
+//!    one `bench::run_wave` — the real worker count changes
 //!    wall time, never results.
 //! 2. **Queueing** is then computed by a discrete-event simulation
 //!    (G/G/W on the simulated clock) over those service times, at

@@ -8,7 +8,7 @@
 //! invariant oracles ([`oracles`]), fans seeds out across worker threads
 //! with a merge whose report is independent of the worker count
 //! ([`shard`]), and shrinks any failure to a minimal, committable
-//! reproducer ([`shrink`], [`scenario`]).
+//! reproducer ([`shrink`](mod@shrink), [`scenario`]).
 //!
 //! The `hpmopt-stress` binary exposes the engine as `run`, `replay`, and
 //! `shrink` subcommands; `tests/corpus/` at the workspace root holds the

@@ -29,7 +29,7 @@
 //!    change only the cost model, and tier churn (recompilation,
 //!    deoptimization, eviction) never changes program state.
 //! 2. **Heap integrity**: `Heap::verify` holds after every collection in
-//!    every arm (surfaced as [`VmError::HeapCorrupt`]).
+//!    every arm (surfaced as [`VmError::HeapCorrupt`](hpmopt_vm::VmError::HeapCorrupt)).
 //! 3. **Attribution**: with full machine-code maps, no sample in a
 //!    monitored arm is foreign or unmapped — every sampled PC resolves
 //!    or (in arm G, where code is freed under the sampler) is counted
@@ -41,7 +41,7 @@
 //! pinned clean-seed suite asserts the standard seeds do evict, so the
 //! reuse path cannot silently stop being exercised.
 //!
-//! Any panic inside an arm (for example [`TypeTag`] decoding tripping
+//! Any panic inside an arm (for example [`TypeTag`](hpmopt_gc::TypeTag) decoding tripping
 //! over a corrupted header) is caught and reported as a failure rather
 //! than tearing the shard runner down.
 

@@ -1,7 +1,7 @@
 //! Static metric registry.
 //!
 //! Every metric the workspace exports is declared once in the
-//! [`metrics!`] table below with a stable dotted name. The registry is
+//! `metrics!` table below with a stable dotted name. The registry is
 //! a fixed array of atomics indexed by [`MetricId`], so recording a
 //! metric is a single relaxed atomic op with no hashing or allocation
 //! on the hot path.

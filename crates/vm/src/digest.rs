@@ -15,7 +15,7 @@
 
 use hpmopt_bytecode::{ElemKind, Program};
 use hpmopt_gc::{Address, Heap, TypeTag};
-use hpmopt_prim::Fnv1a;
+use hpmopt_prim::{Fnv1a, IntMap};
 
 use crate::value::Value;
 
@@ -27,7 +27,7 @@ use crate::value::Value;
 fn ref_index(
     addr: Address,
     heap: &Heap,
-    order: &mut std::collections::HashMap<u64, u64>,
+    order: &mut IntMap<u64, u64>,
     queue: &mut std::collections::VecDeque<Address>,
 ) -> u64 {
     if addr.is_null() {
@@ -50,7 +50,9 @@ fn ref_index(
 #[must_use]
 pub fn state_digest(program: &Program, heap: &Heap, statics: &[Value]) -> u64 {
     let mut h = Fnv1a::new();
-    let mut order = std::collections::HashMap::new();
+    // Visit indices only: the digest follows the queue, never the map's
+    // iteration order.
+    let mut order = IntMap::default();
     let mut queue = std::collections::VecDeque::new();
 
     h.write_u64(statics.len() as u64);

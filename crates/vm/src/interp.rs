@@ -6,10 +6,12 @@
 //! heap access is reported to the [`RuntimeHooks`] with the machine PC of
 //! its memory instruction — the raw feed a PEBS-style sampling unit sees.
 
+use std::rc::Rc;
+
 #[cfg(test)]
 use hpmopt_bytecode::Instr;
 use hpmopt_bytecode::{ElemKind, MethodId, Program};
-use hpmopt_gc::{Address, GcNeeded, GcStats, Heap, TypeTag};
+use hpmopt_gc::{Address, GcNeeded, GcStats, Heap};
 use hpmopt_memsim::{AccessKind, AccessOutcome, BatchAccess, MemStats, MemoryHierarchy};
 
 use hpmopt_jit::{CodeCache, FreedRange, TierManager};
@@ -112,6 +114,9 @@ struct PendingMeta {
 }
 
 /// The virtual machine.
+///
+/// A `Vm` is not `Send`: its decoded bodies are shared through `Rc`, so
+/// build and run it on one thread.
 ///
 /// See the [crate-level documentation](crate) for an example.
 pub struct Vm<'p> {
@@ -368,6 +373,12 @@ impl<'p> Vm<'p> {
     /// The fast dispatch loop. One iteration of the outer loop pins one
     /// frame's decoded body; the inner loop runs ops of that frame until
     /// control transfers (call/return) or the body is recompiled.
+    ///
+    /// The running frame's pc lives in a local. It is written back to
+    /// the frame only where something reads it: before the epilogue's
+    /// slow path (whose recompile refetch re-enters at it, and whose
+    /// stops leave it in the backtrace), on a deopt, on a call (the
+    /// caller's return pc), and when an op fails ([`Vm::fault`]).
     #[allow(clippy::too_many_lines)]
     fn exec_fast<H: RuntimeHooks>(
         &mut self,
@@ -379,27 +390,43 @@ impl<'p> Vm<'p> {
             let method = frame.method;
             let locals_base = frame.locals_base;
             let mut pc = frame.pc;
-            let width = self.decoded[mi].as_ref().expect("decoded method").width;
+            let decoded = self.decoded[mi].as_ref().expect("decoded method");
+            // The body stays valid for this frame entry: a reinstall
+            // replaces the method's `DecodedMethod`, and every path that
+            // may reinstall leaves through `continue 'frames`.
+            let ops = Rc::clone(&decoded.ops);
+            let width = decoded.width;
             self.batch_width = width;
             // Taken backward branches in opt-tier code feed the tier-2
             // promotion counters; baseline code is not yet worth a
             // region, and region code already is one.
-            let tier2_watch = self.config.jit.tier2_enabled
-                && self.decoded[mi].as_ref().expect("decoded method").tier == Tier::Opt;
+            let tier2_watch = self.config.jit.tier2_enabled && decoded.tier == Tier::Opt;
             loop {
-                // Mirror the frame pc eagerly so error paths and GC root
-                // scans observe the same frame state as the per-step
-                // engine.
-                self.frames.last_mut().expect("running frame").pc = pc;
-                let dop = self.decoded[mi].as_ref().expect("decoded method").ops[pc];
+                let dop = ops[pc];
                 let mut cost = u64::from(dop.cost);
                 let mut next_pc = pc + 1;
                 let bc = pc as u32;
 
+                // Every error an op raises leaves through `fault`, which
+                // writes the op's pc back to the frame.
+                macro_rules! fail {
+                    ($e:expr) => {
+                        return Err(self.fault(pc, $e))
+                    };
+                }
+                macro_rules! tri {
+                    ($e:expr) => {
+                        match $e {
+                            Ok(v) => v,
+                            Err(e) => fail!(e),
+                        }
+                    };
+                }
+
                 macro_rules! binop_int {
                     ($f:expr) => {{
-                        let b = self.pop()?.as_int()?;
-                        let a = self.pop()?.as_int()?;
+                        let b = tri!(self.pop_int());
+                        let a = tri!(self.pop_int());
                         #[allow(clippy::redundant_closure_call)]
                         self.stack.push(Value::Int($f(a, b)));
                     }};
@@ -433,15 +460,15 @@ impl<'p> Vm<'p> {
                         self.stack.push(v);
                     }
                     Op::Store(n) => {
-                        let v = self.pop()?;
+                        let v = tri!(self.pop());
                         self.locals[locals_base + n as usize] = v;
                     }
                     Op::Dup => {
-                        let v = *self.stack.last().ok_or(VmError::TypeMismatch)?;
+                        let v = *tri!(self.stack.last().ok_or(VmError::TypeMismatch));
                         self.stack.push(v);
                     }
                     Op::Pop => {
-                        self.pop()?;
+                        tri!(self.pop());
                     }
                     Op::Swap => {
                         let len = self.stack.len();
@@ -452,18 +479,18 @@ impl<'p> Vm<'p> {
                     Op::Sub => binop_int!(|a: i64, b: i64| a.wrapping_sub(b)),
                     Op::Mul => binop_int!(|a: i64, b: i64| a.wrapping_mul(b)),
                     Op::Div => {
-                        let b = self.pop()?.as_int()?;
-                        let a = self.pop()?.as_int()?;
+                        let b = tri!(self.pop_int());
+                        let a = tri!(self.pop_int());
                         if b == 0 {
-                            return Err(VmError::DivisionByZero);
+                            fail!(VmError::DivisionByZero);
                         }
                         self.stack.push(Value::Int(a.wrapping_div(b)));
                     }
                     Op::Rem => {
-                        let b = self.pop()?.as_int()?;
-                        let a = self.pop()?.as_int()?;
+                        let b = tri!(self.pop_int());
+                        let a = tri!(self.pop_int());
                         if b == 0 {
-                            return Err(VmError::DivisionByZero);
+                            fail!(VmError::DivisionByZero);
                         }
                         self.stack.push(Value::Int(a.wrapping_rem(b)));
                     }
@@ -476,7 +503,7 @@ impl<'p> Vm<'p> {
                         binop_int!(|a: i64, b: i64| ((a as u64) >> (b as u32 & 63)) as i64)
                     }
                     Op::Neg => {
-                        let a = self.pop()?.as_int()?;
+                        let a = tri!(self.pop_int());
                         self.stack.push(Value::Int(a.wrapping_neg()));
                     }
 
@@ -492,13 +519,13 @@ impl<'p> Vm<'p> {
                         back_edge!();
                     }
                     Op::JumpIf(t) => {
-                        if self.pop()?.as_int()? != 0 {
+                        if tri!(self.pop_int()) != 0 {
                             next_pc = t as usize;
                             back_edge!();
                         }
                     }
                     Op::JumpIfNot(t) => {
-                        if self.pop()?.as_int()? == 0 {
+                        if tri!(self.pop_int()) == 0 {
                             next_pc = t as usize;
                             back_edge!();
                         }
@@ -510,25 +537,25 @@ impl<'p> Vm<'p> {
                         // first so queued accesses replay against pre-GC
                         // cache state and pre-GC object addresses.
                         self.flush_batch(hooks);
-                        let obj = self.alloc_object_gc(class, hooks)?;
+                        let obj = tri!(self.alloc_object_gc(class, hooks));
                         // Initializing the header touches the first line.
                         self.queue_access(hooks, obj, 8, AccessKind::Write, dop.mem_pc, method, bc);
                         self.stack.push(Value::Ref(obj));
                     }
                     Op::NewArray(kind) => {
-                        let len = self.pop()?.as_int()?;
+                        let len = tri!(self.pop_int());
                         if len < 0 {
-                            return Err(VmError::IndexOutOfBounds);
+                            fail!(VmError::IndexOutOfBounds);
                         }
                         self.flush_batch(hooks);
-                        let obj = self.alloc_array_gc(kind, len as u64, hooks)?;
+                        let obj = tri!(self.alloc_array_gc(kind, len as u64, hooks));
                         self.queue_access(hooks, obj, 8, AccessKind::Write, dop.mem_pc, method, bc);
                         self.stack.push(Value::Ref(obj));
                     }
                     Op::GetField { offset, is_ref, ic } => {
-                        let obj = self.pop()?.as_ref_addr()?;
+                        let obj = tri!(self.pop_ref());
                         if obj.is_null() {
-                            return Err(VmError::NullPointer);
+                            fail!(VmError::NullPointer);
                         }
                         cost += self.field_ic_cost(mi, ic, dop.miss_extra, obj);
                         let addr = self.heap.field_addr(obj, offset);
@@ -541,10 +568,10 @@ impl<'p> Vm<'p> {
                         });
                     }
                     Op::PutField { offset, is_ref, ic } => {
-                        let v = self.pop()?;
-                        let obj = self.pop()?.as_ref_addr()?;
+                        let v = tri!(self.pop());
+                        let obj = tri!(self.pop_ref());
                         if obj.is_null() {
-                            return Err(VmError::NullPointer);
+                            fail!(VmError::NullPointer);
                         }
                         cost += self.field_ic_cost(mi, ic, dop.miss_extra, obj);
                         let addr = self.heap.field_addr(obj, offset);
@@ -562,7 +589,7 @@ impl<'p> Vm<'p> {
                             Value::Int(i) => (i as u64, false),
                         };
                         if v_is_ref != is_ref {
-                            return Err(VmError::TypeMismatch);
+                            fail!(VmError::TypeMismatch);
                         }
                         self.heap.set_field(obj, offset, raw, v_is_ref);
                     }
@@ -579,7 +606,7 @@ impl<'p> Vm<'p> {
                         self.stack.push(self.statics[index as usize]);
                     }
                     Op::PutStatic { index, addr } => {
-                        let v = self.pop()?;
+                        let v = tri!(self.pop());
                         self.queue_access(
                             hooks,
                             Address(addr),
@@ -592,14 +619,14 @@ impl<'p> Vm<'p> {
                         self.statics[index as usize] = v;
                     }
                     Op::ArrayGet(kind) => {
-                        let idx = self.pop()?.as_int()?;
-                        let arr = self.pop()?.as_ref_addr()?;
+                        let idx = tri!(self.pop_int());
+                        let arr = tri!(self.pop_ref());
                         if arr.is_null() {
-                            return Err(VmError::NullPointer);
+                            fail!(VmError::NullPointer);
                         }
                         let len = self.heap.array_len(arr);
                         if idx < 0 || idx as u64 >= len {
-                            return Err(VmError::IndexOutOfBounds);
+                            fail!(VmError::IndexOutOfBounds);
                         }
                         let addr = self.heap.elem_addr(arr, kind, idx as u64);
                         self.queue_access(
@@ -619,20 +646,20 @@ impl<'p> Vm<'p> {
                         });
                     }
                     Op::ArraySet(kind) => {
-                        let v = self.pop()?;
-                        let idx = self.pop()?.as_int()?;
-                        let arr = self.pop()?.as_ref_addr()?;
+                        let v = tri!(self.pop());
+                        let idx = tri!(self.pop_int());
+                        let arr = tri!(self.pop_ref());
                         if arr.is_null() {
-                            return Err(VmError::NullPointer);
+                            fail!(VmError::NullPointer);
                         }
                         let len = self.heap.array_len(arr);
                         if idx < 0 || idx as u64 >= len {
-                            return Err(VmError::IndexOutOfBounds);
+                            fail!(VmError::IndexOutOfBounds);
                         }
                         let raw = match (kind.is_ref(), v) {
                             (true, Value::Ref(a)) => a.0,
                             (false, Value::Int(i)) => i as u64,
-                            _ => return Err(VmError::TypeMismatch),
+                            _ => fail!(VmError::TypeMismatch),
                         };
                         let addr = self.heap.elem_addr(arr, kind, idx as u64);
                         self.queue_access(
@@ -647,21 +674,21 @@ impl<'p> Vm<'p> {
                         self.heap.array_set(arr, kind, idx as u64, raw);
                     }
                     Op::ArrayLen => {
-                        let arr = self.pop()?.as_ref_addr()?;
+                        let arr = tri!(self.pop_ref());
                         if arr.is_null() {
-                            return Err(VmError::NullPointer);
+                            fail!(VmError::NullPointer);
                         }
                         // The length lives in the header line.
                         self.queue_access(hooks, arr, 8, AccessKind::Read, dop.mem_pc, method, bc);
                         self.stack.push(Value::Int(self.heap.array_len(arr) as i64));
                     }
                     Op::IsNull => {
-                        let a = self.pop()?.as_ref_addr()?;
+                        let a = tri!(self.pop_ref());
                         self.stack.push(Value::Int(i64::from(a.is_null())));
                     }
                     Op::RefEq => {
-                        let b = self.pop()?.as_ref_addr()?;
-                        let a = self.pop()?.as_ref_addr()?;
+                        let b = tri!(self.pop_ref());
+                        let a = tri!(self.pop_ref());
                         self.stack.push(Value::Int(i64::from(a == b)));
                     }
 
@@ -703,7 +730,7 @@ impl<'p> Vm<'p> {
                         continue 'frames;
                     }
                     Op::ReturnVal => {
-                        let v = self.pop()?;
+                        let v = tri!(self.pop());
                         self.batch_mach += cost;
                         self.flush_batch(hooks);
                         self.pop_frame(Some(v));
@@ -722,21 +749,34 @@ impl<'p> Vm<'p> {
                         self.tiers.deopt(method);
                         self.install(method, Tier::Baseline, hooks);
                         hooks.on_deopt(method, Tier::Region, self.cycles);
+                        self.frames.last_mut().expect("running frame").pc = pc;
                         continue 'frames;
                     }
                 }
 
                 self.batch_mach += cost;
                 pc = next_pc;
-                self.frames.last_mut().expect("running frame").pc = pc;
-                if self.epilogue(hooks, next_poll)? {
-                    // The running method was recompiled: refetch its
-                    // decoded body (same bytecode indices, new costs).
-                    continue 'frames;
+                if self.count_bytecode(*next_poll) {
+                    self.frames.last_mut().expect("running frame").pc = pc;
+                    if self.epilogue_slow(hooks, next_poll)? {
+                        // The running method was recompiled: refetch its
+                        // decoded body (same bytecode indices, new costs).
+                        continue 'frames;
+                    }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Record the faulting op's pc in the running frame and pass `e`
+    /// through. A failed op has not retired, so the backtrace after an
+    /// error points at it, as in the per-step engine.
+    #[cold]
+    #[inline(never)]
+    fn fault(&mut self, pc: usize, e: VmError) -> VmError {
+        self.frames.last_mut().expect("running frame").pc = pc;
+        e
     }
 
     /// Per-bytecode bookkeeping shared by every fast-path op. Counts the
@@ -753,14 +793,21 @@ impl<'p> Vm<'p> {
         hooks: &mut H,
         next_poll: &mut u64,
     ) -> Result<bool, VmError> {
-        self.bytecodes += 1;
-        if self.bytecodes < *next_poll
-            && self.bytecodes <= self.step_cap
-            && self.cycles + self.batch_mach < self.clock_deadline
-        {
-            return Ok(false);
+        if self.count_bytecode(*next_poll) {
+            self.epilogue_slow(hooks, next_poll)
+        } else {
+            Ok(false)
         }
-        self.epilogue_slow(hooks, next_poll)
+    }
+
+    /// The epilogue's fast path: count the bytecode and return whether
+    /// [`Vm::epilogue_slow`] is due.
+    #[inline(always)]
+    fn count_bytecode(&mut self, next_poll: u64) -> bool {
+        self.bytecodes += 1;
+        self.bytecodes >= next_poll
+            || self.bytecodes > self.step_cap
+            || self.cycles + self.batch_mach >= self.clock_deadline
     }
 
     /// Recompute [`Vm::clock_deadline`] from the cycle budget and the
@@ -835,10 +882,7 @@ impl<'p> Vm<'p> {
         if !self.config.inline_caches {
             return u64::from(miss_extra);
         }
-        let key = match self.heap.type_of(obj) {
-            TypeTag::Class(c) => c.0,
-            TypeTag::Array(_) => IC_ARRAY_KEY,
-        };
+        let key = self.heap.class_of(obj).map_or(IC_ARRAY_KEY, |c| c.0);
         let slot = &mut self.decoded[mi].as_mut().expect("decoded method").ics[ic as usize];
         match slot {
             IcSlot::Field { class } if *class == key => 0,
@@ -885,8 +929,22 @@ impl<'p> Vm<'p> {
     /// exactly the stamp the per-step engine would have produced), and
     /// settle the block's compute cycles into the clock.
     fn flush_batch<H: RuntimeHooks>(&mut self, hooks: &mut H) {
-        let width = self.batch_width;
-        let block_cycles = self.batch_mach.div_ceil(width);
+        // Baseline code retires 2 instructions per cycle and opt code
+        // the configured issue width (3 by default). A constant divisor
+        // compiles each per-access division to a multiply.
+        match self.batch_width {
+            1 => self.flush_batch_by(hooks, |m| m),
+            2 => self.flush_batch_by(hooks, |m| m.div_ceil(2)),
+            3 => self.flush_batch_by(hooks, |m| m.div_ceil(3)),
+            4 => self.flush_batch_by(hooks, |m| m.div_ceil(4)),
+            w => self.flush_batch_by(hooks, |m| m.div_ceil(w)),
+        }
+    }
+
+    /// [`Vm::flush_batch`] with `cycles_of(n)` = `ceil(n / batch_width)`.
+    #[inline(always)]
+    fn flush_batch_by<H: RuntimeHooks>(&mut self, hooks: &mut H, cycles_of: impl Fn(u64) -> u64) {
+        let block_cycles = cycles_of(self.batch_mach);
         if self.batch_reqs.is_empty() {
             self.cycles += block_cycles;
             self.batch_mach = 0;
@@ -904,7 +962,7 @@ impl<'p> Vm<'p> {
                 pc: meta.mem_pc,
                 addr: Address(self.batch_reqs[i].addr),
                 outcome,
-                cycles: base + meta.mach_before.div_ceil(width) + extra + outcome.cycles,
+                cycles: base + cycles_of(meta.mach_before) + extra + outcome.cycles,
                 method: meta.method,
                 bytecode_index: meta.bc,
             };
@@ -1487,6 +1545,16 @@ impl<'p> Vm<'p> {
     fn pop(&mut self) -> Result<Value, VmError> {
         self.stack.pop().ok_or(VmError::TypeMismatch)
     }
+
+    #[inline]
+    fn pop_int(&mut self) -> Result<i64, VmError> {
+        self.pop()?.as_int()
+    }
+
+    #[inline]
+    fn pop_ref(&mut self) -> Result<Address, VmError> {
+        self.pop()?.as_ref_addr()
+    }
 }
 
 #[cfg(test)]
@@ -1500,8 +1568,8 @@ mod tests {
     /// reference engine, both with [`NoHooks`], and return the shipped
     /// run. The engines must stop the same way. Unless the stop is a
     /// `CycleBudget` kill, whose point is on the clock and so differs by
-    /// design, they must also agree on the bytecode count and the state
-    /// digest.
+    /// design, they must also agree on the bytecode count, the frames
+    /// they stopped in and the state digest.
     fn run_checked(program: &Program, cfg: VmConfig) -> (Vm<'_>, Result<RunSummary, VmError>) {
         let mut reference = Vm::new(program, cfg.clone());
         let expected = reference
@@ -1516,6 +1584,11 @@ mod tests {
         );
         if !matches!(got, Err(VmError::CycleBudget)) {
             assert_eq!(vm.bytecodes, reference.bytecodes, "bytecode counts agree");
+            assert_eq!(
+                vm.backtrace(),
+                reference.backtrace(),
+                "the engines stop in the same frames"
+            );
             assert_eq!(
                 vm.state_digest(),
                 reference.state_digest(),

@@ -1,7 +1,7 @@
 //! Pre-decoded instruction form for the fast interpreter loop.
 //!
 //! [`decode`] lowers a method body against one compiled artifact into a
-//! dense `Vec<DecodedOp>`: operands resolved (field offsets, static
+//! dense `Rc<[DecodedOp]>`: operands resolved (field offsets, static
 //! addresses, callee arities), branch targets kept as plain indices, and
 //! the tier's dispatch cost pre-divided by the issue width — so the hot
 //! loop in [`crate::interp`] is a single indexed dispatch with no
@@ -19,6 +19,8 @@
 //! Everything here is a *cost-model* artifact: decoding never changes
 //! program semantics, and the laid-out machine code (sizes, addresses,
 //! maps) is exactly what [`crate::compiler::compile`] produced.
+
+use std::rc::Rc;
 
 use hpmopt_bytecode::{ClassId, ElemKind, Instr, MethodId, Program};
 
@@ -143,8 +145,10 @@ pub(crate) enum IcSlot {
 /// all cache slots cold — whenever the method is (re)compiled.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodedMethod {
-    /// One entry per bytecode, same indices as the method body.
-    pub ops: Vec<DecodedOp>,
+    /// One entry per bytecode, same indices as the method body. Shared,
+    /// so the engine takes the body once per frame entry and indexes it
+    /// without going back through the method's slot.
+    pub ops: Rc<[DecodedOp]>,
     /// Inline-cache slots referenced by `Op::{GetField,PutField,Call}`.
     pub ics: Vec<IcSlot>,
     /// Machine instructions retired per cycle for this body's tier (the
@@ -325,7 +329,7 @@ pub(crate) fn decode(
         });
     }
     DecodedMethod {
-        ops,
+        ops: ops.into(),
         ics,
         width,
         tier: code.tier,

@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, warnings are errors: broken intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --workspace --release
