@@ -324,12 +324,16 @@ impl Heap {
         ObjectModel::type_tag(&self.raw, obj)
     }
 
-    /// The object's class, or `None` for an array. Reads the raw type
-    /// word without decoding an array's element kind.
+    /// The object's class, or `None` for an array. An array's element
+    /// kind is still decoded, so a corrupt array tag panics here as in
+    /// [`Heap::type_of`].
     #[inline]
     #[must_use]
     pub fn class_of(&self, obj: Address) -> Option<ClassId> {
-        ObjectModel::class_of(&self.raw, obj)
+        match self.type_of(obj) {
+            TypeTag::Class(c) => Some(c),
+            TypeTag::Array(_) => None,
+        }
     }
 
     /// Array length (0 for instances).

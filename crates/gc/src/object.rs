@@ -129,15 +129,6 @@ impl ObjectModel {
         TypeTag::decode(heap.read_u32(obj))
     }
 
-    /// The object's class, or `None` for an array (no element-kind
-    /// decode).
-    #[inline]
-    #[must_use]
-    pub fn class_of(heap: &RawHeap, obj: Address) -> Option<ClassId> {
-        let word = heap.read_u32(obj);
-        (word & ARRAY_BIT == 0).then_some(ClassId(word))
-    }
-
     /// Total object size in bytes (header included).
     #[inline]
     #[must_use]

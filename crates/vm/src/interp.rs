@@ -779,14 +779,11 @@ impl<'p> Vm<'p> {
         e
     }
 
-    /// Per-bytecode bookkeeping shared by every fast-path op. Counts the
-    /// bytecode and returns at once unless something may be due: a step
-    /// limit, a poll, or a clock check (a cycle budget or the tier-1
-    /// timer), which [`Vm::epilogue_slow`] handles. `cycles + batch_mach`
-    /// bounds the running clock `cycles + ceil(batch_mach / width)` from
-    /// above, so the slow path runs on every bytecode where the budget or
-    /// the timer could fire. Returns `true` when a recompilation replaced
-    /// a decoded body and the caller must refetch.
+    /// The per-bytecode bookkeeping of the call, return and back-edge
+    /// exits, where the frame's pc has already been written: counts the
+    /// bytecode and runs [`Vm::epilogue_slow`] if it is due. Returns
+    /// `true` when a recompilation replaced a decoded body and the
+    /// caller must refetch.
     #[inline(always)]
     fn epilogue<H: RuntimeHooks>(
         &mut self,
@@ -801,7 +798,11 @@ impl<'p> Vm<'p> {
     }
 
     /// The epilogue's fast path: count the bytecode and return whether
-    /// [`Vm::epilogue_slow`] is due.
+    /// [`Vm::epilogue_slow`] is due, that is whether a step limit, a poll
+    /// or a clock check (a cycle budget or the tier-1 timer) may fire.
+    /// `cycles + batch_mach` bounds the running clock
+    /// `cycles + ceil(batch_mach / width)` from above, so the slow path
+    /// runs on every bytecode where the budget or the timer could fire.
     #[inline(always)]
     fn count_bytecode(&mut self, next_poll: u64) -> bool {
         self.bytecodes += 1;
@@ -933,10 +934,8 @@ impl<'p> Vm<'p> {
         // the configured issue width (3 by default). A constant divisor
         // compiles each per-access division to a multiply.
         match self.batch_width {
-            1 => self.flush_batch_by(hooks, |m| m),
             2 => self.flush_batch_by(hooks, |m| m.div_ceil(2)),
             3 => self.flush_batch_by(hooks, |m| m.div_ceil(3)),
-            4 => self.flush_batch_by(hooks, |m| m.div_ceil(4)),
             w => self.flush_batch_by(hooks, |m| m.div_ceil(w)),
         }
     }
