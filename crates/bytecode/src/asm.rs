@@ -395,7 +395,7 @@ impl ProgramBuilder {
         };
         self.replace_method(
             id,
-            MethodDef::new(name, None, params, params + extra_locals, returns, body),
+            MethodDef::new(name, params, params + extra_locals, returns, body),
         );
     }
 }

@@ -58,7 +58,6 @@ pub struct Label(usize);
 #[derive(Debug, Clone)]
 pub struct MethodBuilder {
     name: String,
-    class: Option<ClassId>,
     params: u16,
     locals: u16,
     returns_value: bool,
@@ -82,7 +81,6 @@ impl MethodBuilder {
     ) -> Self {
         MethodBuilder {
             name: name.into(),
-            class: None,
             params,
             locals: params + extra_locals,
             returns_value,
@@ -90,13 +88,6 @@ impl MethodBuilder {
             label_positions: Vec::new(),
             patches: Vec::new(),
         }
-    }
-
-    /// Associate the method with a class (for qualified diagnostics only;
-    /// dispatch is static).
-    pub fn set_class(&mut self, class: ClassId) -> &mut Self {
-        self.class = Some(class);
-        self
     }
 
     /// Reserve one more local slot and return its index.
@@ -438,7 +429,6 @@ impl MethodBuilder {
         }
         MethodDef::new(
             self.name,
-            self.class,
             self.params,
             self.locals,
             self.returns_value,
@@ -517,7 +507,6 @@ impl ProgramBuilder {
         // Placeholder body, replaced by `define_method`.
         self.methods.push(MethodDef::new(
             name,
-            None,
             params,
             params,
             returns_value,

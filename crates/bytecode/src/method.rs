@@ -1,7 +1,6 @@
 //! Method definitions.
 
 use crate::instr::Instr;
-use crate::program::ClassId;
 
 /// A method: a named body of bytecode with a fixed-size local-variable
 /// array.
@@ -13,7 +12,6 @@ use crate::program::ClassId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MethodDef {
     name: String,
-    class: Option<ClassId>,
     params: u16,
     locals: u16,
     returns_value: bool,
@@ -23,7 +21,6 @@ pub struct MethodDef {
 impl MethodDef {
     pub(crate) fn new(
         name: impl Into<String>,
-        class: Option<ClassId>,
         params: u16,
         locals: u16,
         returns_value: bool,
@@ -31,7 +28,6 @@ impl MethodDef {
     ) -> Self {
         MethodDef {
             name: name.into(),
-            class,
             params,
             locals,
             returns_value,
@@ -39,16 +35,10 @@ impl MethodDef {
         }
     }
 
-    /// Method name (qualified by class in diagnostics when `class` is set).
+    /// Method name.
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The class this method belongs to, if any.
-    #[must_use]
-    pub fn class(&self) -> Option<ClassId> {
-        self.class
     }
 
     /// Number of parameters (stored in locals `0..params`).
@@ -94,20 +84,12 @@ mod tests {
 
     #[test]
     fn accessors_round_trip() {
-        let m = MethodDef::new(
-            "run",
-            None,
-            2,
-            5,
-            true,
-            vec![Instr::Const(1), Instr::ReturnVal],
-        );
+        let m = MethodDef::new("run", 2, 5, true, vec![Instr::Const(1), Instr::ReturnVal]);
         assert_eq!(m.name(), "run");
         assert_eq!(m.params(), 2);
         assert_eq!(m.locals(), 5);
         assert!(m.returns_value());
         assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
-        assert_eq!(m.class(), None);
     }
 }

@@ -144,14 +144,10 @@ impl Program {
         format!("{}::{}", class.name(), class.fields()[info.index].name())
     }
 
-    /// Human-readable method name (`Class::method` or plain name).
+    /// Human-readable method name.
     #[must_use]
     pub fn method_name(&self, id: MethodId) -> String {
-        let m = self.method(id);
-        match m.class() {
-            Some(c) => format!("{}::{}", self.class(c).name(), m.name()),
-            None => m.name().to_string(),
-        }
+        self.method(id).name().to_string()
     }
 
     /// Find a method by its builder-visible name.

@@ -84,12 +84,6 @@ impl Assessor {
         );
     }
 
-    /// Stop watching `class` (after a revert or when its decision is
-    /// withdrawn).
-    pub fn stop_tracking(&mut self, class: ClassId) {
-        self.tracks.remove(&class);
-    }
-
     /// Whether `class` is being watched.
     #[must_use]
     pub fn is_tracking(&self, class: ClassId) -> bool {

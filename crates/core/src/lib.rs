@@ -8,7 +8,7 @@
 //! 1. The VM reports every heap access; the PEBS unit in `hpmopt-hpm`
 //!    samples every *n*-th cache miss with its exact PC.
 //! 2. [`mapping::SampleResolver`] maps a sampled PC through the sorted
-//!    method table and the per-method machine-code maps back to a Java^W
+//!    method table and the per-method machine-code maps back to a
 //!    bytecode instruction (Section 4.2).
 //! 3. [`interest::analyze_method`] walks use-def chains of opt-compiled
 //!    methods to find *instructions of interest*: heap accesses whose base

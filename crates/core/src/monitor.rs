@@ -66,27 +66,12 @@ pub struct SeriesPoint {
     pub total: u64,
 }
 
-/// Monitoring-cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorConfig {
-    /// Cycles to process one sample (method lookup, map walk, counter
-    /// update).
-    pub cycles_per_sample: u64,
-    /// Fixed cycles per batch.
-    pub cycles_per_batch: u64,
-    /// Record per-field time series for watched fields.
-    pub record_series: bool,
-}
+/// Cycles to process one sample (method lookup, map walk, counter
+/// update).
+const CYCLES_PER_SAMPLE: u64 = 150;
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            cycles_per_sample: 150,
-            cycles_per_batch: 500,
-            record_series: true,
-        }
-    }
-}
+/// Fixed cycles per batch.
+const CYCLES_PER_BATCH: u64 = 500;
 
 /// The monitoring module.
 #[derive(Debug, Clone, Default)]
@@ -96,9 +81,8 @@ struct FieldCounter {
 }
 
 /// Central sample-attribution bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineMonitor {
-    config: MonitorConfig,
     resolver: SampleResolver,
     interest: BTreeMap<MethodId, InterestMap>,
     counters: BTreeMap<FieldId, FieldCounter>,
@@ -112,18 +96,8 @@ pub struct OnlineMonitor {
 impl OnlineMonitor {
     /// Create an empty monitor.
     #[must_use]
-    pub fn new(config: MonitorConfig) -> Self {
-        OnlineMonitor {
-            config,
-            resolver: SampleResolver::new(),
-            interest: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            attribution: AttributionStats::default(),
-            watched: BTreeSet::new(),
-            series: BTreeMap::new(),
-            batches: 0,
-            telemetry: Telemetry::disabled(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Attach a telemetry handle; `core.samples.*` attribution counters
@@ -205,16 +179,14 @@ impl OnlineMonitor {
         }
         self.batches += 1;
         self.telemetry.incr(MetricId::CoreBatches);
-        if self.config.record_series {
-            for &f in &self.watched {
-                let total = self.counters.get(&f).map_or(0, |c| c.total);
-                self.series
-                    .get_mut(&f)
-                    .expect("watched fields have series")
-                    .push(SeriesPoint { cycles, total });
-            }
+        for &f in &self.watched {
+            let total = self.counters.get(&f).map_or(0, |c| c.total);
+            self.series
+                .get_mut(&f)
+                .expect("watched fields have series")
+                .push(SeriesPoint { cycles, total });
         }
-        self.config.cycles_per_batch + samples.len() as u64 * self.config.cycles_per_sample
+        CYCLES_PER_BATCH + samples.len() as u64 * CYCLES_PER_SAMPLE
     }
 
     /// Seed a field's cumulative miss count from a persisted profile
@@ -349,7 +321,7 @@ mod tests {
         let code = compile(&p, p.entry(), Tier::Opt, 0x4000_0000, true);
         let hot_pc = code.mem_pc(4);
         let cold_pc = code.mem_pc(3);
-        let mut mon = OnlineMonitor::new(MonitorConfig::default());
+        let mut mon = OnlineMonitor::new();
         mon.register_artifact(&p, &code);
 
         let cost = mon.process_batch(&[sample(hot_pc), sample(hot_pc), sample(cold_pc)], 100);
@@ -365,7 +337,7 @@ mod tests {
         let (p, y) = program();
         let code = compile(&p, p.entry(), Tier::Baseline, 0x4000_0000, true);
         let hot_pc = code.mem_pc(4);
-        let mut mon = OnlineMonitor::new(MonitorConfig::default());
+        let mut mon = OnlineMonitor::new();
         mon.register_artifact(&p, &code);
         mon.process_batch(&[sample(hot_pc)], 0);
         assert_eq!(mon.total(y), 0);
@@ -377,7 +349,7 @@ mod tests {
         let (p, _) = program();
         let code = compile(&p, p.entry(), Tier::Opt, 0x4000_0000, false);
         let unmapped_pc = code.mem_pc(4);
-        let mut mon = OnlineMonitor::new(MonitorConfig::default());
+        let mut mon = OnlineMonitor::new();
         mon.register_artifact(&p, &code);
         mon.process_batch(&[sample(0xdead), sample(unmapped_pc)], 0);
         let a = mon.attribution();
@@ -391,7 +363,7 @@ mod tests {
         let (p, y) = program();
         let code = compile(&p, p.entry(), Tier::Opt, 0x4000_0000, true);
         let hot = code.mem_pc(4);
-        let mut mon = OnlineMonitor::new(MonitorConfig::default());
+        let mut mon = OnlineMonitor::new();
         mon.register_artifact(&p, &code);
         mon.process_batch(&[sample(hot)], 0);
         assert_eq!(mon.take_window().get(&y), Some(&1));
@@ -406,7 +378,7 @@ mod tests {
         let (p, y) = program();
         let code = compile(&p, p.entry(), Tier::Opt, 0x4000_0000, true);
         let hot = code.mem_pc(4);
-        let mut mon = OnlineMonitor::new(MonitorConfig::default());
+        let mut mon = OnlineMonitor::new();
         mon.register_artifact(&p, &code);
         mon.watch(y);
         mon.process_batch(&[sample(hot)], 1000);
@@ -434,7 +406,7 @@ mod tests {
         let (p, y) = program();
         let opt = compile(&p, p.entry(), Tier::Opt, 0x4000_0000, true);
         let hot_pc = opt.mem_pc(4);
-        let mut mon = OnlineMonitor::new(MonitorConfig::default());
+        let mut mon = OnlineMonitor::new();
         mon.register_artifact(&p, &opt);
 
         // Epoch-0 sample in live opt code attributes normally.
@@ -482,7 +454,7 @@ mod tests {
         let class = p.field(y).class;
         let code = compile(&p, p.entry(), Tier::Opt, 0x4000_0000, true);
         let hot = code.mem_pc(4);
-        let mut mon = OnlineMonitor::new(MonitorConfig::default());
+        let mut mon = OnlineMonitor::new();
         mon.register_artifact(&p, &code);
         mon.process_batch(&[sample(hot); 5], 0);
         let best = mon.hottest_field_per_class(&p);

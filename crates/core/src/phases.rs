@@ -4,34 +4,22 @@
 //! the execution and this allows detecting phase changes in the
 //! execution" (Section 5.3). This module provides that capability as a
 //! simple online change-point detector: two adjacent sliding windows
-//! over a rate series; when their means diverge by more than a
-//! configurable ratio, a phase boundary is reported.
+//! over a rate series; when their means diverge by more than a fixed
+//! ratio, a phase boundary is reported.
 //!
 //! The optimization pipeline itself does not need phases (decisions are
 //! re-derived continuously), but embedders can use the detector to gate
 //! expensive re-analysis to phase boundaries, as adaptive systems
 //! typically do.
 
-/// Phase-detector configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseConfig {
-    /// Observations per window (two adjacent windows are compared).
-    pub window: usize,
-    /// Mean ratio (max/min) that constitutes a phase change.
-    pub ratio: f64,
-    /// Ignore windows whose mean is below this (noise floor).
-    pub min_rate: f64,
-}
+/// Observations per window (two adjacent windows are compared).
+const WINDOW: usize = 4;
 
-impl Default for PhaseConfig {
-    fn default() -> Self {
-        PhaseConfig {
-            window: 4,
-            ratio: 2.0,
-            min_rate: 0.05,
-        }
-    }
-}
+/// Mean ratio (max/min) that constitutes a phase change.
+const RATIO: f64 = 2.0;
+
+/// Ignore windows whose mean is below this (noise floor).
+const MIN_RATE: f64 = 0.05;
 
 /// A detected phase boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,9 +42,8 @@ impl PhaseChange {
 }
 
 /// Online two-window change-point detector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseDetector {
-    config: PhaseConfig,
     history: Vec<(u64, f64)>,
     changes: Vec<PhaseChange>,
     /// Observations to skip after a detection (the windows must refill
@@ -67,13 +54,8 @@ pub struct PhaseDetector {
 impl PhaseDetector {
     /// Create a detector.
     #[must_use]
-    pub fn new(config: PhaseConfig) -> Self {
-        PhaseDetector {
-            config,
-            history: Vec::new(),
-            changes: Vec::new(),
-            cooldown: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Feed one observation (cycle stamp, rate); returns the boundary if
@@ -84,30 +66,29 @@ impl PhaseDetector {
             self.cooldown -= 1;
             return None;
         }
-        let w = self.config.window;
-        if self.history.len() < 2 * w {
+        if self.history.len() < 2 * WINDOW {
             return None;
         }
         let n = self.history.len();
         let mean = |s: &[(u64, f64)]| s.iter().map(|&(_, r)| r).sum::<f64>() / s.len() as f64;
-        let before = mean(&self.history[n - 2 * w..n - w]);
-        let after = mean(&self.history[n - w..]);
+        let before = mean(&self.history[n - 2 * WINDOW..n - WINDOW]);
+        let after = mean(&self.history[n - WINDOW..]);
         let (lo, hi) = if before < after {
             (before, after)
         } else {
             (after, before)
         };
-        if hi < self.config.min_rate || lo <= 0.0 {
+        if hi < MIN_RATE || lo <= 0.0 {
             return None;
         }
-        if hi / lo.max(f64::MIN_POSITIVE) >= self.config.ratio {
+        if hi / lo.max(f64::MIN_POSITIVE) >= RATIO {
             let change = PhaseChange {
                 cycles,
                 before,
                 after,
             };
             self.changes.push(change);
-            self.cooldown = w;
+            self.cooldown = WINDOW;
             Some(change)
         } else {
             None
@@ -147,14 +128,14 @@ mod tests {
 
     #[test]
     fn stable_series_has_no_phases() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::new();
         let got = feed(&mut d, 0, &[1.0; 32]);
         assert!(got.is_empty());
     }
 
     #[test]
     fn step_change_is_detected_once() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::new();
         let mut rates = vec![1.0; 8];
         rates.extend(vec![4.0; 8]);
         let got = feed(&mut d, 100, &rates);
@@ -165,7 +146,7 @@ mod tests {
 
     #[test]
     fn drop_is_detected_as_improvement() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::new();
         let mut rates = vec![4.0; 8];
         rates.extend(vec![1.0; 8]);
         let got = feed(&mut d, 0, &rates);
@@ -175,7 +156,7 @@ mod tests {
 
     #[test]
     fn noise_floor_suppresses_tiny_rates() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::new();
         let mut rates = vec![0.001; 8];
         rates.extend(vec![0.004; 8]);
         assert!(feed(&mut d, 0, &rates).is_empty());
@@ -183,7 +164,7 @@ mod tests {
 
     #[test]
     fn two_phases_detected_with_cooldown() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::new();
         let mut rates = vec![1.0; 8];
         rates.extend(vec![4.0; 12]);
         rates.extend(vec![1.0; 12]);
@@ -195,10 +176,7 @@ mod tests {
 
     #[test]
     fn gradual_drift_within_ratio_is_one_phase() {
-        let mut d = PhaseDetector::new(PhaseConfig {
-            ratio: 3.0,
-            ..PhaseConfig::default()
-        });
+        let mut d = PhaseDetector::new();
         let rates: Vec<f64> = (0..32).map(|i| 1.0 + i as f64 * 0.02).collect();
         assert!(feed(&mut d, 0, &rates).is_empty());
     }

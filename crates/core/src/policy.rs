@@ -221,7 +221,7 @@ impl CoallocPolicy for AdaptivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::{MonitorConfig, OnlineMonitor};
+    use crate::monitor::OnlineMonitor;
     use hpmopt_bytecode::builder::{MethodBuilder, ProgramBuilder};
     use hpmopt_bytecode::FieldType;
     use hpmopt_hpm::Sample;
@@ -247,7 +247,7 @@ mod tests {
         let p = pb.finish().unwrap();
         let code = compile(&p, p.entry(), Tier::Opt, 0x4000_0000, true);
         let hot_pc = code.mem_pc(4);
-        let mut mon = OnlineMonitor::new(MonitorConfig::default());
+        let mut mon = OnlineMonitor::new();
         mon.register_artifact(&p, &code);
         (p, y, mon, hot_pc)
     }

@@ -25,8 +25,8 @@ use hpmopt_vm::{
 };
 
 use crate::feedback::{Assessor, FeedbackConfig, Verdict};
-use crate::monitor::{AttributionStats, MonitorConfig, OnlineMonitor, SeriesPoint};
-use crate::phases::{PhaseConfig, PhaseDetector};
+use crate::monitor::{AttributionStats, OnlineMonitor, SeriesPoint};
+use crate::phases::PhaseDetector;
 use crate::policy::{AdaptivePolicy, PolicyConfig, PolicyEvent};
 use crate::warmstart::{self, ProfileOptions, Seeds};
 
@@ -53,17 +53,12 @@ pub struct RunConfig {
     pub vm: VmConfig,
     /// Monitoring configuration (event, sampling interval, buffers).
     pub hpm: HpmConfig,
-    /// Monitor cost model and series recording.
-    pub monitor: MonitorConfig,
     /// Whether miss-driven co-allocation is active.
     pub coalloc: bool,
     /// Decision thresholds.
     pub policy: PolicyConfig,
     /// Revert heuristic.
     pub feedback: FeedbackConfig,
-    /// Also assess (and potentially revert) adaptive decisions, not just
-    /// pinned ones.
-    pub assess_adaptive: bool,
     /// `(class, field)` pairs whose miss series to record (Figure 7).
     pub watch_fields: Vec<(String, String)>,
     /// Optional Figure 8 forced bad placement.
@@ -82,11 +77,9 @@ impl Default for RunConfig {
         RunConfig {
             vm: VmConfig::default(),
             hpm: HpmConfig::default(),
-            monitor: MonitorConfig::default(),
             coalloc: true,
             policy: PolicyConfig::default(),
             feedback: FeedbackConfig::default(),
-            assess_adaptive: false,
             watch_fields: Vec::new(),
             forced_bad: None,
             profile: ProfileOptions::default(),
@@ -205,7 +198,7 @@ impl HpmRuntime {
     ///
     /// Propagates any [`VmError`] raised by the program.
     pub fn run(&self, program: &Program) -> Result<RunReport, VmError> {
-        let mut monitor = OnlineMonitor::new(self.config.monitor);
+        let mut monitor = OnlineMonitor::new();
         let mut watched = Vec::new();
         for (class_name, field_name) in &self.config.watch_fields {
             if let Some(f) = program
@@ -287,7 +280,6 @@ impl HpmRuntime {
             policy: AdaptivePolicy::new(self.config.policy),
             assessor: Assessor::new(self.config.feedback),
             coalloc: self.config.coalloc,
-            assess_adaptive: self.config.assess_adaptive,
             forced,
             seeds,
             seeded: Vec::new(),
@@ -296,7 +288,7 @@ impl HpmRuntime {
             event_series: Vec::new(),
             last_period_cycles: 0,
             telemetry: telemetry.clone(),
-            phases: PhaseDetector::new(PhaseConfig::default()),
+            phases: PhaseDetector::new(),
             policy_events_emitted: 0,
             gc_seen: GcStats::default(),
             last_cycles: 0,
@@ -488,7 +480,6 @@ struct Hooks {
     policy: AdaptivePolicy,
     assessor: Assessor,
     coalloc: bool,
-    assess_adaptive: bool,
     forced: Option<PendingPin>,
     /// Warm-start seed state, consumed by `on_startup`.
     seeds: Option<Seeds>,
@@ -792,16 +783,7 @@ impl Hooks {
 
         // Refresh adaptive decisions from the updated counters.
         if self.coalloc {
-            let before: Vec<ClassId> = self.policy.active_classes();
             self.policy.refresh(program, &self.monitor, cycles);
-            if self.assess_adaptive {
-                for class in self.policy.active_classes() {
-                    if !before.contains(&class) && !self.assessor.is_tracking(class) {
-                        let baseline = self.baseline_rate(class);
-                        self.assessor.start_tracking(class, baseline);
-                    }
-                }
-            }
         }
 
         // Export new policy decisions as trace events, counters, and

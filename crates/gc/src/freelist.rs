@@ -248,12 +248,6 @@ impl MsSpace {
             .sum();
         uncarved + in_cells + self.free_blocks.len() as u64 * BLOCK_BYTES
     }
-
-    /// Total region size in bytes.
-    #[must_use]
-    pub fn region_bytes(&self) -> u64 {
-        self.end.0 - self.start.0
-    }
 }
 
 #[cfg(test)]

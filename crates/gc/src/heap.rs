@@ -105,13 +105,6 @@ impl HeapConfig {
         self
     }
 
-    /// Scale the mature budget (heap-size sweeps).
-    #[must_use]
-    pub fn with_heap_bytes(mut self, bytes: u64) -> Self {
-        self.heap_bytes = bytes;
-        self
-    }
-
     fn rounded_heap_bytes(&self) -> u64 {
         self.heap_bytes.div_ceil(BLOCK_BYTES) * BLOCK_BYTES
     }

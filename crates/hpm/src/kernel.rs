@@ -8,6 +8,9 @@
 use crate::pebs::PebsUnit;
 use crate::userlib::UserBuffer;
 
+/// Buffer fill (percent of capacity) that raises the overflow interrupt.
+pub const INTERRUPT_MARK_PCT: usize = 90;
+
 /// The kernel side of the monitoring stack.
 #[derive(Debug, Clone)]
 pub struct PerfmonModule {
@@ -16,13 +19,13 @@ pub struct PerfmonModule {
 }
 
 impl PerfmonModule {
-    /// Initialize the module with the unit's interval, seed, buffer
-    /// capacity, and the fill percentage that raises the interrupt.
+    /// Initialize the module with the unit's interval, seed and buffer
+    /// capacity; the interrupt fires at [`INTERRUPT_MARK_PCT`] fill.
     #[must_use]
-    pub fn new(interval: u64, seed: u64, capacity: usize, interrupt_mark_pct: u8) -> Self {
+    pub fn new(interval: u64, seed: u64, capacity: usize) -> Self {
         PerfmonModule {
             unit: PebsUnit::new(interval, seed, capacity),
-            interrupt_mark: capacity * usize::from(interrupt_mark_pct.min(100)) / 100,
+            interrupt_mark: capacity * INTERRUPT_MARK_PCT / 100,
         }
     }
 
@@ -67,19 +70,19 @@ mod tests {
 
     #[test]
     fn interrupt_fires_at_mark() {
-        let mut k = PerfmonModule::new(1, 1, 10, 80);
-        for i in 0..7u64 {
+        let mut k = PerfmonModule::new(1, 1, 10);
+        for i in 0..8u64 {
             k.unit_mut().observe(i, 0, EventKind::L1DMiss, i);
         }
-        assert!(!k.interrupt_pending(), "7 < mark of 8");
-        k.unit_mut().observe(7, 0, EventKind::L1DMiss, 7);
+        assert!(!k.interrupt_pending(), "8 < mark of 9");
+        k.unit_mut().observe(8, 0, EventKind::L1DMiss, 8);
         assert!(k.interrupt_pending());
-        assert_eq!(k.fill_pct(), 80);
+        assert_eq!(k.fill_pct(), 90);
     }
 
     #[test]
     fn read_samples_transfers_and_clears() {
-        let mut k = PerfmonModule::new(1, 1, 10, 90);
+        let mut k = PerfmonModule::new(1, 1, 10);
         for i in 0..5u64 {
             k.unit_mut().observe(i, 0, EventKind::L1DMiss, i);
         }

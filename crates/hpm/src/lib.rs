@@ -55,6 +55,11 @@ pub use userlib::UserBuffer;
 use hpmopt_memsim::{AccessOutcome, EventKind};
 use hpmopt_telemetry::{HistogramId, MetricId, Telemetry, TraceKind};
 
+/// Cycles the sampling microcode costs per captured sample: each PEBS
+/// sample runs one microcode routine that stores it to the buffer
+/// (Section 4.1).
+pub const MICROCODE_CYCLES: u64 = 250;
+
 /// How the sampling interval is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplingInterval {
@@ -87,12 +92,8 @@ pub struct HpmConfig {
     pub event: EventKind,
     /// Interval policy.
     pub interval: SamplingInterval,
-    /// Cycles the sampling microcode costs per captured sample.
-    pub microcode_cycles: u64,
     /// Kernel buffer capacity in samples (80 KB / 40 B in the paper).
     pub buffer_capacity: usize,
-    /// Buffer fill fraction (percent) that raises the overflow interrupt.
-    pub interrupt_mark_pct: u8,
     /// Simulated CPU frequency in Hz (3 GHz P4) — converts cycle deltas to
     /// seconds for rate adaptation.
     pub cpu_hz: u64,
@@ -105,9 +106,7 @@ impl Default for HpmConfig {
         HpmConfig {
             event: EventKind::L1DMiss,
             interval: SamplingInterval::auto_default(),
-            microcode_cycles: 250,
             buffer_capacity: 80 * 1024 / SAMPLE_BYTES as usize,
-            interrupt_mark_pct: 90,
             cpu_hz: 3_000_000_000,
             seed: 0x5eed_1234_abcd_0001,
         }
@@ -170,12 +169,7 @@ impl HpmSystem {
             SamplingInterval::Auto { .. } => 100_000,
         };
         HpmSystem {
-            kernel: PerfmonModule::new(
-                initial_interval,
-                config.seed,
-                config.buffer_capacity,
-                config.interrupt_mark_pct,
-            ),
+            kernel: PerfmonModule::new(initial_interval, config.seed, config.buffer_capacity),
             user: UserBuffer::new(config.buffer_capacity),
             thread: CollectorThread::new(config.cpu_hz),
             stats: HpmStats::default(),
@@ -241,9 +235,9 @@ impl HpmSystem {
         {
             self.stats.samples += 1;
             self.stats.dropped = self.kernel.unit().dropped();
-            self.stats.sampling_cycles += self.config.microcode_cycles;
+            self.stats.sampling_cycles += MICROCODE_CYCLES;
             self.telemetry.incr(MetricId::HpmSamplesGenerated);
-            self.config.microcode_cycles
+            MICROCODE_CYCLES
         } else {
             0
         }

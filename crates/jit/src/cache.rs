@@ -22,9 +22,8 @@ use hpmopt_bytecode::MethodId;
 
 use crate::Tier;
 
-/// A code-address range returned to the cache: the caller must
-/// unregister it from its method table and retire it from sample
-/// attribution.
+/// A code-address range returned to the cache: the caller must retire
+/// it from sample attribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreedRange {
     /// Method whose code occupied the range.
@@ -133,8 +132,12 @@ impl CodeCache {
     /// methods whose code must not be evicted (anything on the call
     /// stack, plus the method being installed). Returns the start
     /// address and any ranges evicted to make room — the caller must
-    /// unregister each from its method table and retire it from sample
-    /// attribution.
+    /// retire each from sample attribution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new range would overlap a live one (bounded mode;
+    /// the bump allocator cannot produce an overlap).
     pub fn alloc(
         &mut self,
         method: MethodId,
@@ -168,12 +171,19 @@ impl CodeCache {
                 break start;
             }
         };
+        let end = start + bytes;
         let pos = self.live.partition_point(|r| r.start < start);
+        assert!(
+            pos.checked_sub(1)
+                .is_none_or(|prev| self.live[prev].end <= start)
+                && self.live.get(pos).is_none_or(|next| end <= next.start),
+            "overlapping code ranges"
+        );
         self.live.insert(
             pos,
             LiveRange {
                 start,
-                end: start + bytes,
+                end,
                 method,
                 tier,
                 last_touch: now,
@@ -287,6 +297,7 @@ impl CodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpmopt_prim::Rng;
 
     const BASE: u64 = 0x4000_0000;
 
@@ -377,5 +388,62 @@ mod tests {
             "evicting cannot make a > capacity allocation fit"
         );
         assert_eq!(c.evictions(), 0);
+    }
+
+    /// Live ranges are sorted and pairwise disjoint, the free list is
+    /// sorted and coalesced, and no live range intersects a free one.
+    fn assert_disjoint(c: &CodeCache) {
+        assert!(
+            c.live.windows(2).all(|w| w[0].end <= w[1].start),
+            "live ranges overlap or are out of order"
+        );
+        assert!(
+            c.free.windows(2).all(|w| w[0].1 < w[1].0),
+            "free list overlaps, is out of order or is not coalesced"
+        );
+        let mut all: Vec<(u64, u64)> = c.live.iter().map(|r| (r.start, r.end)).collect();
+        all.extend(&c.free);
+        all.sort_unstable();
+        assert!(
+            all.windows(2).all(|w| w[0].1 <= w[1].0),
+            "a live range intersects the free list"
+        );
+    }
+
+    #[test]
+    fn churn_never_hands_out_overlapping_ranges() {
+        const METHODS: u64 = 12;
+        for seed in 0..64 {
+            let mut rng = Rng::new(seed);
+            let mut c = CodeCache::new(BASE, Some(1024));
+            // Each method's live artifact, tracked as the VM tracks it.
+            let mut start_of = [None; METHODS as usize];
+            for now in 0..400 {
+                let m = MethodId(rng.below(METHODS) as u32);
+                match rng.below(3) {
+                    0 => {
+                        // Recompile: free the old artifact, then allocate.
+                        if let Some(old) = start_of[m.0 as usize].take() {
+                            c.free(m, old).expect("live range");
+                        }
+                        let pinned = [MethodId(rng.below(METHODS) as u32)];
+                        let bytes = rng.range(1, 256);
+                        let (start, evicted) = c.alloc(m, Tier::Baseline, bytes, now, &pinned);
+                        for fr in evicted {
+                            start_of[fr.method.0 as usize] = None;
+                        }
+                        start_of[m.0 as usize] = Some(start);
+                    }
+                    1 => {
+                        if let Some(old) = start_of[m.0 as usize].take() {
+                            c.free(m, old).expect("live range");
+                        }
+                    }
+                    _ => c.touch(m, now),
+                }
+                assert_disjoint(&c);
+            }
+            assert!(c.evictions() > 0, "seed {seed} never evicted");
+        }
     }
 }

@@ -88,28 +88,6 @@ pub struct MemStats {
     pub cycles: u64,
 }
 
-impl MemStats {
-    /// L1 miss rate over all demand accesses (0 when idle).
-    #[must_use]
-    pub fn l1_miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.l1_misses as f64 / self.accesses as f64
-        }
-    }
-
-    /// Count for one event kind.
-    #[must_use]
-    pub fn event_count(&self, event: EventKind) -> u64 {
-        match event {
-            EventKind::L1DMiss => self.l1_misses,
-            EventKind::L2Miss => self.l2_misses,
-            EventKind::DtlbMiss => self.dtlb_misses,
-        }
-    }
-}
-
 /// The full simulated memory hierarchy.
 ///
 /// See the [crate-level documentation](crate) for an example.

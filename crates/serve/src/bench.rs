@@ -26,8 +26,11 @@ use hpmopt_profile::SharedProfileRepo;
 use hpmopt_stress::pool;
 use hpmopt_workloads::{setup, Size};
 
-use crate::job::{fingerprint_of, run_job, JobOutcome, JobRun, JobSpec};
+use crate::job::{fingerprint_of, run_job, JobOutcome, JobRun, JobSpec, DEFAULT_HEAP_MULT};
 use crate::scheduler::xorshift;
+
+/// Exponential decay of the repository merges at every wave barrier.
+const MERGE_DECAY: f64 = 0.5;
 
 /// Load-generator parameters.
 #[derive(Debug, Clone)]
@@ -45,12 +48,8 @@ pub struct BenchConfig {
     pub workloads: Vec<String>,
     /// Workload size.
     pub size: Size,
-    /// Heap multiplier over each workload's minimum heap.
-    pub heap_mult: u64,
     /// Schedule seed.
     pub seed: u64,
-    /// Repository merge decay.
-    pub decay: f64,
 }
 
 impl Default for BenchConfig {
@@ -62,9 +61,7 @@ impl Default for BenchConfig {
             tenants: 2,
             workloads: vec!["db".to_string(), "hsqldb".to_string()],
             size: Size::Tiny,
-            heap_mult: 4,
             seed: 0xB0B,
-            decay: 0.5,
         }
     }
 }
@@ -123,7 +120,6 @@ pub fn schedule(config: &BenchConfig) -> Vec<JobSpec> {
         let tenant = format!("t{}", next() % config.tenants.max(1) as u64);
         let mut spec = JobSpec::new(&tenant, workload);
         spec.size = config.size;
-        spec.heap_mult = config.heap_mult;
         specs.push(spec);
     }
     specs
@@ -145,7 +141,6 @@ pub(crate) fn run_wave(
     jobs: &[JobSpec],
     repo: &SharedProfileRepo,
     workers: usize,
-    decay: f64,
 ) -> (Vec<JobRun>, usize) {
     let checkouts: Vec<_> = jobs
         .iter()
@@ -160,7 +155,7 @@ pub(crate) fn run_wave(
             run_job(&jobs[i as usize], checkouts[i as usize].clone(), None, None)
         }));
     for fresh in runs.iter().filter_map(|run| run.fresh_profile.as_ref()) {
-        repo.merge(fresh, decay);
+        repo.merge(fresh, MERGE_DECAY);
     }
     (runs, warm_checkouts)
 }
@@ -188,7 +183,7 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         config.tenants,
         config.workloads.join(", "),
         config.size,
-        config.heap_mult,
+        DEFAULT_HEAP_MULT,
         config.seed
     );
     // Per program: (cold first-decisions, warm first-decisions).
@@ -197,7 +192,7 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
     let mut completed = 0usize;
 
     for (r, round) in specs.chunks(config.jobs_per_round.max(1)).enumerate() {
-        let (runs, _) = run_wave(round, &repo, config.workers, config.decay);
+        let (runs, _) = run_wave(round, &repo, config.workers);
         for (j, (spec, run)) in round.iter().zip(&runs).enumerate() {
             if run.outcome == JobOutcome::Completed {
                 completed += 1;

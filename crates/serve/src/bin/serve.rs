@@ -29,6 +29,7 @@
 
 use std::process::ExitCode;
 
+use hpmopt_serve::job::DEFAULT_HEAP_MULT;
 use hpmopt_serve::{
     run_bench, run_openloop, BenchConfig, JobSpec, OpenLoopConfig, Service, ServiceConfig,
     TenantCaps,
@@ -86,7 +87,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut tenants = 2usize;
     let mut workloads = vec!["db".to_string(), "hsqldb".to_string()];
     let mut size = Size::Tiny;
-    let mut heap_mult = 4u64;
+    let mut heap_mult = DEFAULT_HEAP_MULT;
     let mut cycle_budget: Option<u64> = None;
     let mut caps = TenantCaps::default();
     let mut prom = false;

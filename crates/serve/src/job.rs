@@ -20,6 +20,10 @@ use hpmopt_telemetry::{Telemetry, TelemetrySnapshot};
 use hpmopt_vm::{CancelToken, VmError};
 use hpmopt_workloads::{by_name, setup, Size, Workload};
 
+/// Heap multiplier of [`JobSpec::new`]: a job's heap is this many times
+/// its workload's minimum heap.
+pub const DEFAULT_HEAP_MULT: u64 = 4;
+
 /// What a tenant asks the service to execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
@@ -45,7 +49,7 @@ impl JobSpec {
             tenant: tenant.to_string(),
             workload: workload.to_string(),
             size: Size::Tiny,
-            heap_mult: 4,
+            heap_mult: DEFAULT_HEAP_MULT,
             cycle_budget: None,
         }
     }

@@ -43,12 +43,27 @@ use hpmopt_telemetry::{HistogramId, Telemetry, TelemetrySnapshot};
 use hpmopt_workloads::{setup, Size};
 
 use crate::bench::run_wave;
-use crate::job::{JobOutcome, JobSpec};
+use crate::job::{JobOutcome, JobSpec, DEFAULT_HEAP_MULT};
 use crate::scheduler::DrrQueue;
 
 /// The two tenants of the canonical open-loop mix.
 const HEAVY: &str = "heavy";
 const LIGHT: &str = "light";
+
+/// Of every `HEAVY_SHARE + 1` arrivals, `HEAVY_SHARE` belong to the
+/// heavy tenant and one to the light tenant.
+const HEAVY_SHARE: usize = 3;
+
+/// Workloads of the heavy and the light tenant: expensive jess jobs, and
+/// cheap fop jobs that FIFO would trap behind the jess backlog. Two
+/// distinct profile fingerprints fight for the bounded repository.
+const WORKLOADS: [&str; 2] = ["jess", "fop"];
+
+/// Workload size of every job.
+const SIZE: Size = Size::Tiny;
+
+/// Jobs per execution wave (the checkout-snapshot granularity).
+const WAVE: usize = 8;
 
 /// Open-loop generator parameters.
 #[derive(Debug, Clone)]
@@ -61,27 +76,12 @@ pub struct OpenLoopConfig {
     /// Arrival rate in jobs per second of simulated time; arrival `i`
     /// lands at `i * (MONITOR_CPU_HZ / qps)` cycles.
     pub qps: u64,
-    /// Of every `heavy_share + 1` arrivals, `heavy_share` belong to the
-    /// heavy tenant and one to the light tenant.
-    pub heavy_share: usize,
-    /// Workloads: the heavy tenant runs `workloads[0]`, the light
-    /// tenant `workloads[1 % len]` — two distinct profile fingerprints
-    /// fighting for the bounded repository.
-    pub workloads: Vec<String>,
-    /// Workload size.
-    pub size: Size,
-    /// Heap multiplier over each workload's minimum heap.
-    pub heap_mult: u64,
     /// Seed (stamped into the summary; execution is schedule-driven).
     pub seed: u64,
-    /// Repository merge decay.
-    pub decay: f64,
     /// DRR quantum in service cycles for the fair virtual dispatch.
     pub quantum_cycles: u64,
     /// Bounds of the shared profile repository under test.
     pub repo: RepoConfig,
-    /// Jobs per execution wave (the checkout-snapshot granularity).
-    pub wave: usize,
 }
 
 impl Default for OpenLoopConfig {
@@ -95,14 +95,7 @@ impl Default for OpenLoopConfig {
             // percentiles, real fair-vs-FIFO separation) while four
             // workers still clearly outrun one.
             qps: 400,
-            heavy_share: 3,
-            // Heavy tenant: expensive jess jobs. Light tenant: cheap
-            // fop jobs that FIFO would trap behind the jess backlog.
-            workloads: vec!["jess".to_string(), "fop".to_string()],
-            size: Size::Tiny,
-            heap_mult: 4,
             seed: 0xB0B,
-            decay: 0.5,
             quantum_cycles: 1_000_000,
             // One shard, capacity under the two tenants' combined
             // profile footprint (fop ≈ 156 B, jess ≈ 452 B): the two
@@ -113,7 +106,6 @@ impl Default for OpenLoopConfig {
                 capacity_bytes: Some(512),
                 ttl_ops: None,
             },
-            wave: 8,
         }
     }
 }
@@ -304,18 +296,15 @@ fn fmt_jobs_per_sec(jobs: usize, makespan_cycles: u64) -> f64 {
 /// cancel token).
 #[must_use]
 pub fn run_openloop(config: &OpenLoopConfig) -> OpenLoopReport {
-    let period = config.heavy_share + 1;
+    let period = HEAVY_SHARE + 1;
     let gap = setup::MONITOR_CPU_HZ / config.qps.max(1);
     // Each job's spec, and its arrival for the queueing simulation; the
     // service cycles are filled in once the job has run.
     let (specs, mut sim_jobs): (Vec<JobSpec>, Vec<SimJob>) = (0..config.jobs)
         .map(|i| {
             let tenant = usize::from(i % period == period - 1); // 0 heavy, 1 light
-            let name = [HEAVY, LIGHT][tenant];
-            let workload = &config.workloads[tenant % config.workloads.len().max(1)];
-            let mut spec = JobSpec::new(name, workload);
-            spec.size = config.size;
-            spec.heap_mult = config.heap_mult;
+            let mut spec = JobSpec::new([HEAVY, LIGHT][tenant], WORKLOADS[tenant]);
+            spec.size = SIZE;
             let arrival = i as u64 * gap;
             (
                 spec,
@@ -335,9 +324,8 @@ pub fn run_openloop(config: &OpenLoopConfig) -> OpenLoopReport {
     // Phase 1: measure service times deterministically, wave by wave.
     let mut deltas = 0usize;
     let mut warm_checkouts = 0usize;
-    let wave_len = config.wave.max(1);
-    for (wave, sims) in specs.chunks(wave_len).zip(sim_jobs.chunks_mut(wave_len)) {
-        let (runs, warm) = run_wave(wave, &repo, config.workers, config.decay);
+    for (wave, sims) in specs.chunks(WAVE).zip(sim_jobs.chunks_mut(WAVE)) {
+        let (runs, warm) = run_wave(wave, &repo, config.workers);
         warm_checkouts += warm;
         for ((spec, run), sim) in wave.iter().zip(&runs).zip(sims) {
             assert!(
@@ -412,13 +400,13 @@ pub fn run_openloop(config: &OpenLoopConfig) -> OpenLoopReport {
         config.jobs,
         config.qps,
         gap,
-        config.heavy_share,
-        config.workloads.join(", "),
-        config.size,
-        config.heap_mult,
+        HEAVY_SHARE,
+        WORKLOADS.join(", "),
+        SIZE,
+        DEFAULT_HEAP_MULT,
         config.seed,
         config.quantum_cycles,
-        config.wave
+        WAVE
     );
     summary.push_str(&format!(
         "repo bound: {} shard(s), capacity {}, ttl {}\n",

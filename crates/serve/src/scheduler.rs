@@ -209,12 +209,6 @@ impl<T> ShardedScheduler<T> {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard `tenant`'s submissions land on.
     #[must_use]
     pub fn shard_of(&self, tenant: &str) -> usize {

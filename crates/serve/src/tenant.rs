@@ -68,17 +68,6 @@ impl TenantBook {
             .caps = Some(caps);
     }
 
-    /// The caps in force for a tenant.
-    #[must_use]
-    pub fn caps_of(&self, tenant: &str) -> TenantCaps {
-        self.tenants
-            .lock()
-            .unwrap()
-            .get(tenant)
-            .and_then(|t| t.caps)
-            .unwrap_or(self.default_caps)
-    }
-
     /// Admit one job: check the tenant's caps against the request and,
     /// on success, count the job live and return the effective cycle
     /// budget (minimum of the tenant cap and the job's own request).

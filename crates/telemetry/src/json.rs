@@ -100,13 +100,6 @@ impl JsonWriter {
         self
     }
 
-    pub fn begin_array(&mut self) -> &mut Self {
-        self.element();
-        self.out.push('[');
-        self.stack.push(false);
-        self
-    }
-
     pub fn end_array(&mut self) -> &mut Self {
         let seen = self.stack.pop().unwrap_or(false);
         if seen {

@@ -66,22 +66,6 @@ pub struct VmConfig {
     /// Cooperative cancellation flag, checked at poll boundaries (every
     /// few thousand bytecodes). `None` = not cancellable.
     pub cancel: Option<CancelToken>,
-    /// Maximum call depth.
-    pub max_call_depth: usize,
-    /// Cycles charged per method call for frame setup (added to the
-    /// callee's machine instructions).
-    pub call_overhead_cycles: u64,
-    /// Frame-setup cycles for a call whose inline cache hit: the callee's
-    /// entry point, arity, and frame size were resolved when the site was
-    /// linked, so only the register save/restore remains. Charged by the
-    /// fast engine instead of [`VmConfig::call_overhead_cycles`] on a
-    /// cache hit.
-    pub linked_call_overhead_cycles: u64,
-    /// Machine instructions retired per cycle for non-memory work. The
-    /// P4 "can issue several instructions in parallel" (Section 6.1);
-    /// memory latency is charged on top, so a higher width makes programs
-    /// more memory-bound, as on the real machine.
-    pub issue_width: u64,
     /// Cycles charged per bytecode when the baseline compiler installs a
     /// method. Zero (the default) models compilation as free, which is
     /// the seed behaviour; the report harness sets both costs so the
@@ -117,10 +101,6 @@ impl Default for VmConfig {
             step_limit: None,
             cycle_budget: None,
             cancel: None,
-            max_call_depth: 2048,
-            call_overhead_cycles: 10,
-            linked_call_overhead_cycles: 4,
-            issue_width: 3,
             baseline_compile_cycles_per_bc: 0,
             opt_compile_cycles_per_bc: 0,
             inline_caches: true,
@@ -148,28 +128,10 @@ impl VmConfig {
             step_limit: Some(50_000_000),
             cycle_budget: None,
             cancel: None,
-            max_call_depth: 512,
-            call_overhead_cycles: 10,
-            linked_call_overhead_cycles: 4,
-            issue_width: 3,
             baseline_compile_cycles_per_bc: 0,
             opt_compile_cycles_per_bc: 0,
             inline_caches: true,
             verify_heap_every_gc: false,
         }
-    }
-
-    /// Replace the heap configuration.
-    #[must_use]
-    pub fn with_heap(mut self, heap: HeapConfig) -> Self {
-        self.heap = heap;
-        self
-    }
-
-    /// Install a pseudo-adaptive compilation plan.
-    #[must_use]
-    pub fn with_plan(mut self, plan: CompilationPlan) -> Self {
-        self.plan = Some(plan);
-        self
     }
 }

@@ -20,8 +20,9 @@ use crate::compiler::{compile, compiled_code_bytes};
 use crate::config::{CancelToken, VmConfig};
 use crate::hooks::{AccessContext, CodeRetired, RuntimeHooks};
 use crate::machine::{CompiledCode, Tier};
-use crate::methodtable::{CodeRange, MethodTable};
-use crate::predecode::{decode, DecodedMethod, IcSlot, Op, IC_ARRAY_KEY};
+use crate::predecode::{
+    decode, DecodedMethod, IcSlot, Op, BASELINE_ISSUE_WIDTH, IC_ARRAY_KEY, OPT_ISSUE_WIDTH,
+};
 use crate::value::{Value, VmError};
 use crate::CODE_BASE;
 #[cfg(test)]
@@ -127,7 +128,6 @@ pub struct Vm<'p> {
     compiled: Vec<Option<CompiledCode>>,
     decoded: Vec<Option<DecodedMethod>>,
     generations: Vec<u32>,
-    method_table: MethodTable,
     tiers: TierManager,
     cache: CodeCache,
     cycles: u64,
@@ -166,6 +166,20 @@ const POLL_EVERY_BYTECODES: u64 = 4096;
 /// Maximum queued heap accesses before a batch is force-flushed.
 const BATCH_CAP: usize = 32;
 
+/// Maximum call depth: pushing a frame beyond it fails the run with
+/// [`VmError::StackOverflow`].
+const MAX_CALL_DEPTH: usize = 2048;
+
+/// Cycles charged per method call for frame setup (added to the
+/// callee's machine instructions).
+const CALL_OVERHEAD_CYCLES: u64 = 10;
+
+/// Frame-setup cycles for a call whose inline cache hit: the callee's
+/// entry point, arity and frame size were resolved when the site was
+/// linked, so only the register save/restore remains. The fast engine
+/// charges it instead of `CALL_OVERHEAD_CYCLES` on a cache hit.
+const LINKED_CALL_OVERHEAD_CYCLES: u64 = 4;
+
 impl<'p> Vm<'p> {
     /// Create a VM for `program`.
     #[must_use]
@@ -187,7 +201,6 @@ impl<'p> Vm<'p> {
             compiled: vec![None; program.methods().len()],
             decoded: vec![None; program.methods().len()],
             generations: vec![0; program.methods().len()],
-            method_table: MethodTable::new(),
             tiers: TierManager::new(config.jit.clone()),
             cache: CodeCache::new(CODE_BASE, config.jit.code_cache_capacity_bytes),
             cycles: 0,
@@ -204,7 +217,7 @@ impl<'p> Vm<'p> {
             batch_meta: Vec::with_capacity(BATCH_CAP),
             batch_outcomes: Vec::with_capacity(BATCH_CAP),
             batch_mach: 0,
-            batch_width: 1,
+            batch_width: BASELINE_ISSUE_WIDTH,
             clock_deadline: 0,
             step_cap: config.step_limit.unwrap_or(u64::MAX),
             roots_scratch: Vec::with_capacity(64),
@@ -217,12 +230,6 @@ impl<'p> Vm<'p> {
     #[must_use]
     pub fn program(&self) -> &'p Program {
         self.program
-    }
-
-    /// The method table (sampled-PC resolution).
-    #[must_use]
-    pub fn method_table(&self) -> &MethodTable {
-        &self.method_table
     }
 
     /// The compiled artifact of `m`, if compiled.
@@ -303,7 +310,7 @@ impl<'p> Vm<'p> {
         hooks.on_startup(self.program, self.cycles);
         let entry = self.program.entry();
         self.ensure_compiled(entry, hooks);
-        self.push_frame(entry, 0, self.config.call_overhead_cycles)
+        self.push_frame(entry, 0, CALL_OVERHEAD_CYCLES)
     }
 
     /// The per-step reference engine, kept for the tests to compare
@@ -698,14 +705,14 @@ impl<'p> Vm<'p> {
                         // a settled clock.
                         self.flush_batch(hooks);
                         self.ensure_compiled(callee, hooks);
-                        let mut frame_overhead = self.config.call_overhead_cycles;
+                        let mut frame_overhead = CALL_OVERHEAD_CYCLES;
                         if self.config.inline_caches {
                             let current = self.generations[callee.0 as usize];
                             let slot = &mut self.decoded[mi].as_mut().expect("decoded method").ics
                                 [ic as usize];
                             if let IcSlot::Call { generation } = slot {
                                 if *generation == current {
-                                    frame_overhead = self.config.linked_call_overhead_cycles;
+                                    frame_overhead = LINKED_CALL_OVERHEAD_CYCLES;
                                 } else {
                                     *generation = current;
                                     cost += u64::from(dop.miss_extra);
@@ -930,13 +937,15 @@ impl<'p> Vm<'p> {
     /// exactly the stamp the per-step engine would have produced), and
     /// settle the block's compute cycles into the clock.
     fn flush_batch<H: RuntimeHooks>(&mut self, hooks: &mut H) {
-        // Baseline code retires 2 instructions per cycle and opt code
-        // the configured issue width (3 by default). A constant divisor
-        // compiles each per-access division to a multiply.
+        // Baseline code retires `BASELINE_ISSUE_WIDTH` instructions per
+        // cycle, opt and region code `OPT_ISSUE_WIDTH`. A constant
+        // divisor compiles each per-access division to a multiply.
         match self.batch_width {
-            2 => self.flush_batch_by(hooks, |m| m.div_ceil(2)),
-            3 => self.flush_batch_by(hooks, |m| m.div_ceil(3)),
-            w => self.flush_batch_by(hooks, |m| m.div_ceil(w)),
+            BASELINE_ISSUE_WIDTH => {
+                self.flush_batch_by(hooks, |m| m.div_ceil(BASELINE_ISSUE_WIDTH))
+            }
+            OPT_ISSUE_WIDTH => self.flush_batch_by(hooks, |m| m.div_ceil(OPT_ISSUE_WIDTH)),
+            w => unreachable!("no tier retires {w} instructions per cycle"),
         }
     }
 
@@ -1069,27 +1078,19 @@ impl<'p> Vm<'p> {
         }
         let mut code = compile(self.program, m, tier, start, self.config.full_mcmaps);
         code.install_epoch = self.cache.epoch();
-        self.method_table.insert(CodeRange {
-            start: code.code_start,
-            end: code.code_end(),
-            method: m,
-            tier,
-        });
         hooks.on_compile(self.program, &code);
         // Re-decode against the new artifact: inline-cache slots start
         // cold, and bumping the generation invalidates every call site
         // linked to the previous artifact.
         let region = (tier == Tier::Region).then(|| self.tiers.hot_region(m));
-        self.decoded[m.0 as usize] =
-            Some(decode(self.program, &code, &self.config, region.as_deref()));
+        self.decoded[m.0 as usize] = Some(decode(self.program, &code, region.as_deref()));
         self.generations[m.0 as usize] = self.generations[m.0 as usize].wrapping_add(1);
         self.compiled[m.0 as usize] = Some(code);
     }
 
-    /// Unregister a freed code range and tell the hooks to retire it from
-    /// sample attribution.
+    /// Tell the hooks to retire a freed code range from sample
+    /// attribution.
     fn retire<H: RuntimeHooks>(&mut self, fr: FreedRange, hooks: &mut H) {
-        self.method_table.remove(fr.start);
         hooks.on_code_retired(
             &CodeRetired {
                 method: fr.method,
@@ -1107,7 +1108,7 @@ impl<'p> Vm<'p> {
     // ----- frames ----------------------------------------------------------
 
     fn push_frame(&mut self, m: MethodId, argc: usize, overhead: u64) -> Result<(), VmError> {
-        if self.frames.len() >= self.config.max_call_depth {
+        if self.frames.len() >= MAX_CALL_DEPTH {
             return Err(VmError::StackOverflow);
         }
         let locals_base = self.locals.len();
@@ -1282,17 +1283,17 @@ impl<'p> Vm<'p> {
                 .expect("executing method is compiled");
             (u64::from(code.mach_count(pc)), code.mem_pc(pc), code.tier)
         };
-        // Optimized code is register-allocated and retires `issue_width`
-        // machine instructions per cycle (the P4 is superscalar); baseline
-        // code's operand-stack traffic serializes to ~1 IPC. The memory
-        // instruction (last of the bytecode) adds its hierarchy latency
-        // below on top.
+        // Optimized code is register-allocated and retires
+        // `OPT_ISSUE_WIDTH` machine instructions per cycle (the P4 is
+        // superscalar); baseline code's operand-stack traffic serializes
+        // to ~1 IPC. The memory instruction (last of the bytecode) adds
+        // its hierarchy latency below on top.
         // The per-step engine never installs region code (tier-2
         // promotion is driven by the fast engine's back-edge counters);
         // a region artifact would cost like opt code here.
         let mut cycles = match tier {
             Tier::Baseline => mach_count,
-            Tier::Opt | Tier::Region => mach_count.div_ceil(self.config.issue_width),
+            Tier::Opt | Tier::Region => mach_count.div_ceil(OPT_ISSUE_WIDTH),
         };
         let mut next_pc = pc + 1;
         let bc = pc as u32;
@@ -1519,7 +1520,7 @@ impl<'p> Vm<'p> {
                 // Advance the caller's pc *before* pushing the new frame.
                 self.frames.last_mut().expect("caller frame").pc = next_pc;
                 self.cycles += cycles;
-                self.push_frame(callee, argc, self.config.call_overhead_cycles)?;
+                self.push_frame(callee, argc, CALL_OVERHEAD_CYCLES)?;
                 return Ok(());
             }
             Instr::Return => {
@@ -1848,6 +1849,43 @@ mod tests {
         let (vm, r) = run_checked(&p, VmConfig::test());
         r.unwrap();
         assert_eq!(vm.statics[0], Value::Int(144));
+    }
+
+    /// `main` calls `down(depth)`, which recurses until its argument is
+    /// 0: `depth + 2` frames at the deepest point.
+    fn descent_program(depth: usize) -> Program {
+        let mut pb = ProgramBuilder::new();
+        let down = pb.declare_method("down", 1, false);
+        let mut m = MethodBuilder::new("down", 1, 0, false);
+        let bottom = m.label();
+        m.load(0);
+        m.jump_if_not(bottom);
+        m.load(0);
+        m.const_i(1);
+        m.sub();
+        m.call(down);
+        m.bind(bottom);
+        m.ret();
+        pb.define_method(down, m);
+        let mut main = MethodBuilder::new("main", 0, 0, false);
+        main.const_i(depth as i64);
+        main.call(down);
+        main.ret();
+        let id = pb.add_method(main);
+        pb.set_entry(id);
+        pb.finish().unwrap()
+    }
+
+    #[test]
+    fn call_depth_is_capped_at_max_call_depth() {
+        let deepest = descent_program(MAX_CALL_DEPTH - 2);
+        run_checked(&deepest, VmConfig::test())
+            .1
+            .expect("MAX_CALL_DEPTH frames fit");
+        let too_deep = descent_program(MAX_CALL_DEPTH - 1);
+        let (vm, r) = run_checked(&too_deep, VmConfig::test());
+        assert_eq!(r.unwrap_err(), VmError::StackOverflow);
+        assert_eq!(vm.backtrace().len(), MAX_CALL_DEPTH);
     }
 
     #[test]

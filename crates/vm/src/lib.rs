@@ -13,9 +13,10 @@
 //!   paper's evaluation does (Section 6.1).
 //! - Compilation artifacts occupy concrete addresses handed out by the
 //!   [`hpmopt_jit::CodeCache`] (an unbounded immortal space by default; a
-//!   capacity-bounded, evicting, address-reusing cache when configured),
-//!   registered in a sorted [`methodtable::MethodTable`] so a sampled
-//!   program counter can be resolved back to a method.
+//!   capacity-bounded, evicting, address-reusing cache when configured).
+//!   The VM announces each install and each freed range to its
+//!   [`hooks::RuntimeHooks`], whose sample resolver keeps the sorted
+//!   method table that maps a sampled program counter back to a method.
 //! - Each artifact carries **machine-code maps** ([`machine::McMap`])
 //!   translating machine addresses to bytecode indices. Baseline code
 //!   always has full maps; opt code has GC-point-only maps unless the
@@ -57,7 +58,6 @@ pub mod digest;
 pub mod hooks;
 pub mod interp;
 pub mod machine;
-pub mod methodtable;
 mod predecode;
 pub mod value;
 
@@ -67,7 +67,6 @@ pub use hooks::{AccessContext, CodeRetired, NoHooks, RuntimeHooks};
 pub use hpmopt_jit::{CompilationPlan, JitConfig, TierManager};
 pub use interp::{RunSummary, Vm};
 pub use machine::{CompiledCode, McMap, Tier};
-pub use methodtable::MethodTable;
 pub use value::{Value, VmError};
 
 /// Base virtual address of the immortal code space. Distinct from the

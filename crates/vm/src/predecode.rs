@@ -25,7 +25,6 @@ use std::rc::Rc;
 use hpmopt_bytecode::{ClassId, ElemKind, Instr, MethodId, Program};
 
 use crate::compiler::ic_hit_count;
-use crate::config::VmConfig;
 use crate::machine::{CompiledCode, Tier};
 use crate::STATICS_BASE;
 
@@ -205,7 +204,13 @@ pub(crate) fn block_map(body: &[Instr]) -> Vec<u32> {
 /// Pre-decoding removes that chain: the stack loads/stores of adjacent
 /// machine instructions dual-issue, while opt code — already register
 /// allocated — retires at the full issue width.
-const BASELINE_ISSUE_WIDTH: u64 = 2;
+pub(crate) const BASELINE_ISSUE_WIDTH: u64 = 2;
+
+/// Retired IPC for opt- and region-tier code: the P4 "can issue several
+/// instructions in parallel" (Section 6.1). Memory latency is charged on
+/// top, so a wider issue makes programs more memory-bound, as on the
+/// real machine.
+pub(crate) const OPT_ISSUE_WIDTH: u64 = 3;
 
 /// Decode `code`'s method body into the dense executable form.
 ///
@@ -217,7 +222,6 @@ const BASELINE_ISSUE_WIDTH: u64 = 2;
 pub(crate) fn decode(
     program: &Program,
     code: &CompiledCode,
-    config: &VmConfig,
     region: Option<&[u32]>,
 ) -> DecodedMethod {
     let body = program.method(code.method).body();
@@ -225,7 +229,7 @@ pub(crate) fn decode(
     let mut ics = Vec::new();
     let width = match code.tier {
         Tier::Baseline => BASELINE_ISSUE_WIDTH,
-        Tier::Opt | Tier::Region => config.issue_width,
+        Tier::Opt | Tier::Region => OPT_ISSUE_WIDTH,
     };
     let block_of = block_map(body);
     for (bc, &i) in body.iter().enumerate() {
@@ -366,10 +370,9 @@ mod tests {
     #[test]
     fn decoded_ops_align_with_body_and_artifact() {
         let (p, id) = sample_program();
-        let cfg = VmConfig::test();
         for tier in [Tier::Baseline, Tier::Opt] {
             let code = compile(&p, id, tier, 0x4000_0000, true);
-            let d = decode(&p, &code, &cfg, None);
+            let d = decode(&p, &code, None);
             assert_eq!(d.ops.len(), p.method(id).len());
             assert!(d.width >= 2, "flattened dispatch at least dual-issues");
             for (bc, op) in d.ops.iter().enumerate() {
@@ -412,12 +415,11 @@ mod tests {
     #[test]
     fn region_decode_lowers_out_of_region_blocks_to_deopt() {
         let (p, id) = looped_program();
-        let cfg = VmConfig::test();
         let code = compile(&p, id, Tier::Region, 0x4000_0000, true);
         // Region covers entry + loop body, not the exit block.
-        let d = decode(&p, &code, &cfg, Some(&[0, 1]));
+        let d = decode(&p, &code, Some(&[0, 1]));
         assert_eq!(d.tier, Tier::Region);
-        assert_eq!(d.width, cfg.issue_width);
+        assert_eq!(d.width, OPT_ISSUE_WIDTH);
         for (bc, op) in d.ops.iter().enumerate() {
             if d.block_of[bc] == 2 {
                 assert!(matches!(op.op, Op::Deopt), "exit block must deopt");
@@ -429,7 +431,7 @@ mod tests {
             }
         }
         // A full-coverage region decodes with no deopts at all.
-        let full = decode(&p, &code, &cfg, Some(&[0, 1, 2]));
+        let full = decode(&p, &code, Some(&[0, 1, 2]));
         assert!(full.ops.iter().all(|o| !matches!(o.op, Op::Deopt)));
     }
 
@@ -437,7 +439,7 @@ mod tests {
     fn ic_slots_cover_exactly_the_cacheable_sites() {
         let (p, id) = sample_program();
         let code = compile(&p, id, Tier::Baseline, 0x4000_0000, true);
-        let d = decode(&p, &code, &VmConfig::test(), None);
+        let d = decode(&p, &code, None);
         // put_field + get_field: two field slots, no call slots.
         assert_eq!(d.ics.len(), 2);
         assert!(d

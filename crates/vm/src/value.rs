@@ -79,7 +79,7 @@ pub enum VmError {
     TypeMismatch,
     /// Live data exceeds the configured heap size.
     OutOfMemory,
-    /// Call depth exceeded the configured limit.
+    /// A call would exceed the VM's maximum call depth.
     StackOverflow,
     /// The configured step limit was reached (runaway-guard for tests).
     StepLimit,
