@@ -20,8 +20,8 @@ use hpmopt_telemetry::{
 };
 use hpmopt_vm::machine::{CompiledCode, Tier};
 use hpmopt_vm::{
-    AccessContext, CodeRetired, CompilationPlan, NoHooks, RunSummary, RuntimeHooks, Vm, VmConfig,
-    VmError,
+    AccessContext, CancelToken, CodeRetired, CompilationPlan, RunSummary, RuntimeHooks, Vm,
+    VmConfig, VmError,
 };
 
 use crate::feedback::{Assessor, FeedbackConfig, Verdict};
@@ -400,18 +400,84 @@ impl HpmRuntime {
         })
     }
 
-    /// Produce a pseudo-adaptive compilation plan by running the program
-    /// once with the timer-driven AOS and recording which methods it
-    /// opt-compiled (the paper's "pre-generated compilation plan").
+    /// Produce a pseudo-adaptive compilation plan (the paper's
+    /// "pre-generated compilation plan") from one profiling run with the
+    /// timer-driven AOS. The plan holds every method the tier-1 timer
+    /// promoted, plus the program's entry, which drives every run even
+    /// when the profiling run spent its samples in callees.
+    ///
+    /// With tier 2 off and an unbounded code cache no method ever leaves
+    /// the opt tier, so once the plan holds every method of the program
+    /// the rest of the run cannot change it: the run stops at its next
+    /// poll. It runs to completion when tier 2 is on, when the cache is
+    /// bounded, or when `vm` carries the caller's own cancel token, which
+    /// is never cancelled here.
     ///
     /// # Errors
     ///
-    /// Propagates any [`VmError`] from the profiling run.
-    pub fn generate_plan(program: &Program, mut vm: VmConfig) -> Result<CompilationPlan, VmError> {
-        vm.plan = None;
-        vm.jit.tier1_enabled = true;
-        let summary = Vm::new(program, vm).run(&mut NoHooks)?;
-        Ok(CompilationPlan::new(summary.opt_compiled))
+    /// Propagates any [`VmError`] from the profiling run. An error the
+    /// program would raise after the run stopped early is not seen.
+    pub fn generate_plan(program: &Program, vm: VmConfig) -> Result<CompilationPlan, VmError> {
+        profile_plan(program, vm).map(|(plan, _)| plan)
+    }
+}
+
+/// [`HpmRuntime::generate_plan`], also returning the profiling run's
+/// summary as of its last bytecode.
+fn profile_plan(
+    program: &Program,
+    mut vm: VmConfig,
+) -> Result<(CompilationPlan, RunSummary), VmError> {
+    vm.plan = None;
+    vm.jit.tier1_enabled = true;
+    let stop = (!vm.jit.tier2_enabled
+        && vm.jit.code_cache_capacity_bytes.is_none()
+        && vm.cancel.is_none())
+    .then(CancelToken::new);
+    if let Some(token) = &stop {
+        vm.cancel = Some(token.clone());
+    }
+    let mut watch = PlanWatch::new(program, stop);
+    let mut machine = Vm::new(program, vm);
+    let summary = match machine.run(&mut watch) {
+        Ok(summary) => summary,
+        Err(VmError::Cancelled) if watch.stop.is_some() => machine.summary(),
+        Err(e) => return Err(e),
+    };
+    let mut methods = summary.opt_compiled.clone();
+    methods.push(program.entry());
+    Ok((CompilationPlan::new(methods), summary))
+}
+
+/// Hooks of a plan-profiling run: cancel `stop` once the methods
+/// installed at the opt tier, plus the entry, are every method of the
+/// program.
+struct PlanWatch {
+    stop: Option<CancelToken>,
+    planned: Vec<bool>,
+}
+
+impl PlanWatch {
+    fn new(program: &Program, stop: Option<CancelToken>) -> Self {
+        let mut planned = vec![false; program.methods().len()];
+        planned[program.entry().0 as usize] = true;
+        PlanWatch { stop, planned }
+    }
+}
+
+impl RuntimeHooks for PlanWatch {
+    fn on_compile(&mut self, _program: &Program, code: &CompiledCode) {
+        let Some(stop) = &self.stop else {
+            return;
+        };
+        if code.tier == Tier::Opt {
+            self.planned[code.method.0 as usize] = true;
+        }
+        // Checked on every install, the entry's first one included, so a
+        // program of one method stops at its first poll.
+        if self.planned.iter().all(|&p| p) {
+            stop.cancel();
+        }
     }
 }
 
@@ -901,6 +967,7 @@ mod tests {
     use hpmopt_bytecode::{ElemKind, FieldType};
     use hpmopt_gc::{CollectorKind, HeapConfig};
     use hpmopt_hpm::SamplingInterval;
+    use hpmopt_vm::NoHooks;
 
     /// A miniature `db`: many String-like parents, each holding a char[]
     /// child, traversed by pointer chasing through the parent field —
@@ -1013,11 +1080,9 @@ mod tests {
         let p = mini_db();
         // Pseudo-adaptive plan: opt-compile main so the interest analysis
         // runs (monitoring ignores baseline code).
-        let plan = HpmRuntime::generate_plan(&p, config(true).vm).unwrap();
         let mut cfg = config(true);
         cfg.vm.plan = Some(CompilationPlan::new(vec![p.entry()]));
         cfg.vm.jit.tier1_enabled = false;
-        let _ = plan;
 
         let report = HpmRuntime::new(cfg).run(&p).unwrap();
         assert!(report.hpm.events > 0, "L1 misses observed");
@@ -1134,5 +1199,125 @@ mod tests {
             "feedback must revert it: {:?}",
             report.policy_events
         );
+    }
+
+    /// `main` calls `work` 500 times; `work` loops, so the tier-1 timer
+    /// promotes it early in the run. With `cold`, a third method nothing
+    /// calls keeps the plan from ever holding every method.
+    fn caller_program(cold: bool) -> Program {
+        let mut pb = ProgramBuilder::new();
+        let sum = pb.add_static("sum", FieldType::Int);
+        let mut w = MethodBuilder::new("work", 0, 1, false);
+        w.for_loop(
+            0,
+            |m| {
+                m.const_i(200);
+            },
+            |m| {
+                m.get_static(sum);
+                m.load(0);
+                m.add();
+                m.put_static(sum);
+            },
+        );
+        w.ret();
+        let work = pb.add_method(w);
+        if cold {
+            let mut c = MethodBuilder::new("cold", 0, 0, false);
+            c.ret();
+            pb.add_method(c);
+        }
+        let mut m = MethodBuilder::new("main", 0, 1, false);
+        m.for_loop(
+            0,
+            |m| {
+                m.const_i(500);
+            },
+            |m| {
+                m.call(work);
+            },
+        );
+        m.ret();
+        let main = pb.add_method(m);
+        pb.set_entry(main);
+        pb.finish().unwrap()
+    }
+
+    /// The plan rule without the early stop: run to completion, then
+    /// plan what the timer promoted plus the entry.
+    fn plan_by_full_run(program: &Program, mut vm: VmConfig) -> (CompilationPlan, RunSummary) {
+        vm.plan = None;
+        vm.jit.tier1_enabled = true;
+        let summary = Vm::new(program, vm).run(&mut NoHooks).unwrap();
+        let mut methods = summary.opt_compiled.clone();
+        methods.push(program.entry());
+        (CompilationPlan::new(methods), summary)
+    }
+
+    #[test]
+    fn plan_run_stops_once_the_plan_holds_every_method() {
+        let p = caller_program(false);
+        let (want, full) = plan_by_full_run(&p, VmConfig::test());
+        assert_eq!(want.len(), p.methods().len(), "the plan saturates");
+        let (plan, ran) = profile_plan(&p, VmConfig::test()).unwrap();
+        assert_eq!(plan, want);
+        assert_eq!(HpmRuntime::generate_plan(&p, VmConfig::test()), Ok(want));
+        assert!(
+            ran.bytecodes_executed * 10 < full.bytecodes_executed,
+            "stopped after {} of {} bytecodes",
+            ran.bytecodes_executed,
+            full.bytecodes_executed
+        );
+
+        // A program of one method is saturated by its entry alone.
+        let p = mini_db();
+        let (plan, ran) = profile_plan(&p, config(false).vm).unwrap();
+        assert_eq!(plan, CompilationPlan::new(vec![p.entry()]));
+        assert!(
+            ran.bytecodes_executed < 10_000,
+            "stops at the first poll, a few thousand bytecodes in: {}",
+            ran.bytecodes_executed
+        );
+    }
+
+    #[test]
+    fn plan_run_that_never_saturates_runs_to_completion() {
+        let p = caller_program(true);
+        let (want, full) = plan_by_full_run(&p, VmConfig::test());
+        assert!(want.len() < p.methods().len(), "the cold method stays out");
+        let (plan, ran) = profile_plan(&p, VmConfig::test()).unwrap();
+        assert_eq!(plan, want);
+        assert_eq!(ran.bytecodes_executed, full.bytecodes_executed);
+    }
+
+    #[test]
+    fn plan_run_goes_to_completion_when_a_method_may_leave_the_opt_tier() {
+        let p = caller_program(false);
+        let mut tier2 = VmConfig::test();
+        tier2.jit.tier2_enabled = true;
+        let mut bounded = VmConfig::test();
+        bounded.jit.code_cache_capacity_bytes = Some(64 * 1024);
+        for vm in [tier2, bounded] {
+            let (want, full) = plan_by_full_run(&p, vm.clone());
+            let (plan, ran) = profile_plan(&p, vm).unwrap();
+            assert_eq!(plan, want);
+            assert_eq!(ran.bytecodes_executed, full.bytecodes_executed);
+        }
+    }
+
+    #[test]
+    fn plan_run_leaves_a_callers_token_alone() {
+        let p = caller_program(false);
+        let (want, full) = plan_by_full_run(&p, VmConfig::test());
+        let token = CancelToken::new();
+        let mut vm = VmConfig::test();
+        vm.cancel = Some(token.clone());
+        let (plan, ran) = profile_plan(&p, vm.clone()).unwrap();
+        assert!(!token.is_cancelled());
+        assert_eq!(plan, want);
+        assert_eq!(ran.bytecodes_executed, full.bytecodes_executed);
+        // The caller's own cancel still fails the run.
+        token.cancel();
+        assert_eq!(HpmRuntime::generate_plan(&p, vm), Err(VmError::Cancelled));
     }
 }

@@ -1,8 +1,7 @@
 //! Shared run-configuration and plan-caching machinery.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hpmopt_core::runtime::{HpmRuntime, RunConfig, RunReport};
 use hpmopt_gc::{CollectorKind, HeapConfig};
@@ -27,39 +26,49 @@ pub const AUTO_TARGET_PER_SEC: u64 = 1_000;
 /// 2000-sample buffer scaled to the smaller sample volume).
 pub const BUFFER_CAPACITY: usize = 256;
 
-fn plan_cache() -> &'static Mutex<HashMap<(String, Size), CompilationPlan>> {
-    static CACHE: OnceLock<Mutex<HashMap<(String, Size), CompilationPlan>>> = OnceLock::new();
+/// One cell per workload and size: the first caller of a key runs the
+/// profiling run, and callers that ask for it meanwhile wait for that run
+/// instead of making their own.
+type PlanCell = Arc<OnceLock<CompilationPlan>>;
+
+fn plan_cache() -> &'static Mutex<HashMap<(String, Size), PlanCell>> {
+    static CACHE: OnceLock<Mutex<HashMap<(String, Size), PlanCell>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The pseudo-adaptive compilation plan for a workload: generated once by
-/// a profiling run with the timer-driven AOS (Section 6.1's
-/// "pre-generated compilation plan"), then cached for the process.
+/// Keys profiled in this process, in order.
+#[cfg(test)]
+static PROFILED: Mutex<Vec<(String, Size)>> = Mutex::new(Vec::new());
+
+/// The pseudo-adaptive compilation plan for a workload: generated once
+/// per process by a profiling run with the timer-driven AOS (Section
+/// 6.1's "pre-generated compilation plan"), which ends as soon as the
+/// plan holds every method ([`HpmRuntime::generate_plan`]).
 #[must_use]
 pub fn plan_for(w: &Workload, size: Size) -> CompilationPlan {
     let key = (w.name.to_string(), size);
-    if let Some(p) = plan_cache().lock().unwrap().get(&key) {
-        return p.clone();
-    }
-    let mut vm = VmConfig {
-        heap: heap_config(w, 4, 1, CollectorKind::GenMs),
-        ..VmConfig::default()
-    };
-    // A tight tier-1 timer so even the short simulated runs promote
-    // their hot methods to the optimizing tier, as the paper's long
-    // runs do.
-    vm.jit.sample_period_cycles = 200_000;
-    vm.jit.tier1_threshold = 2;
-    let mut plan = HpmRuntime::generate_plan(&w.program, vm).expect("plan profiling run completes");
-    // The entry method drives every workload; guarantee it is in the plan
-    // even if the profiling run spent most samples in callees.
-    if !plan.contains(w.program.entry()) {
-        let mut methods = plan.methods().to_vec();
-        methods.push(w.program.entry());
-        plan = CompilationPlan::new(methods);
-    }
-    plan_cache().lock().unwrap().insert(key, plan.clone());
-    plan
+    let cell = Arc::clone(
+        plan_cache()
+            .lock()
+            .expect("the plan cache lock is held only to find or insert a cell")
+            .entry(key)
+            .or_default(),
+    );
+    cell.get_or_init(|| {
+        #[cfg(test)]
+        PROFILED.lock().unwrap().push((w.name.to_string(), size));
+        let mut vm = VmConfig {
+            heap: heap_config(w, 4, 1, CollectorKind::GenMs),
+            ..VmConfig::default()
+        };
+        // A tight tier-1 timer so even the short simulated runs promote
+        // their hot methods to the optimizing tier, as the paper's long
+        // runs do.
+        vm.jit.sample_period_cycles = 200_000;
+        vm.jit.tier1_threshold = 2;
+        HpmRuntime::generate_plan(&w.program, vm).expect("plan profiling run completes")
+    })
+    .clone()
 }
 
 /// Heap configuration for a workload at `num/den ×` its minimum heap.
@@ -165,6 +174,7 @@ pub fn baseline_digest(w: &Workload, size: Size, num: u64, den: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::by_name;
+    use std::sync::Barrier;
 
     #[test]
     fn plans_are_cached_and_contain_entry() {
@@ -175,23 +185,64 @@ mod tests {
         assert!(a.contains(w.program.entry()));
         // The plan-profiling run decides by tier-1 timer ticks: a tick
         // that moved would change a plan, and with it the cycles of
-        // every planned run. Pinned for the six programs the service
-        // benchmark mixes and for jython.
-        let pinned: [(&str, &[u32]); 7] = [
-            ("db", &[0, 1, 2]),
-            ("lusearch", &[0, 1, 2]),
-            ("hsqldb", &[0, 1, 2, 3]),
-            ("jess", &[0, 1, 2]),
-            ("antlr", &[0, 1, 2]),
-            ("fop", &[0]),
-            ("jython", &[0, 1, 6, 96, 97, 98]),
+        // every planned run. Pinned for every Tiny program and for the
+        // two Small programs the benchmark plans: db, whose plan holds
+        // every method early in its run, and jython, whose plan never
+        // does.
+        let pinned: [(&str, Size, &[u32]); 18] = [
+            ("compress", Size::Tiny, &[0, 1]),
+            ("jess", Size::Tiny, &[0, 1, 2]),
+            ("db", Size::Tiny, &[0, 1, 2]),
+            ("javac", Size::Tiny, &[0, 1, 2]),
+            ("mpegaudio", Size::Tiny, &[0, 1]),
+            ("mtrt", Size::Tiny, &[0, 1]),
+            ("jack", Size::Tiny, &[0, 1, 2]),
+            ("pseudojbb", Size::Tiny, &[0, 1, 2]),
+            ("antlr", Size::Tiny, &[0, 1, 2]),
+            ("bloat", Size::Tiny, &[0, 1, 2]),
+            ("fop", Size::Tiny, &[0]),
+            ("hsqldb", Size::Tiny, &[0, 1, 2, 3]),
+            ("jython", Size::Tiny, &[0, 1, 6, 96, 97, 98]),
+            ("luindex", Size::Tiny, &[0, 1, 2]),
+            ("lusearch", Size::Tiny, &[0, 1, 2]),
+            ("pmd", Size::Tiny, &[0, 1, 2]),
+            ("db", Size::Small, &[0, 1, 2]),
+            ("jython", Size::Small, &[0, 1, 3, 6, 7, 96, 97, 98]),
         ];
-        for (name, methods) in pinned {
-            let w = by_name(name, Size::Tiny).unwrap();
-            let plan = plan_for(&w, Size::Tiny);
+        for (name, size, methods) in pinned {
+            let w = by_name(name, size).unwrap();
+            let plan = plan_for(&w, size);
             let got: Vec<u32> = plan.methods().iter().map(|m| m.0).collect();
-            assert_eq!(got, methods, "{name} tiny plan");
+            assert_eq!(got, methods, "{name} {size} plan");
         }
+    }
+
+    #[test]
+    fn plans_are_profiled_once_under_concurrent_first_requests() {
+        // No other test asks for this key, so all four requests are
+        // first requests.
+        let key = ("lusearch".to_string(), Size::Small);
+        let w = by_name(&key.0, key.1).unwrap();
+        let start = Barrier::new(4);
+        let plans: Vec<CompilationPlan> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        plan_for(&w, key.1)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(plans.windows(2).all(|p| p[0] == p[1]));
+        let runs = PROFILED
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|k| **k == key)
+            .count();
+        assert_eq!(runs, 1, "one profiling run for four concurrent requests");
     }
 
     #[test]
