@@ -291,7 +291,7 @@ impl Heap {
     }
 
     /// Read array element `idx`.
-    #[inline]
+    #[inline(always)]
     #[must_use]
     pub fn array_get(&self, obj: Address, kind: ElemKind, idx: u64) -> u64 {
         debug_assert!(idx < self.array_len(obj));
@@ -300,7 +300,7 @@ impl Heap {
     }
 
     /// Write array element `idx`, with the write barrier for ref arrays.
-    #[inline]
+    #[inline(always)]
     pub fn array_set(&mut self, obj: Address, kind: ElemKind, idx: u64, value: u64) {
         debug_assert!(idx < self.array_len(obj));
         let addr = self.elem_addr(obj, kind, idx);

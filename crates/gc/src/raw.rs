@@ -87,7 +87,7 @@ impl RawHeap {
     }
 
     /// Read an unsigned integer of `width` ∈ {1, 2, 4, 8} bytes.
-    #[inline]
+    #[inline(always)]
     #[must_use]
     pub fn read_uint(&self, addr: Address, width: u64) -> u64 {
         let i = self.index(addr, width);
@@ -102,7 +102,7 @@ impl RawHeap {
 
     /// Write an unsigned integer of `width` ∈ {1, 2, 4, 8} bytes
     /// (truncating `v`).
-    #[inline]
+    #[inline(always)]
     pub fn write_uint(&mut self, addr: Address, width: u64, v: u64) {
         let i = self.index(addr, width);
         match width {

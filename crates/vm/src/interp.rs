@@ -21,7 +21,8 @@ use crate::config::{CancelToken, VmConfig};
 use crate::hooks::{AccessContext, CodeRetired, RuntimeHooks};
 use crate::machine::{CompiledCode, Tier};
 use crate::predecode::{
-    decode, DecodedMethod, IcSlot, Op, BASELINE_ISSUE_WIDTH, IC_ARRAY_KEY, OPT_ISSUE_WIDTH,
+    decode, DecodedMethod, IcSlot, Op, ADD_JUMP_SPAN, BASELINE_ISSUE_WIDTH, CMP_JUMP_SPAN,
+    IC_ARRAY_KEY, OPT_ISSUE_WIDTH,
 };
 use crate::value::{Value, VmError};
 use crate::CODE_BASE;
@@ -538,6 +539,55 @@ impl<'p> Vm<'p> {
                         }
                     }
 
+                    // A fused head runs its whole span only when its
+                    // locals hold ints and the span has room; otherwise
+                    // it runs as its head `Load` and the unfused tail
+                    // follows, so every failure, count and check lands
+                    // where it does without the fusion.
+                    Op::CmpJump { a, b, cmp, target } => {
+                        let x = self.locals[locals_base + a as usize];
+                        match (x, self.locals[locals_base + b as usize]) {
+                            (Value::Int(x), Value::Int(y))
+                                if self.span_has_room(
+                                    CMP_JUMP_SPAN,
+                                    cost + u64::from(dop.extra),
+                                    *next_poll,
+                                ) =>
+                            {
+                                cost += u64::from(dop.extra);
+                                self.bytecodes += CMP_JUMP_SPAN as u64 - 1;
+                                // The target is forward: no back edge.
+                                next_pc = if cmp.holds(x, y) {
+                                    target as usize
+                                } else {
+                                    pc + CMP_JUMP_SPAN
+                                };
+                            }
+                            _ => self.stack.push(x),
+                        }
+                    }
+                    Op::AddJump { local, k, target } => {
+                        let slot = locals_base + local as usize;
+                        match self.locals[slot] {
+                            // A body counting back edges for tier 2 runs
+                            // the unfused `Jump`, which counts them.
+                            Value::Int(v)
+                                if !tier2_watch
+                                    && self.span_has_room(
+                                        ADD_JUMP_SPAN,
+                                        cost + u64::from(dop.extra),
+                                        *next_poll,
+                                    ) =>
+                            {
+                                cost += u64::from(dop.extra);
+                                self.bytecodes += ADD_JUMP_SPAN as u64 - 1;
+                                self.locals[slot] = Value::Int(v.wrapping_add(i64::from(k)));
+                                next_pc = target as usize;
+                            }
+                            v => self.stack.push(v),
+                        }
+                    }
+
                     Op::New(class) => {
                         // Allocation can trigger a collection, which
                         // flushes the memory hierarchy: drain the batch
@@ -564,7 +614,7 @@ impl<'p> Vm<'p> {
                         if obj.is_null() {
                             fail!(VmError::NullPointer);
                         }
-                        cost += self.field_ic_cost(mi, ic, dop.miss_extra, obj);
+                        cost += self.field_ic_cost(mi, ic, dop.extra, obj);
                         let addr = self.heap.field_addr(obj, offset);
                         self.queue_access(hooks, addr, 8, AccessKind::Read, dop.mem_pc, method, bc);
                         let raw = self.heap.get_field(obj, offset);
@@ -580,7 +630,7 @@ impl<'p> Vm<'p> {
                         if obj.is_null() {
                             fail!(VmError::NullPointer);
                         }
-                        cost += self.field_ic_cost(mi, ic, dop.miss_extra, obj);
+                        cost += self.field_ic_cost(mi, ic, dop.extra, obj);
                         let addr = self.heap.field_addr(obj, offset);
                         self.queue_access(
                             hooks,
@@ -715,11 +765,11 @@ impl<'p> Vm<'p> {
                                     frame_overhead = LINKED_CALL_OVERHEAD_CYCLES;
                                 } else {
                                     *generation = current;
-                                    cost += u64::from(dop.miss_extra);
+                                    cost += u64::from(dop.extra);
                                 }
                             }
                         } else {
-                            cost += u64::from(dop.miss_extra);
+                            cost += u64::from(dop.extra);
                         }
                         self.cycles += cost.div_ceil(width);
                         // Advance the caller's pc *before* pushing the
@@ -818,6 +868,20 @@ impl<'p> Vm<'p> {
             || self.cycles + self.batch_mach >= self.clock_deadline
     }
 
+    /// The room check of a fused span of `n` bytecodes retiring `mach`
+    /// machine instructions: whether [`Vm::count_bytecode`] would stay
+    /// on its fast path after each of the span's first `n - 1`
+    /// bytecodes, so they can be counted at once. (The last one goes
+    /// through the epilogue as usual.) `mach` bounds the block
+    /// instructions retired by any of them.
+    #[inline(always)]
+    fn span_has_room(&self, n: usize, mach: u64, next_poll: u64) -> bool {
+        let last_inner = self.bytecodes + n as u64 - 1;
+        last_inner < next_poll
+            && last_inner <= self.step_cap
+            && self.cycles + self.batch_mach + mach < self.clock_deadline
+    }
+
     /// Recompute [`Vm::clock_deadline`] from the cycle budget and the
     /// tier-1 timer.
     fn reset_clock_deadline(&mut self) {
@@ -885,7 +949,7 @@ impl<'p> Vm<'p> {
 
     /// Inline-cache lookup for a field site: returns the extra cycles to
     /// charge (zero on a key hit) and re-keys the slot on a miss.
-    #[inline]
+    #[inline(always)]
     fn field_ic_cost(&mut self, mi: usize, ic: u32, miss_extra: u32, obj: Address) -> u64 {
         if !self.config.inline_caches {
             return u64::from(miss_extra);
@@ -2593,5 +2657,376 @@ mod tests {
         const PIN_RECOMPILES: [(u32, Tier, u64); 2] =
             [(0, Tier::Baseline, 100_000), (1, Tier::Baseline, 200_000)];
         const PIN_TIER1_CYCLES: u64 = 748_241;
+    }
+
+    /// Fused and unfused decoding run every program the same: the
+    /// peephole pass changes how many dispatches a run takes, and
+    /// nothing a hook, a summary or a backtrace can see.
+    mod fusion {
+        use super::*;
+        use crate::predecode::{ADD_JUMP_SPAN, CMP_JUMP_SPAN, SKIP_FUSION};
+        use hpmopt_bytecode::{ClassId, FieldId, StaticId};
+        use hpmopt_prim::Rng;
+
+        /// Everything a run hands its hooks.
+        #[derive(Debug, Default, PartialEq)]
+        struct Record {
+            accesses: Vec<(u64, u64, AccessOutcome, u64, u32, u32)>,
+            polls: Vec<u64>,
+            compiles: Vec<(u32, Tier, u64)>,
+            retired: Vec<(u32, Tier, u64)>,
+            deopts: Vec<(u32, u64)>,
+            gcs: Vec<u64>,
+        }
+
+        impl RuntimeHooks for Record {
+            fn on_access(&mut self, ctx: &AccessContext) -> u64 {
+                self.accesses.push((
+                    ctx.pc,
+                    ctx.addr.0,
+                    ctx.outcome,
+                    ctx.cycles,
+                    ctx.method.0,
+                    ctx.bytecode_index,
+                ));
+                // A charge on misses feeds the stamps back into the clock.
+                u64::from(ctx.outcome.l1_miss) * 3
+            }
+            fn on_poll(&mut self, _: &Program, cycles: u64) -> u64 {
+                self.polls.push(cycles);
+                7
+            }
+            fn on_compile(&mut self, _: &Program, code: &CompiledCode) {
+                self.compiles
+                    .push((code.method.0, code.tier, code.code_start));
+            }
+            fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
+                self.retired.push((ev.method.0, ev.tier, cycles));
+            }
+            fn on_deopt(&mut self, method: MethodId, _: Tier, cycles: u64) {
+                self.deopts.push((method.0, cycles));
+            }
+            fn on_gc(&mut self, _: &GcStats, cycles: u64) {
+                self.gcs.push(cycles);
+            }
+        }
+
+        /// What one run shows: its result, its hook record, the summary
+        /// (also after an error), the backtrace and the state digest.
+        #[derive(Debug, PartialEq)]
+        struct Seen {
+            result: Result<(), VmError>,
+            record: Record,
+            summary: String,
+            backtrace: Vec<(MethodId, usize)>,
+            digest: u64,
+        }
+
+        /// Run `p` under `cfg`, decoding with or without the pass; also
+        /// return how many fused heads the final decoded bodies hold, and
+        /// the bytecodes and cycles run.
+        fn run(p: &Program, cfg: &VmConfig, fused: bool) -> (Seen, usize, (u64, u64)) {
+            SKIP_FUSION.with(|s| s.set(!fused));
+            let mut record = Record::default();
+            let mut vm = Vm::new(p, cfg.clone());
+            let result = vm.run(&mut record).map(|_| ());
+            SKIP_FUSION.with(|s| s.set(false));
+            let heads = vm
+                .decoded
+                .iter()
+                .flatten()
+                .flat_map(|d| d.ops.iter())
+                .filter(|o| matches!(o.op, Op::CmpJump { .. } | Op::AddJump { .. }))
+                .count();
+            let seen = Seen {
+                result,
+                record,
+                summary: format!("{:?}", vm.summary()),
+                backtrace: vm.backtrace(),
+                digest: vm.state_digest(),
+            };
+            (seen, heads, (vm.bytecodes, vm.cycles))
+        }
+
+        /// Whether a stop at `pc` of `m` lies inside a fused span, past
+        /// its head: the unfused run stopped between two of its ops.
+        fn inside_span(p: &Program, (m, pc): (MethodId, usize)) -> bool {
+            let code = compile(p, m, Tier::Baseline, CODE_BASE, true);
+            let ops = decode(p, &code, None).ops;
+            (1..ADD_JUMP_SPAN).any(|back| {
+                pc >= back
+                    && match ops[pc - back].op {
+                        Op::CmpJump { .. } => back < CMP_JUMP_SPAN,
+                        Op::AddJump { .. } => true,
+                        _ => false,
+                    }
+            })
+        }
+
+        /// Locals and ids the loop-body generator draws from.
+        struct Gen {
+            node: ClassId,
+            v: FieldId,
+            next: FieldId,
+            acc: StaticId,
+            bump: MethodId,
+            obj: u16,
+            arr: u16,
+            arr_len: i64,
+        }
+
+        impl Gen {
+            /// One to three random statements using counter `i`, nesting
+            /// further counted loops while `depth` allows.
+            fn body(&self, m: &mut MethodBuilder, rng: &mut Rng, i: u16, limit: u16, depth: u32) {
+                for _ in 0..rng.range(1, 3) {
+                    match rng.below(7) {
+                        0 => {
+                            m.load(self.obj);
+                            m.load(self.obj);
+                            m.get_field(self.v);
+                            m.load(i);
+                            m.add();
+                            m.put_field(self.v);
+                        }
+                        1 => {
+                            m.load(self.arr);
+                            m.load(i);
+                            m.const_i(self.arr_len);
+                            m.rem();
+                            m.load(i);
+                            m.array_set(ElemKind::I64);
+                        }
+                        2 => {
+                            m.get_static(self.acc);
+                            m.load(self.arr);
+                            m.load(i);
+                            m.const_i(self.arr_len);
+                            m.rem();
+                            m.array_get(ElemKind::I64);
+                            m.add();
+                            m.put_static(self.acc);
+                        }
+                        3 => {
+                            m.load(self.obj);
+                            m.const_i(rng.range(0, 4) as i64);
+                            m.call(self.bump);
+                            m.pop();
+                        }
+                        4 => {
+                            // Allocation churn: a new node links the
+                            // old one, then a new array replaces that
+                            // link, so older nodes and arrays die and
+                            // the collector moves the live ones.
+                            m.new_object(self.node);
+                            m.dup();
+                            m.load(self.obj);
+                            m.put_field(self.next);
+                            m.store(self.obj);
+                            m.load(self.obj);
+                            m.const_i(rng.range(8, 64) as i64);
+                            m.new_array(ElemKind::I64);
+                            m.put_field(self.next);
+                        }
+                        5 if rng.chance(30) => {
+                            // At one iteration, a ref lands in the loop's
+                            // limit: the next head compare must fail.
+                            let k = m.new_local();
+                            m.const_i(rng.range(0, 6) as i64);
+                            m.store(k);
+                            let skip = m.label();
+                            m.load(i);
+                            m.load(k);
+                            m.eq();
+                            m.jump_if_not(skip);
+                            m.load(self.obj);
+                            m.store(limit);
+                            m.bind(skip);
+                        }
+                        _ if depth > 0 => self.counted(m, rng, depth - 1),
+                        _ => {
+                            m.get_static(self.acc);
+                            m.load(i);
+                            m.add();
+                            m.put_static(self.acc);
+                        }
+                    }
+                }
+            }
+
+            /// A `for_loop` with a random limit around a random body.
+            fn counted(&self, m: &mut MethodBuilder, rng: &mut Rng, depth: u32) {
+                let i = m.new_local();
+                // `for_loop` takes the next local for its limit.
+                let limit = i + 1;
+                let n = rng.range(0, 20) as i64;
+                let mut body_rng = rng.fork(u64::from(i));
+                m.for_loop(
+                    i,
+                    |m| {
+                        m.const_i(n);
+                    },
+                    |m| self.body(m, &mut body_rng, i, limit, depth),
+                );
+            }
+
+            /// A counted loop whose first iteration enters its head span
+            /// in the middle, at the limit's `Load`: `Load c; Jump mid;
+            /// head: Load c; mid: Load n; Ge; JumpIf exit; ...; Jump head`.
+            fn entered_mid_span(&self, m: &mut MethodBuilder, rng: &mut Rng) {
+                let (c, n) = (m.new_local(), m.new_local());
+                m.const_i(rng.range(0, 40) as i64);
+                m.store(n);
+                m.const_i(0);
+                m.store(c);
+                let (head, mid, exit) = (m.label(), m.label(), m.label());
+                m.load(c);
+                m.jump(mid);
+                m.bind(head);
+                m.load(c);
+                m.bind(mid);
+                m.load(n);
+                m.ge();
+                m.jump_if(exit);
+                let mut body_rng = rng.fork(u64::from(c));
+                self.body(m, &mut body_rng, c, n, 1);
+                m.load(c);
+                m.const_i(1);
+                m.add();
+                m.store(c);
+                m.jump(head);
+                m.bind(exit);
+            }
+        }
+
+        /// A random program of nested counted loops over a field, an
+        /// array, a static and calls to a helper with a loop of its own.
+        fn fusion_program(rng: &mut Rng) -> Program {
+            let mut pb = ProgramBuilder::new();
+            let node = pb.add_class("Node", &[("v", FieldType::Int), ("next", FieldType::Ref)]);
+            let v = pb.field_id(node, "v").unwrap();
+            let next = pb.field_id(node, "next").unwrap();
+            let acc = pb.add_static("acc", FieldType::Int);
+            // bump(o, n) -> int: add 0 + 1 + ... + (n - 1) to o.v.
+            let mut bump = MethodBuilder::new("bump", 2, 0, true);
+            let j = bump.new_local();
+            bump.for_loop(
+                j,
+                |m| {
+                    m.load(1);
+                },
+                |m| {
+                    m.load(0);
+                    m.load(0);
+                    m.get_field(v);
+                    m.load(j);
+                    m.add();
+                    m.put_field(v);
+                },
+            );
+            bump.load(0);
+            bump.get_field(v);
+            bump.ret_val();
+            let bump = pb.add_method(bump);
+
+            let mut m = MethodBuilder::new("main", 0, 0, false);
+            let (obj, arr) = (m.new_local(), m.new_local());
+            let arr_len = rng.range(1, 16) as i64;
+            let g = Gen {
+                node,
+                v,
+                next,
+                acc,
+                bump,
+                obj,
+                arr,
+                arr_len,
+            };
+            m.new_object(node);
+            m.store(obj);
+            m.const_i(arr_len);
+            m.new_array(ElemKind::I64);
+            m.store(arr);
+            for _ in 0..rng.range(1, 3) {
+                if rng.chance(40) {
+                    g.entered_mid_span(&mut m, rng);
+                } else {
+                    g.counted(&mut m, rng, 2);
+                }
+            }
+            m.ret();
+            let id = pb.add_method(m);
+            pb.set_entry(id);
+            pb.finish().unwrap()
+        }
+
+        /// Assert that `p` under `cfg` runs the same fused and unfused;
+        /// return the unfused run, the fused run's head count and the
+        /// bytecodes and cycles run.
+        fn check(p: &Program, cfg: &VmConfig, what: &str) -> (Seen, usize, (u64, u64)) {
+            let (fused, heads, _) = run(p, cfg, true);
+            let (unfused, no_heads, ran) = run(p, cfg, false);
+            assert_eq!(no_heads, 0, "{what}: the switch skips the pass");
+            assert_eq!(fused, unfused, "{what}");
+            (unfused, heads, ran)
+        }
+
+        #[test]
+        fn fused_and_unfused_runs_are_indistinguishable() {
+            let (mut heads, mut stops_inside, mut type_errors) = (0, 0, 0);
+            for seed in 0..64u64 {
+                let mut rng = Rng::new(seed);
+                let p = fusion_program(&mut rng);
+                for tier2 in [false, true] {
+                    let mut cfg = VmConfig::test();
+                    cfg.step_limit = None;
+                    cfg.jit.tier1_enabled = rng.chance(70);
+                    cfg.jit.sample_period_cycles = rng.range(200, 5_000);
+                    cfg.jit.tier1_threshold = rng.range(1, 3) as u32;
+                    cfg.jit.tier2_enabled = tier2;
+                    cfg.jit.tier2_threshold = rng.range(5, 60);
+                    if rng.chance(50) {
+                        let all = (0..p.methods().len() as u32).map(MethodId).collect();
+                        cfg.plan = Some(crate::CompilationPlan::new(all));
+                    }
+                    if rng.chance(50) {
+                        // Bounded: every replaced artifact is retired.
+                        cfg.jit.code_cache_capacity_bytes = Some(1 << rng.range(9, 20));
+                    }
+                    let what = format!("seed {seed}, tier2 {tier2}");
+                    let (full, h, ran) = check(&p, &cfg, &what);
+                    heads += h;
+                    type_errors += usize::from(full.result == Err(VmError::TypeMismatch));
+                    // Step limits and cycle budgets that stop the unfused
+                    // run between two ops of a fused span.
+                    for budget in [false, true] {
+                        let mut found = 0;
+                        for _ in 0..12 {
+                            if found == 2 {
+                                break;
+                            }
+                            let mut c = cfg.clone();
+                            if budget {
+                                c.cycle_budget = Some(rng.range(1, ran.1.max(1)));
+                            } else {
+                                c.step_limit = Some(rng.range(1, ran.0.max(1)));
+                            }
+                            let (stop, _, _) = run(&p, &c, false);
+                            let Some(&top) = stop.backtrace.last() else {
+                                continue;
+                            };
+                            if stop.result.is_err() && inside_span(&p, top) {
+                                found += 1;
+                                stops_inside += 1;
+                                check(&p, &c, &format!("{what}, {c:?}"));
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(heads > 0, "the programs have fused spans");
+            assert!(stops_inside >= 64, "only {stops_inside} stops inside spans");
+            assert!(type_errors > 0, "some loop local must hold a ref");
+        }
     }
 }

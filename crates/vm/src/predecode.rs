@@ -16,6 +16,13 @@
 //! method is recompiled, and call slots are invalidated by construction
 //! when a callee is recompiled because the callee's generation bumps.
 //!
+//! A peephole pass ([`fuse`]) then rewrites the head `Load` of the two
+//! sequences [`hpmopt_bytecode::builder::MethodBuilder::for_loop`] wraps
+//! around every counted loop into one fused op, [`Op::CmpJump`] and
+//! [`Op::AddJump`]. The tail ops stay in place, so a branch into the
+//! middle of a span, a region `Deopt` and a head that cannot run its
+//! whole span see exactly the unfused ops.
+//!
 //! Everything here is a *cost-model* artifact: decoding never changes
 //! program semantics, and the laid-out machine code (sizes, addresses,
 //! maps) is exactly what [`crate::compiler::compile`] produced.
@@ -37,7 +44,7 @@ pub(crate) const IC_EMPTY: u32 = u32::MAX;
 pub(crate) const IC_ARRAY_KEY: u32 = u32::MAX - 1;
 
 /// A bytecode with operands resolved at decode time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Op {
     Const(i64),
     ConstNull,
@@ -99,12 +106,88 @@ pub(crate) enum Op {
     },
     Return,
     ReturnVal,
+    /// Fused head of `Load a; Load b; <cmp>; JumpIf|JumpIfNot target`
+    /// with a forward target: jump to `target` when `cmp` holds for
+    /// locals `a` and `b` (a `JumpIfNot` is folded into the negated
+    /// comparison), else fall through past the span. When the span
+    /// cannot run whole, the op runs as its head `Load a`.
+    CmpJump {
+        a: u32,
+        b: u32,
+        cmp: Cmp,
+        target: u32,
+    },
+    /// Fused head of `Load l; Const k; Add; Store l; Jump target`: add
+    /// `k` to local `l` and jump. When the span cannot run whole, the op
+    /// runs as its head `Load l`.
+    AddJump {
+        local: u32,
+        k: i32,
+        target: u32,
+    },
     /// Region-tier code only: this bytecode's block is outside the
     /// compiled region. Executing it abandons the region artifact —
     /// the engine reinstalls baseline code and re-enters the frame at
     /// the same bytecode. Never emitted for baseline or opt code.
     Deopt,
 }
+
+/// The integer comparison of a fused [`Op::CmpJump`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cmp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+impl Cmp {
+    /// The comparison a comparison op computes, if `op` is one.
+    fn of(op: Op) -> Option<Cmp> {
+        Some(match op {
+            Op::Eq => Cmp::Eq,
+            Op::Ne => Cmp::Ne,
+            Op::Lt => Cmp::Lt,
+            Op::Le => Cmp::Le,
+            Op::Gt => Cmp::Gt,
+            Op::Ge => Cmp::Ge,
+            _ => return None,
+        })
+    }
+
+    /// The comparison that holds exactly when `self` does not.
+    fn negate(self) -> Cmp {
+        match self {
+            Cmp::Eq => Cmp::Ne,
+            Cmp::Ne => Cmp::Eq,
+            Cmp::Lt => Cmp::Ge,
+            Cmp::Le => Cmp::Gt,
+            Cmp::Gt => Cmp::Le,
+            Cmp::Ge => Cmp::Lt,
+        }
+    }
+
+    /// Whether `a <cmp> b` holds.
+    #[inline(always)]
+    pub(crate) fn holds(self, a: i64, b: i64) -> bool {
+        match self {
+            Cmp::Eq => a == b,
+            Cmp::Ne => a != b,
+            Cmp::Lt => a < b,
+            Cmp::Le => a <= b,
+            Cmp::Gt => a > b,
+            Cmp::Ge => a >= b,
+        }
+    }
+}
+
+/// Bytecodes an [`Op::CmpJump`] span holds.
+pub(crate) const CMP_JUMP_SPAN: usize = 4;
+
+/// Bytecodes an [`Op::AddJump`] span holds.
+pub(crate) const ADD_JUMP_SPAN: usize = 5;
 
 /// One pre-decoded bytecode: the resolved [`Op`] plus everything the
 /// hot loop needs per step, in one cache-friendly record.
@@ -113,17 +196,19 @@ pub(crate) enum Op {
 /// them across a basic block and divides by the tier's retirement width
 /// once per block, so adjacent one-instruction bytecodes share issue
 /// slots instead of each paying a full rounded-up cycle.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct DecodedOp {
     /// The operation with operands resolved.
     pub op: Op,
     /// Machine instructions retired when the op completes. For
-    /// inline-cached sites this is the *hit* count; everything else
-    /// retires the full sequence from the artifact.
+    /// inline-cached sites this is the *hit* count, and for a fused head
+    /// its own `Load`'s count; everything else retires the full sequence
+    /// from the artifact.
     pub cost: u32,
-    /// Additional machine instructions on an inline-cache miss (zero
+    /// The second count: the additional machine instructions of an
+    /// inline-cache miss, or those of a fused head's tail ops (zero
     /// elsewhere).
-    pub miss_extra: u32,
+    pub extra: u32,
     /// Machine PC of the op's memory instruction, for sample attribution.
     pub mem_pc: u64,
 }
@@ -238,7 +323,7 @@ pub(crate) fn decode(
                 ops.push(DecodedOp {
                     op: Op::Deopt,
                     cost: 0,
-                    miss_extra: 0,
+                    extra: 0,
                     mem_pc: code.mem_pc(bc),
                 });
                 continue;
@@ -328,9 +413,12 @@ pub(crate) fn decode(
         ops.push(DecodedOp {
             op,
             cost,
-            miss_extra: full_cost.saturating_sub(cost),
+            extra: full_cost.saturating_sub(cost),
             mem_pc: code.mem_pc(bc),
         });
+    }
+    if fusion_enabled() {
+        fuse(&mut ops);
     }
     DecodedMethod {
         ops: ops.into(),
@@ -338,6 +426,75 @@ pub(crate) fn decode(
         width,
         tier: code.tier,
         block_of,
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch: decode without the peephole pass, so the vm
+    /// tests can run a program fused and unfused and compare the runs.
+    pub(crate) static SKIP_FUSION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+#[cfg(test)]
+fn fusion_enabled() -> bool {
+    !SKIP_FUSION.with(std::cell::Cell::get)
+}
+
+#[cfg(not(test))]
+fn fusion_enabled() -> bool {
+    true
+}
+
+/// The peephole pass: rewrite the head `Load` of each counted-loop idiom
+/// into its fused op. The head keeps its own count in
+/// [`DecodedOp::cost`] and takes the tail ops' counts in
+/// [`DecodedOp::extra`]; the tail ops are left as they are. No two spans
+/// overlap: a tail op is never a `Load` followed by a `Load` or `Const`.
+fn fuse(ops: &mut [DecodedOp]) {
+    for pc in 0..ops.len() {
+        if let Some((op, span)) = fused_head(&ops[pc..], pc) {
+            ops[pc].op = op;
+            ops[pc].extra = ops[pc + 1..pc + span].iter().map(|d| d.cost).sum();
+        }
+    }
+}
+
+/// The fused op and span length for a span starting at `pc` with the ops
+/// `span`, if they form `Load a; Load b; <cmp>; JumpIf|JumpIfNot t` with
+/// `t` past the branch, or `Load l; Const k; Add; Store l; Jump t` with
+/// `k` in `i32`.
+fn fused_head(span: &[DecodedOp], pc: usize) -> Option<(Op, usize)> {
+    let op = |i: usize| span.get(i).map(|d| d.op);
+    let Op::Load(a) = op(0)? else {
+        return None;
+    };
+    match (op(1)?, op(2)?, op(3)?) {
+        (Op::Load(b), cmp, jump) => {
+            let cmp = Cmp::of(cmp)?;
+            let (cmp, target) = match jump {
+                Op::JumpIf(t) => (cmp, t),
+                Op::JumpIfNot(t) => (cmp.negate(), t),
+                _ => return None,
+            };
+            let forward = target as usize >= pc + CMP_JUMP_SPAN;
+            forward.then_some((Op::CmpJump { a, b, cmp, target }, CMP_JUMP_SPAN))
+        }
+        (Op::Const(k), Op::Add, Op::Store(l)) if l == a => {
+            let Op::Jump(target) = op(4)? else {
+                return None;
+            };
+            let k = i32::try_from(k).ok()?;
+            Some((
+                Op::AddJump {
+                    local: a,
+                    k,
+                    target,
+                },
+                ADD_JUMP_SPAN,
+            ))
+        }
+        _ => None,
     }
 }
 
@@ -367,23 +524,212 @@ mod tests {
         (pb.finish().unwrap(), id)
     }
 
+    // A new variant must not widen every op of every decoded body.
+    const _: () = assert!(std::mem::size_of::<DecodedOp>() == 32);
+
+    /// Two nested counted loops over a static and a field: each
+    /// `for_loop` yields one span of each fused form.
+    fn counted_loops_program() -> (Program, MethodId) {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.add_class("C", &[("f", FieldType::Int)]);
+        let f = pb.field_id(c, "f").unwrap();
+        let g = pb.add_static("acc", FieldType::Int);
+        let mut m = MethodBuilder::new("main", 0, 3, false);
+        m.new_object(c);
+        m.store(2);
+        m.for_loop(
+            0,
+            |m| {
+                m.const_i(3);
+            },
+            |m| {
+                m.for_loop(
+                    1,
+                    |m| {
+                        m.const_i(4);
+                    },
+                    |m| {
+                        m.get_static(g);
+                        m.load(2);
+                        m.get_field(f);
+                        m.add();
+                        m.put_static(g);
+                    },
+                );
+            },
+        );
+        m.ret();
+        let id = pb.add_method(m);
+        pb.set_entry(id);
+        (pb.finish().unwrap(), id)
+    }
+
+    fn decode_unfused(p: &Program, code: &CompiledCode, region: Option<&[u32]>) -> DecodedMethod {
+        SKIP_FUSION.with(|s| s.set(true));
+        let d = decode(p, code, region);
+        SKIP_FUSION.with(|s| s.set(false));
+        d
+    }
+
     #[test]
     fn decoded_ops_align_with_body_and_artifact() {
-        let (p, id) = sample_program();
-        for tier in [Tier::Baseline, Tier::Opt] {
-            let code = compile(&p, id, tier, 0x4000_0000, true);
-            let d = decode(&p, &code, None);
-            assert_eq!(d.ops.len(), p.method(id).len());
-            assert!(d.width >= 2, "flattened dispatch at least dual-issues");
-            for (bc, op) in d.ops.iter().enumerate() {
-                assert_eq!(op.mem_pc, code.mem_pc(bc), "mem_pc drift at {bc}");
-                assert_eq!(
-                    op.cost + op.miss_extra,
-                    code.mach_count(bc),
-                    "hit+miss_extra must equal the artifact's count at {bc}"
-                );
+        for (prog, want_heads) in [(sample_program(), 0), (counted_loops_program(), 4)] {
+            let (p, id) = prog;
+            for tier in [Tier::Baseline, Tier::Opt] {
+                let code = compile(&p, id, tier, 0x4000_0000, true);
+                let d = decode(&p, &code, None);
+                let unfused = decode_unfused(&p, &code, None);
+                assert_eq!(d.ops.len(), p.method(id).len());
+                assert!(d.width >= 2, "flattened dispatch at least dual-issues");
+                let mut heads = 0;
+                for (bc, op) in d.ops.iter().enumerate() {
+                    assert_eq!(op.mem_pc, code.mem_pc(bc), "mem_pc drift at {bc}");
+                    let (span, local) = match op.op {
+                        Op::CmpJump { a, .. } => (CMP_JUMP_SPAN, a),
+                        Op::AddJump { local, .. } => (ADD_JUMP_SPAN, local),
+                        _ => {
+                            // Every other op, tail ops included, decodes
+                            // as it does without the pass.
+                            assert_eq!(*op, unfused.ops[bc], "bc {bc} changed");
+                            assert_eq!(
+                                op.cost + op.extra,
+                                code.mach_count(bc),
+                                "hit+extra must equal the artifact's count at {bc}"
+                            );
+                            continue;
+                        }
+                    };
+                    heads += 1;
+                    assert_eq!(unfused.ops[bc].op, Op::Load(local), "head {bc} is its Load");
+                    assert_eq!(op.cost, code.mach_count(bc), "head {bc} keeps its count");
+                    assert_eq!(
+                        op.cost + op.extra,
+                        (bc..bc + span).map(|i| code.mach_count(i)).sum::<u32>(),
+                        "head {bc}'s counts sum over its span"
+                    );
+                }
+                assert_eq!(heads, want_heads, "{tier:?}");
             }
         }
+    }
+
+    #[test]
+    fn fused_heads_resolve_their_operands() {
+        let (p, id) = counted_loops_program();
+        let code = compile(&p, id, Tier::Opt, 0x4000_0000, true);
+        let body = p.method(id).body();
+        let d = decode(&p, &code, None);
+        for (bc, op) in d.ops.iter().enumerate() {
+            match op.op {
+                Op::CmpJump { a, b, cmp, target } => {
+                    // for_loop's head: `Load i; Load n; Ge; JumpIf exit`.
+                    assert_eq!(body[bc], Instr::Load(a as u16));
+                    assert_eq!(body[bc + 1], Instr::Load(b as u16));
+                    assert_eq!((body[bc + 2], cmp), (Instr::Ge, Cmp::Ge));
+                    assert_eq!(body[bc + 3], Instr::JumpIf(target));
+                }
+                Op::AddJump { local, k, target } => {
+                    assert_eq!(body[bc], Instr::Load(local as u16));
+                    assert_eq!(body[bc + 1], Instr::Const(i64::from(k)));
+                    assert_eq!(body[bc + 4], Instr::Jump(target));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn only_whole_forward_spans_fuse() {
+        let build = |emit: &dyn Fn(&mut MethodBuilder)| {
+            let mut pb = ProgramBuilder::new();
+            let mut m = MethodBuilder::new("main", 0, 2, false);
+            emit(&mut m);
+            m.ret();
+            let id = pb.add_method(m);
+            pb.set_entry(id);
+            let p = pb.finish().unwrap();
+            let code = compile(&p, id, Tier::Baseline, 0x4000_0000, true);
+            let d = decode(&p, &code, None);
+            d.ops.iter().map(|o| o.op).collect::<Vec<_>>()
+        };
+        // A `JumpIfNot` folds into the negated comparison.
+        let ops = build(&|m| {
+            let out = m.label();
+            m.load(0);
+            m.load(1);
+            m.lt();
+            m.jump_if_not(out);
+            m.bind(out);
+        });
+        assert_eq!(
+            ops[0],
+            Op::CmpJump {
+                a: 0,
+                b: 1,
+                cmp: Cmp::Ge,
+                target: 4
+            }
+        );
+        // A backward compare-and-branch stays unfused.
+        let ops = build(&|m| {
+            let top = m.label();
+            m.bind(top);
+            m.load(0);
+            m.load(1);
+            m.lt();
+            m.jump_if(top);
+        });
+        assert_eq!(ops[0], Op::Load(0));
+        // An add to another local, or of a constant past `i32`, stays
+        // unfused.
+        for (store, k) in [(1, 1), (0, i64::from(i32::MAX) + 1)] {
+            let ops = build(&|m| {
+                let top = m.label();
+                let out = m.label();
+                m.jump(out);
+                m.bind(top);
+                m.load(0);
+                m.const_i(k);
+                m.add();
+                m.store(store);
+                m.jump(top);
+                m.bind(out);
+            });
+            assert_eq!(ops[1], Op::Load(0), "store {store}, k {k}");
+        }
+        // A branch into the middle of a span leaves it fused, but a
+        // region that stops there decodes its tail to `Deopt` and keeps
+        // the head a plain `Load`.
+        let (p, id) = mid_span_program();
+        let code = compile(&p, id, Tier::Region, 0x4000_0000, true);
+        assert_eq!(block_map(p.method(id).body()), vec![0, 0, 1, 2, 2, 2, 3, 4]);
+        let full = decode(&p, &code, Some(&[0, 1, 2, 3, 4]));
+        assert!(matches!(full.ops[2].op, Op::CmpJump { .. }));
+        let cut = decode(&p, &code, Some(&[0, 1, 3, 4]));
+        assert_eq!(cut.ops[2].op, Op::Load(0));
+        assert!(matches!(cut.ops[3].op, Op::Deopt));
+    }
+
+    /// A compare-and-branch span (bc 2..=5) whose second op is also
+    /// entered by a branch (bc 1), so a block starts inside the span.
+    fn mid_span_program() -> (Program, MethodId) {
+        let mut pb = ProgramBuilder::new();
+        let mut m = MethodBuilder::new("main", 0, 2, false);
+        let (head, mid, exit) = (m.label(), m.label(), m.label());
+        m.const_i(7); // bc 0
+        m.jump(mid); // bc 1
+        m.bind(head);
+        m.load(0); // bc 2: the span's head
+        m.bind(mid);
+        m.load(1); // bc 3
+        m.ge();
+        m.jump_if(exit); // bc 5
+        m.jump(head); // bc 6
+        m.bind(exit);
+        m.ret(); // bc 7
+        let id = pb.add_method(m);
+        pb.set_entry(id);
+        (pb.finish().unwrap(), id)
     }
 
     fn looped_program() -> (Program, MethodId) {
@@ -424,10 +770,10 @@ mod tests {
             if d.block_of[bc] == 2 {
                 assert!(matches!(op.op, Op::Deopt), "exit block must deopt");
                 assert_eq!(op.cost, 0, "deopt retires nothing");
-                assert_eq!(op.miss_extra, 0);
+                assert_eq!(op.extra, 0);
             } else {
                 assert!(!matches!(op.op, Op::Deopt), "in-region bc {bc} kept");
-                assert_eq!(op.cost + op.miss_extra, code.mach_count(bc));
+                assert_eq!(op.cost + op.extra, code.mach_count(bc));
             }
         }
         // A full-coverage region decodes with no deopts at all.
@@ -462,7 +808,7 @@ mod tests {
                 Op::GetField { .. } | Op::PutField { .. } | Op::Call { .. }
             )
         }) {
-            assert!(o.miss_extra > 0, "baseline IC hit must beat the full cost");
+            assert!(o.extra > 0, "baseline IC hit must beat the full cost");
         }
     }
 }

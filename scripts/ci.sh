@@ -18,6 +18,13 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --workspace --release
 
+echo "==> hot-path crates' tests in the debug profile (debug asserts and overflow checks on)"
+# Every other test step builds --release, which compiles out the
+# debug_assert! checks (heap bounds, array indices, access widths) and
+# integer-overflow checks; this step runs the crates under the dispatch
+# loop with both on.
+cargo test -q -p hpmopt-prim -p hpmopt-bytecode -p hpmopt-memsim -p hpmopt-gc -p hpmopt-jit -p hpmopt-vm
+
 echo "==> benchmark package: build and test perfbench"
 # perfbench is a package of its own that drives the system through public
 # APIs, so no workspace step compiles it; building it here catches an API
