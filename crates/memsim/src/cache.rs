@@ -84,16 +84,13 @@ pub(crate) enum Lookup {
 }
 
 /// Access `tag` in an MRU-first set whose first `len` of `set.len()`
-/// slots are resident, shifting `carry` in at the front. One pass
-/// searches and shifts: every slot before the tag's old place moves back
-/// by one and `carry` lands in front, so a hit rotates only the slots up
-/// to the hit one, and a miss shifts the whole resident run and keeps the
-/// LRU tag only if a slot is free. A whole set passes `carry == tag`, so
-/// the tag lands in front; the TLB, which has already put the tag in
-/// front of the set, passes the rest of the set and its old front tag.
+/// slots are resident. One pass searches and shifts: every slot before
+/// the tag's old place moves back by one and the tag lands in front, so
+/// a hit rotates only the slots up to the hit one, and a miss shifts
+/// the whole resident run and keeps the LRU tag only if a slot is free.
 #[inline]
-pub(crate) fn access_mru(set: &mut [u64], len: usize, tag: u64, carry: u64) -> Lookup {
-    let mut carry = carry;
+pub(crate) fn access_mru(set: &mut [u64], len: usize, tag: u64) -> Lookup {
+    let mut carry = tag;
     for slot in &mut set[..len] {
         let t = std::mem::replace(slot, carry);
         if t == tag {
@@ -179,7 +176,7 @@ impl Cache {
     pub fn access(&mut self, addr: u64) -> bool {
         let (line, set) = self.locate(addr);
         let len = self.fill[set] as usize;
-        match access_mru(self.set_slots(set), len, line, line) {
+        match access_mru(self.set_slots(set), len, line) {
             Lookup::Hit => {
                 self.hits += 1;
                 return true;

@@ -544,7 +544,7 @@ impl<'p> Vm<'p> {
                     // it runs as its head `Load` and the unfused tail
                     // follows, so every failure, count and check lands
                     // where it does without the fusion.
-                    Op::CmpJump { a, b, cmp, target } => {
+                    Op::CmpJump { a, b, target } => {
                         let x = self.locals[locals_base + a as usize];
                         match (x, self.locals[locals_base + b as usize]) {
                             (Value::Int(x), Value::Int(y))
@@ -557,7 +557,7 @@ impl<'p> Vm<'p> {
                                 cost += u64::from(dop.extra);
                                 self.bytecodes += CMP_JUMP_SPAN as u64 - 1;
                                 // The target is forward: no back edge.
-                                next_pc = if cmp.holds(x, y) {
+                                next_pc = if x >= y {
                                     target as usize
                                 } else {
                                     pc + CMP_JUMP_SPAN

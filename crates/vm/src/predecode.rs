@@ -106,15 +106,13 @@ pub(crate) enum Op {
     },
     Return,
     ReturnVal,
-    /// Fused head of `Load a; Load b; <cmp>; JumpIf|JumpIfNot target`
-    /// with a forward target: jump to `target` when `cmp` holds for
-    /// locals `a` and `b` (a `JumpIfNot` is folded into the negated
-    /// comparison), else fall through past the span. When the span
-    /// cannot run whole, the op runs as its head `Load a`.
+    /// Fused head of `Load a; Load b; Ge; JumpIf target` with a forward
+    /// target, `for_loop`'s exit test: jump to `target` when local `a`
+    /// is at least local `b`, else fall through past the span. When the
+    /// span cannot run whole, the op runs as its head `Load a`.
     CmpJump {
         a: u32,
         b: u32,
-        cmp: Cmp,
         target: u32,
     },
     /// Fused head of `Load l; Const k; Add; Store l; Jump target`: add
@@ -130,57 +128,6 @@ pub(crate) enum Op {
     /// the engine reinstalls baseline code and re-enters the frame at
     /// the same bytecode. Never emitted for baseline or opt code.
     Deopt,
-}
-
-/// The integer comparison of a fused [`Op::CmpJump`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cmp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl Cmp {
-    /// The comparison a comparison op computes, if `op` is one.
-    fn of(op: Op) -> Option<Cmp> {
-        Some(match op {
-            Op::Eq => Cmp::Eq,
-            Op::Ne => Cmp::Ne,
-            Op::Lt => Cmp::Lt,
-            Op::Le => Cmp::Le,
-            Op::Gt => Cmp::Gt,
-            Op::Ge => Cmp::Ge,
-            _ => return None,
-        })
-    }
-
-    /// The comparison that holds exactly when `self` does not.
-    fn negate(self) -> Cmp {
-        match self {
-            Cmp::Eq => Cmp::Ne,
-            Cmp::Ne => Cmp::Eq,
-            Cmp::Lt => Cmp::Ge,
-            Cmp::Le => Cmp::Gt,
-            Cmp::Gt => Cmp::Le,
-            Cmp::Ge => Cmp::Lt,
-        }
-    }
-
-    /// Whether `a <cmp> b` holds.
-    #[inline(always)]
-    pub(crate) fn holds(self, a: i64, b: i64) -> bool {
-        match self {
-            Cmp::Eq => a == b,
-            Cmp::Ne => a != b,
-            Cmp::Lt => a < b,
-            Cmp::Le => a <= b,
-            Cmp::Gt => a > b,
-            Cmp::Ge => a >= b,
-        }
-    }
 }
 
 /// Bytecodes an [`Op::CmpJump`] span holds.
@@ -461,24 +408,19 @@ fn fuse(ops: &mut [DecodedOp]) {
 }
 
 /// The fused op and span length for a span starting at `pc` with the ops
-/// `span`, if they form `Load a; Load b; <cmp>; JumpIf|JumpIfNot t` with
-/// `t` past the branch, or `Load l; Const k; Add; Store l; Jump t` with
-/// `k` in `i32`.
+/// `span`, if they form `Load a; Load b; Ge; JumpIf t` with `t` past the
+/// branch, or `Load l; Const k; Add; Store l; Jump t` with `k` in `i32`:
+/// the two sequences `for_loop` emits. No other comparison is fused: no
+/// benchmark program runs a two-local compare-and-branch but this one.
 fn fused_head(span: &[DecodedOp], pc: usize) -> Option<(Op, usize)> {
     let op = |i: usize| span.get(i).map(|d| d.op);
     let Op::Load(a) = op(0)? else {
         return None;
     };
     match (op(1)?, op(2)?, op(3)?) {
-        (Op::Load(b), cmp, jump) => {
-            let cmp = Cmp::of(cmp)?;
-            let (cmp, target) = match jump {
-                Op::JumpIf(t) => (cmp, t),
-                Op::JumpIfNot(t) => (cmp.negate(), t),
-                _ => return None,
-            };
+        (Op::Load(b), Op::Ge, Op::JumpIf(target)) => {
             let forward = target as usize >= pc + CMP_JUMP_SPAN;
-            forward.then_some((Op::CmpJump { a, b, cmp, target }, CMP_JUMP_SPAN))
+            forward.then_some((Op::CmpJump { a, b, target }, CMP_JUMP_SPAN))
         }
         (Op::Const(k), Op::Add, Op::Store(l)) if l == a => {
             let Op::Jump(target) = op(4)? else {
@@ -621,11 +563,11 @@ mod tests {
         let d = decode(&p, &code, None);
         for (bc, op) in d.ops.iter().enumerate() {
             match op.op {
-                Op::CmpJump { a, b, cmp, target } => {
+                Op::CmpJump { a, b, target } => {
                     // for_loop's head: `Load i; Load n; Ge; JumpIf exit`.
                     assert_eq!(body[bc], Instr::Load(a as u16));
                     assert_eq!(body[bc + 1], Instr::Load(b as u16));
-                    assert_eq!((body[bc + 2], cmp), (Instr::Ge, Cmp::Ge));
+                    assert_eq!(body[bc + 2], Instr::Ge);
                     assert_eq!(body[bc + 3], Instr::JumpIf(target));
                 }
                 Op::AddJump { local, k, target } => {
@@ -652,13 +594,13 @@ mod tests {
             let d = decode(&p, &code, None);
             d.ops.iter().map(|o| o.op).collect::<Vec<_>>()
         };
-        // A `JumpIfNot` folds into the negated comparison.
+        // A forward `Ge; JumpIf` fuses.
         let ops = build(&|m| {
             let out = m.label();
             m.load(0);
             m.load(1);
-            m.lt();
-            m.jump_if_not(out);
+            m.ge();
+            m.jump_if(out);
             m.bind(out);
         });
         assert_eq!(
@@ -666,17 +608,16 @@ mod tests {
             Op::CmpJump {
                 a: 0,
                 b: 1,
-                cmp: Cmp::Ge,
                 target: 4
             }
         );
-        // A backward compare-and-branch stays unfused.
+        // A backward one stays unfused.
         let ops = build(&|m| {
             let top = m.label();
             m.bind(top);
             m.load(0);
             m.load(1);
-            m.lt();
+            m.ge();
             m.jump_if(top);
         });
         assert_eq!(ops[0], Op::Load(0));
