@@ -296,7 +296,6 @@ impl HpmRuntime {
             opt_cc: self.config.vm.opt_compile_cycles_per_bc,
             last_poll_cycles: None,
             revert_ctx: BTreeMap::new(),
-            samples_scratch: Vec::with_capacity(self.config.hpm.buffer_capacity),
         };
 
         // Warm-start the tier decisions too: hot methods from the prior
@@ -578,10 +577,6 @@ struct Hooks {
     /// when the matching `Reverted` policy event is exported into the
     /// provenance trail.
     revert_ctx: BTreeMap<ClassId, FeedbackChain>,
-    /// Reusable poll-drain buffer: cleared and refilled by
-    /// `HpmSystem::poll_into` each poll, so the per-poll hot path never
-    /// allocates.
-    samples_scratch: Vec<hpmopt_hpm::Sample>,
 }
 
 impl Hooks {
@@ -638,12 +633,10 @@ impl RuntimeHooks for Hooks {
         self.monitor.register_artifact(program, code);
         let (tier, per_bc) = match code.tier {
             Tier::Baseline => {
-                self.telemetry.incr(MetricId::VmCompilesBaseline);
                 self.telemetry.incr(MetricId::JitCompilesBaseline);
                 ("baseline", self.baseline_cc)
             }
             Tier::Opt => {
-                self.telemetry.incr(MetricId::VmCompilesOpt);
                 self.telemetry.incr(MetricId::JitCompilesOpt);
                 ("opt", self.opt_cc)
             }
@@ -654,8 +647,6 @@ impl RuntimeHooks for Hooks {
         };
         // Mirror of what `Vm::install` charges for this compilation.
         let cost = per_bc * program.method(code.method).len() as u64;
-        self.telemetry
-            .observe(HistogramId::VmCompileCostCycles, cost);
         self.telemetry
             .observe(HistogramId::JitCompileCostCycles, cost);
         self.telemetry
@@ -771,9 +762,9 @@ impl Hooks {
         }
         self.last_poll_cycles = Some(cycles);
         let attributed_before = self.monitor.attribution().attributed;
-        self.samples_scratch.clear();
-        let mut cost = self.hpm.poll_into(cycles, &mut self.samples_scratch);
-        cost += self.monitor.process_batch(&self.samples_scratch, cycles);
+        let (batch, mut cost) = self.hpm.poll(cycles);
+        let drained = batch.len() as u64;
+        cost += self.monitor.process_batch(batch, cycles);
         // Every buffered sample has just drained, and the VM flushes its
         // access batch before any install or free, so each later sample
         // carries a PC in code that is live when it is captured: the
@@ -782,7 +773,7 @@ impl Hooks {
         self.telemetry.record(
             cycles,
             TraceKind::PollCompleted {
-                samples: self.samples_scratch.len() as u64,
+                samples: drained,
                 attributed: self.monitor.attribution().attributed - attributed_before,
             },
         );

@@ -1,27 +1,27 @@
 //! Hardware-performance-monitoring substrate: a precise event-based
-//! sampling (PEBS) unit, a perfmon-style kernel module, a user-space
-//! sample library, and the adaptive collector-thread model.
+//! sampling (PEBS) unit and the adaptive collector thread that drains
+//! its sample buffer.
 //!
-//! This crate reproduces the three-part monitoring system of Section 4.1:
+//! This crate reproduces the monitoring system of Section 4.1:
 //!
 //! 1. **[`pebs::PebsUnit`]** — the "hardware": counts occurrences of one
 //!    selected event ([`hpmopt_memsim::EventKind`]; the P4 samples one
 //!    event at a time), and every *n*-th occurrence captures a 40-byte
-//!    sample (PC, data address, register snapshot) into a kernel-supplied
+//!    sample (PC, data address, register snapshot) into the kernel
 //!    buffer via a microcode routine whose cost is charged to the clock.
 //!    The interval's low-order 8 bits are re-randomized after every sample
 //!    to avoid biased sampling (Section 6.1).
-//! 2. **[`kernel::PerfmonModule`]** — the kernel module: owns the sample
-//!    buffer, raises an interrupt flag when the buffer reaches its fill
-//!    mark, and copies samples out to user space on request.
-//! 3. **[`userlib::UserBuffer`]** + **[`collector::CollectorThread`]** —
-//!    the native library's pre-allocated transfer array and the Java
-//!    collector thread that polls it, with the polling period adapted
-//!    between 10 ms and 1000 ms from the observed buffer fill.
+//! 2. **[`collector::CollectorThread`]** — the Java collector thread
+//!    that polls the buffer, with the polling period adapted between
+//!    10 ms and 1000 ms from the observed buffer fill.
 //!
-//! [`HpmSystem`] wires the parts together behind two calls the VM hooks
+//! [`HpmSystem`] wires the two together behind two calls the VM hooks
 //! invoke: [`HpmSystem::on_event`] per memory access and
-//! [`HpmSystem::poll`] on the simulated timer.
+//! [`HpmSystem::poll`] on the simulated timer. It also plays the kernel
+//! module and the native transfer library, whose costs are constants:
+//! the buffer raises the poll interrupt at [`INTERRUPT_MARK_PCT`] of its
+//! capacity, and each poll charges [`POLL_BASE_CYCLES`] plus
+//! [`COPY_CYCLES_PER_BYTE`] per byte of every drained sample.
 //!
 //! # Example
 //!
@@ -43,14 +43,10 @@
 //! ```
 
 pub mod collector;
-pub mod kernel;
 pub mod pebs;
-pub mod userlib;
 
 pub use collector::CollectorThread;
-pub use kernel::PerfmonModule;
 pub use pebs::{PebsUnit, Sample, SAMPLE_BYTES};
-pub use userlib::UserBuffer;
 
 use hpmopt_memsim::{AccessOutcome, EventKind};
 use hpmopt_telemetry::{HistogramId, MetricId, Telemetry, TraceKind};
@@ -59,6 +55,20 @@ use hpmopt_telemetry::{HistogramId, MetricId, Telemetry, TraceKind};
 /// sample runs one microcode routine that stores it to the buffer
 /// (Section 4.1).
 pub const MICROCODE_CYCLES: u64 = 250;
+
+/// Buffer fill (percent of capacity) that raises the poll interrupt:
+/// "an interrupt is generated only when this buffer is filled to a
+/// specified mark" (Section 4.1).
+pub const INTERRUPT_MARK_PCT: usize = 90;
+
+/// Fixed cycles per poll: the system call into the kernel module and
+/// the JNI crossing back into the collector thread.
+pub const POLL_BASE_CYCLES: u64 = 400;
+
+/// Cycles per byte of the bulk copy that moves a drained batch from the
+/// kernel buffer into the library's pre-allocated transfer array
+/// (Section 4.1).
+pub const COPY_CYCLES_PER_BYTE: u64 = 1;
 
 /// How the sampling interval is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,8 +157,11 @@ pub struct HpmStats {
 #[derive(Debug, Clone)]
 pub struct HpmSystem {
     config: HpmConfig,
-    kernel: PerfmonModule,
-    user: UserBuffer,
+    unit: PebsUnit,
+    /// The batch the last poll drained. Each poll swaps it with the
+    /// unit's buffer, so the samples move without a copy and both
+    /// buffers keep their storage.
+    drained: Vec<Sample>,
     thread: CollectorThread,
     stats: HpmStats,
     /// Events seen since the last rate adaptation.
@@ -169,8 +182,8 @@ impl HpmSystem {
             SamplingInterval::Auto { .. } => 100_000,
         };
         HpmSystem {
-            kernel: PerfmonModule::new(initial_interval, config.seed, config.buffer_capacity),
-            user: UserBuffer::new(config.buffer_capacity),
+            unit: PebsUnit::new(initial_interval, config.seed, config.buffer_capacity),
+            drained: Vec::with_capacity(config.buffer_capacity),
             thread: CollectorThread::new(config.cpu_hz),
             stats: HpmStats::default(),
             events_in_window: 0,
@@ -228,13 +241,9 @@ impl HpmSystem {
         self.stats.events += 1;
         self.events_in_window += 1;
         self.telemetry.incr(MetricId::HpmEvents);
-        if self
-            .kernel
-            .unit_mut()
-            .observe(pc, data_addr, self.config.event, cycles)
-        {
+        if self.unit.observe(pc, data_addr, self.config.event, cycles) {
             self.stats.samples += 1;
-            self.stats.dropped = self.kernel.unit().dropped();
+            self.stats.dropped = self.unit.dropped();
             self.stats.sampling_cycles += MICROCODE_CYCLES;
             self.telemetry.incr(MetricId::HpmSamplesGenerated);
             MICROCODE_CYCLES
@@ -243,46 +252,39 @@ impl HpmSystem {
         }
     }
 
-    /// Whether the collector thread's timer has expired (or the kernel
-    /// buffer raised its overflow interrupt).
+    /// Whether the collector thread's timer has expired or the buffer
+    /// reached its [`INTERRUPT_MARK_PCT`] fill mark.
     #[must_use]
     pub fn poll_due(&self, cycles: u64) -> bool {
-        self.enabled() && (self.thread.due(cycles) || self.kernel.interrupt_pending())
+        let mark = (self.config.buffer_capacity * INTERRUPT_MARK_PCT / 100).max(1);
+        self.enabled() && (self.thread.due(cycles) || self.unit.buffered() >= mark)
     }
 
-    /// Run one collector-thread poll: drain the kernel buffer through the
-    /// user-space array, adapt the polling period and (in auto mode) the
-    /// sampling interval. Returns the drained samples and the cycles the
-    /// copying cost.
+    /// Run one collector-thread poll: drain the PEBS buffer, adapt the
+    /// polling period and (in auto mode) the sampling interval. Returns
+    /// the drained samples, in capture order, and the cycles the poll
+    /// cost.
     ///
-    /// Convenience wrapper over [`HpmSystem::poll_into`]; hot loops
-    /// should hold a reusable scratch vector and call that instead.
-    pub fn poll(&mut self, cycles: u64) -> (Vec<Sample>, u64) {
-        let mut out = Vec::new();
-        let cost = self.poll_into(cycles, &mut out);
-        (out, cost)
-    }
-
-    /// [`HpmSystem::poll`], appending the drained samples to `out`
-    /// instead of allocating. Every buffer on the path — the kernel
-    /// buffer, the user-space transfer array, and `out` — retains its
-    /// storage, so a steady-state poll loop is allocation-free.
-    pub fn poll_into(&mut self, cycles: u64, out: &mut Vec<Sample>) -> u64 {
+    /// The batch changes hands by swapping the unit's buffer with the
+    /// one the previous poll returned: no sample is copied and neither
+    /// buffer reallocates, so a steady-state poll loop is
+    /// allocation-free. The batch stays readable until the next poll.
+    pub fn poll(&mut self, cycles: u64) -> (&[Sample], u64) {
         if !self.enabled() {
-            return 0;
+            return (&[], 0);
         }
         self.stats.polls += 1;
-        let fill_pct = self.kernel.fill_pct();
-        let copied = self.kernel.read_samples(&mut self.user);
-        let cost = self.user.copy_cost_cycles(copied);
+        let fill_pct = (self.unit.buffered() * 100 / self.unit.capacity().max(1)) as u8;
+        self.unit.swap_buffer(&mut self.drained);
+        let drained = self.drained.len() as u64;
+        let cost = POLL_BASE_CYCLES + drained * SAMPLE_BYTES * COPY_CYCLES_PER_BYTE;
         self.stats.copy_cycles += cost;
         self.thread.after_poll(fill_pct, cycles);
 
         self.telemetry.incr(MetricId::HpmPolls);
+        self.telemetry.add(MetricId::HpmSamplesDrained, drained);
         self.telemetry
-            .add(MetricId::HpmSamplesDrained, copied as u64);
-        self.telemetry
-            .observe(HistogramId::HpmPollBatchSamples, copied as u64);
+            .observe(HistogramId::HpmPollBatchSamples, drained);
         let dropped_since = self.stats.dropped - self.dropped_at_last_poll;
         if dropped_since > 0 {
             self.telemetry.incr(MetricId::HpmBufferOverflows);
@@ -306,15 +308,14 @@ impl HpmSystem {
                 let events_per_sec = self.events_in_window as f64 / seconds;
                 let ideal = events_per_sec / target_per_sec as f64;
                 let clamped = ideal.clamp(256.0, 5_000_000.0) as u64;
-                self.kernel.unit_mut().set_interval(clamped);
+                self.unit.set_interval(clamped);
             }
             self.window_start_cycles = cycles;
             self.events_in_window = 0;
         }
         self.telemetry
             .set_gauge(MetricId::HpmSamplingInterval, self.current_interval());
-        self.user.drain_into(out);
-        cost
+        (&self.drained, cost)
     }
 
     /// The collector-thread timer (for period/next-deadline inspection).
@@ -326,7 +327,7 @@ impl HpmSystem {
     /// The sampling interval currently in force (post-adaptation).
     #[must_use]
     pub fn current_interval(&self) -> u64 {
-        self.kernel.unit().interval()
+        self.unit.interval()
     }
 
     /// Advance the code epoch stamped into subsequently captured samples.
@@ -335,13 +336,13 @@ impl HpmSystem {
     /// already buffered keep their capture-time stamp, which is what lets
     /// attribution detect them as stale.
     pub fn set_code_epoch(&mut self, epoch: u64) {
-        self.kernel.unit_mut().set_code_epoch(epoch);
+        self.unit.set_code_epoch(epoch);
     }
 
     /// The code epoch currently stamped into new samples.
     #[must_use]
     pub fn code_epoch(&self) -> u64 {
-        self.kernel.unit().code_epoch()
+        self.unit.code_epoch()
     }
 
     /// Monitoring statistics.
@@ -425,6 +426,59 @@ mod tests {
         assert!(cost > 0);
         let (again, _) = hpm.poll(2_000_000);
         assert!(again.is_empty(), "buffer was drained");
+    }
+
+    #[test]
+    fn interrupt_fires_at_mark() {
+        let mut hpm = HpmSystem::new(HpmConfig {
+            interval: SamplingInterval::Fixed(1),
+            buffer_capacity: 10,
+            ..HpmConfig::default()
+        });
+        for i in 0..8u64 {
+            hpm.on_event(0x4000_0000 + i, i, &miss(), i);
+        }
+        assert!(!hpm.poll_due(8), "8 < mark of 9");
+        hpm.on_event(0x4000_0008, 8, &miss(), 8);
+        assert!(hpm.poll_due(9));
+    }
+
+    #[test]
+    fn copy_cost_scales_with_batch() {
+        let mut hpm = HpmSystem::new(HpmConfig {
+            interval: SamplingInterval::Fixed(1),
+            ..HpmConfig::default()
+        });
+        assert_eq!(hpm.poll(0).1, 400, "an empty poll pays the base cost");
+        for i in 0..5u64 {
+            hpm.on_event(0x4000_0000 + i, i, &miss(), i);
+        }
+        assert_eq!(hpm.poll(10).1, 400 + 5 * 40, "one cycle per sample byte");
+        assert_eq!(hpm.stats().copy_cycles, 400 + 600);
+    }
+
+    #[test]
+    fn drain_empties_without_reallocating() {
+        let capacity = 64;
+        let mut hpm = HpmSystem::new(HpmConfig {
+            interval: SamplingInterval::Fixed(1),
+            buffer_capacity: capacity,
+            ..HpmConfig::default()
+        });
+        let mut storage = Vec::new();
+        for round in 0..4u64 {
+            for i in 0..=round {
+                hpm.on_event(0x4000_0000 + i, i, &miss(), round);
+            }
+            let (batch, _) = hpm.poll(round);
+            assert_eq!(batch.len() as u64, round + 1);
+            storage.push(batch.as_ptr());
+            // A buffer regrown from empty would hold only this batch.
+            assert!(hpm.drained.capacity() >= capacity, "round {round}");
+        }
+        // The PEBS buffer and the drained batch trade places each poll.
+        assert_eq!(storage[2], storage[0], "steady-state polls reuse storage");
+        assert_eq!(storage[3], storage[1], "steady-state polls reuse storage");
     }
 
     #[test]

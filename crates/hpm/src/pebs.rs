@@ -152,16 +152,13 @@ impl PebsUnit {
         self.dropped
     }
 
-    /// The buffered samples, in capture order (the kernel read window).
-    #[must_use]
-    pub fn samples(&self) -> &[Sample] {
-        &self.buffer
-    }
-
-    /// Clear the buffer after a kernel read. The backing storage is
-    /// retained, so steady-state sampling never reallocates.
-    pub fn clear(&mut self) {
-        self.buffer.clear();
+    /// Hand the buffered samples, in capture order, to a reader: the
+    /// unit's buffer and `batch` trade places, and the unit goes on
+    /// filling `batch`'s old storage, emptied first. No sample is copied
+    /// and neither buffer reallocates.
+    pub(crate) fn swap_buffer(&mut self, batch: &mut Vec<Sample>) {
+        batch.clear();
+        std::mem::swap(&mut self.buffer, batch);
     }
 }
 
@@ -230,8 +227,10 @@ mod tests {
         u.observe(1, 0, EventKind::L1DMiss, 0);
         u.set_code_epoch(3);
         u.observe(2, 0, EventKind::L1DMiss, 1);
-        assert_eq!(u.samples()[0].epoch, 0, "buffered samples keep their stamp");
-        assert_eq!(u.samples()[1].epoch, 3);
+        let mut batch = Vec::new();
+        u.swap_buffer(&mut batch);
+        assert_eq!(batch[0].epoch, 0, "buffered samples keep their stamp");
+        assert_eq!(batch[1].epoch, 3);
     }
 
     #[test]
@@ -242,8 +241,9 @@ mod tests {
         }
         assert_eq!(u.buffered(), 4);
         assert!(u.dropped() > 0);
-        assert_eq!(u.samples().len(), 4);
-        u.clear();
+        let mut batch = Vec::new();
+        u.swap_buffer(&mut batch);
+        assert_eq!(batch.len(), 4);
         assert_eq!(u.buffered(), 0);
     }
 }

@@ -25,7 +25,9 @@
 //! repository (capacity bytes / TTL in repository operations). With
 //! `--check`, `bench` exits 1 unless perturbation deltas are zero, warm
 //! jobs beat cold to the first decision, and (when the open-loop
-//! section ran) four virtual workers strictly outrun one.
+//! section ran) four virtual workers strictly outrun one. Both
+//! subcommands reject an unknown `--workloads` name while parsing: they
+//! name it, print the usage and exit 2 before any job runs.
 
 use std::process::ExitCode;
 
@@ -34,7 +36,7 @@ use hpmopt_serve::{
     run_bench, run_openloop, BenchConfig, JobSpec, OpenLoopConfig, Service, ServiceConfig,
     TenantCaps,
 };
-use hpmopt_workloads::Size;
+use hpmopt_workloads::{names, Size};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -74,12 +76,20 @@ fn parse_size(v: &str) -> Option<Size> {
     }
 }
 
-fn parse_workloads(v: &str) -> Vec<String> {
-    v.split(',')
+/// Split a `--workloads` list; `None` (after naming the first unknown
+/// workload on stderr) if any entry is not a workload.
+fn parse_workloads(v: &str) -> Option<Vec<String>> {
+    let list: Vec<String> = v
+        .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .map(str::to_string)
-        .collect()
+        .collect();
+    if let Some(bad) = list.iter().find(|w| !names().contains(&w.as_str())) {
+        eprintln!("hpmopt-serve: unknown workload {bad:?}");
+        return None;
+    }
+    Some(list)
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -107,8 +117,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 Some(n) => tenants = n,
                 None => return usage(),
             },
-            "--workloads" => match take_value(args, &mut i) {
-                Some(v) => workloads = parse_workloads(v),
+            "--workloads" => match take_value(args, &mut i).and_then(parse_workloads) {
+                Some(w) => workloads = w,
                 None => return usage(),
             },
             "--size" => match take_value(args, &mut i).and_then(parse_size) {
@@ -220,8 +230,8 @@ fn cmd_bench(args: &[String]) -> ExitCode {
                 Some(n) => config.tenants = n,
                 None => return usage(),
             },
-            "--workloads" => match take_value(args, &mut i) {
-                Some(v) => config.workloads = parse_workloads(v),
+            "--workloads" => match take_value(args, &mut i).and_then(parse_workloads) {
+                Some(w) => config.workloads = w,
                 None => return usage(),
             },
             "--size" => match take_value(args, &mut i).and_then(parse_size) {

@@ -280,10 +280,11 @@ impl Inner {
         let stats = self.repo.stats();
         let t = &self.telemetry;
         t.set_gauge(MetricId::ServeRepoProfiles, self.repo.len() as u64);
+        // The repository's own counters are the only source of these
+        // three: they are monotonic, so raising to the latest reading
+        // counts each checkout, merge and eviction exactly once.
         t.set_gauge_max(MetricId::ServeRepoCheckouts, stats.checkouts);
         t.set_gauge_max(MetricId::ServeRepoMerges, stats.merges);
-        // RepoStats.evictions is already monotonic, so raising to the
-        // latest reading counts each eviction exactly once.
         t.set_gauge_max(MetricId::ServeRepoEvictions, stats.evictions);
     }
 }
@@ -294,10 +295,9 @@ fn worker_loop(inner: &Inner, worker: usize) {
         if claim == Claim::Stolen {
             t.incr(MetricId::ServeSteals);
         }
-        let checkout = spec.resolve().map(|w| {
-            t.incr(MetricId::ServeRepoCheckouts);
-            inner.repo.checkout(&fingerprint_of(&spec, &w))
-        });
+        let checkout = spec
+            .resolve()
+            .map(|w| inner.repo.checkout(&fingerprint_of(&spec, &w)));
         let run = run_job(
             &spec,
             checkout.flatten(),
@@ -307,7 +307,6 @@ fn worker_loop(inner: &Inner, worker: usize) {
 
         if let Some(fresh) = &run.fresh_profile {
             inner.repo.merge(fresh, inner.decay);
-            t.incr(MetricId::ServeRepoMerges);
         }
         t.absorb(&run.telemetry);
         t.incr(match run.outcome {
@@ -321,7 +320,6 @@ fn worker_loop(inner: &Inner, worker: usize) {
             } else {
                 MetricId::ServeColdJobs
             });
-            t.observe(HistogramId::ServeJobCycles, run.cycles);
             t.observe(HistogramId::ServeServiceCycles, run.cycles);
             if let Some(first) = run.first_decision_cycles {
                 t.observe(

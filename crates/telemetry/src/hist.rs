@@ -52,9 +52,6 @@ histograms! {
     GcMinorPauseCycles => "gc.minor_pause_cycles";
     GcMajorPauseCycles => "gc.major_pause_cycles";
 
-    // vm.*: per-compilation cost (simulated cycles).
-    VmCompileCostCycles => "vm.compile_cost_cycles";
-
     // jit.*: per-compilation cost by the tiered pipeline (all tiers;
     // the tier split lives in the jit.compiles.* counters).
     JitCompileCostCycles => "jit.compile_cost_cycles";
@@ -68,7 +65,6 @@ histograms! {
     // serve.*: per-job totals aggregated by the service — simulated
     // execution length and cycles-to-first-decision (the fleet
     // warm-start payoff metric, split by start temperature).
-    ServeJobCycles => "serve.job_cycles";
     ServeWarmFirstDecisionCycles => "serve.warm_first_decision_cycles";
     ServeColdFirstDecisionCycles => "serve.cold_first_decision_cycles";
     ServeQueueWaitCycles => "serve.queue_wait_cycles";

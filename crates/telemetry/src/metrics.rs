@@ -86,9 +86,7 @@ metrics! {
     GcPromotedBytes => ("gc.promoted_bytes", Counter);
     GcCoallocatedBytes => ("gc.coallocated_bytes", Counter);
 
-    // vm.*: compilations per tier and their simulated cost.
-    VmCompilesBaseline => ("vm.compiles.baseline", Counter);
-    VmCompilesOpt => ("vm.compiles.opt", Counter);
+    // vm.*: the simulated cost of all compilations.
     VmCompileCycles => ("vm.compile_cycles", Gauge);
 
     // jit.*: the tiered compilation pipeline and its bounded code cache.

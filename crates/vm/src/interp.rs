@@ -155,9 +155,13 @@ pub struct Vm<'p> {
     /// next tick (`u64::MAX` when neither is set). Set at run start and
     /// after each timer tick.
     clock_deadline: u64,
-    /// Bytecodes allowed before [`VmError::StepLimit`] (`u64::MAX` when
-    /// unlimited).
-    step_cap: u64,
+    /// The bytecode count at which the hooks' poll callback next runs.
+    next_poll: u64,
+    /// The first bytecode count at which the epilogue must take its
+    /// slow path for a poll or the step limit: the smaller of
+    /// [`Vm::next_poll`] and one past the step limit. Set at run start
+    /// and after each poll.
+    bytecode_deadline: u64,
     roots_scratch: Vec<Address>,
 }
 
@@ -220,7 +224,8 @@ impl<'p> Vm<'p> {
             batch_mach: 0,
             batch_width: BASELINE_ISSUE_WIDTH,
             clock_deadline: 0,
-            step_cap: config.step_limit.unwrap_or(u64::MAX),
+            next_poll: 0,
+            bytecode_deadline: 0,
             roots_scratch: Vec::with_capacity(64),
             program,
             config,
@@ -367,9 +372,10 @@ impl<'p> Vm<'p> {
     /// The fast engine: dispatch pre-decoded ops and batch each basic
     /// block's heap accesses through one hierarchy call.
     fn run_fast<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<(), VmError> {
-        let mut next_poll = POLL_EVERY_BYTECODES;
+        self.next_poll = POLL_EVERY_BYTECODES;
+        self.reset_bytecode_deadline();
         self.reset_clock_deadline();
-        let r = self.exec_fast(hooks, &mut next_poll);
+        let r = self.exec_fast(hooks);
         // Any exit — normal or error — drains the batch so the hooks see
         // every access that architecturally completed before the stop
         // point (an erroring op's dispatch cost is never charged, same
@@ -388,11 +394,7 @@ impl<'p> Vm<'p> {
     /// stops leave it in the backtrace), on a deopt, on a call (the
     /// caller's return pc), and when an op fails ([`Vm::fault`]).
     #[allow(clippy::too_many_lines)]
-    fn exec_fast<H: RuntimeHooks>(
-        &mut self,
-        hooks: &mut H,
-        next_poll: &mut u64,
-    ) -> Result<(), VmError> {
+    fn exec_fast<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<(), VmError> {
         'frames: while let Some(&frame) = self.frames.last() {
             let mi = frame.method.0 as usize;
             let method = frame.method;
@@ -453,7 +455,7 @@ impl<'p> Vm<'p> {
                                 self.flush_batch(hooks);
                                 self.install(method, Tier::Region, hooks);
                                 self.frames.last_mut().expect("running frame").pc = next_pc;
-                                self.epilogue(hooks, next_poll)?;
+                                self.epilogue(hooks)?;
                                 continue 'frames;
                             }
                         }
@@ -548,11 +550,8 @@ impl<'p> Vm<'p> {
                         let x = self.locals[locals_base + a as usize];
                         match (x, self.locals[locals_base + b as usize]) {
                             (Value::Int(x), Value::Int(y))
-                                if self.span_has_room(
-                                    CMP_JUMP_SPAN,
-                                    cost + u64::from(dop.extra),
-                                    *next_poll,
-                                ) =>
+                                if self
+                                    .span_has_room(CMP_JUMP_SPAN, cost + u64::from(dop.extra)) =>
                             {
                                 cost += u64::from(dop.extra);
                                 self.bytecodes += CMP_JUMP_SPAN as u64 - 1;
@@ -576,7 +575,6 @@ impl<'p> Vm<'p> {
                                     && self.span_has_room(
                                         ADD_JUMP_SPAN,
                                         cost + u64::from(dop.extra),
-                                        *next_poll,
                                     ) =>
                             {
                                 cost += u64::from(dop.extra);
@@ -776,14 +774,14 @@ impl<'p> Vm<'p> {
                         // new frame.
                         self.frames.last_mut().expect("caller frame").pc = next_pc;
                         self.push_frame(callee, argc as usize, frame_overhead)?;
-                        self.epilogue(hooks, next_poll)?;
+                        self.epilogue(hooks)?;
                         continue 'frames;
                     }
                     Op::Return => {
                         self.batch_mach += cost;
                         self.flush_batch(hooks);
                         self.pop_frame(None);
-                        self.epilogue(hooks, next_poll)?;
+                        self.epilogue(hooks)?;
                         continue 'frames;
                     }
                     Op::ReturnVal => {
@@ -791,7 +789,7 @@ impl<'p> Vm<'p> {
                         self.batch_mach += cost;
                         self.flush_batch(hooks);
                         self.pop_frame(Some(v));
-                        self.epilogue(hooks, next_poll)?;
+                        self.epilogue(hooks)?;
                         continue 'frames;
                     }
 
@@ -813,9 +811,9 @@ impl<'p> Vm<'p> {
 
                 self.batch_mach += cost;
                 pc = next_pc;
-                if self.count_bytecode(*next_poll) {
+                if self.count_bytecode() {
                     self.frames.last_mut().expect("running frame").pc = pc;
-                    if self.epilogue_slow(hooks, next_poll)? {
+                    if self.epilogue_slow(hooks)? {
                         // The running method was recompiled: refetch its
                         // decoded body (same bytecode indices, new costs).
                         continue 'frames;
@@ -842,13 +840,9 @@ impl<'p> Vm<'p> {
     /// `true` when a recompilation replaced a decoded body and the
     /// caller must refetch.
     #[inline(always)]
-    fn epilogue<H: RuntimeHooks>(
-        &mut self,
-        hooks: &mut H,
-        next_poll: &mut u64,
-    ) -> Result<bool, VmError> {
-        if self.count_bytecode(*next_poll) {
-            self.epilogue_slow(hooks, next_poll)
+    fn epilogue<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<bool, VmError> {
+        if self.count_bytecode() {
+            self.epilogue_slow(hooks)
         } else {
             Ok(false)
         }
@@ -861,10 +855,9 @@ impl<'p> Vm<'p> {
     /// `cycles + ceil(batch_mach / width)` from above, so the slow path
     /// runs on every bytecode where the budget or the timer could fire.
     #[inline(always)]
-    fn count_bytecode(&mut self, next_poll: u64) -> bool {
+    fn count_bytecode(&mut self) -> bool {
         self.bytecodes += 1;
-        self.bytecodes >= next_poll
-            || self.bytecodes > self.step_cap
+        self.bytecodes >= self.bytecode_deadline
             || self.cycles + self.batch_mach >= self.clock_deadline
     }
 
@@ -875,11 +868,19 @@ impl<'p> Vm<'p> {
     /// through the epilogue as usual.) `mach` bounds the block
     /// instructions retired by any of them.
     #[inline(always)]
-    fn span_has_room(&self, n: usize, mach: u64, next_poll: u64) -> bool {
-        let last_inner = self.bytecodes + n as u64 - 1;
-        last_inner < next_poll
-            && last_inner <= self.step_cap
+    fn span_has_room(&self, n: usize, mach: u64) -> bool {
+        self.bytecodes + n as u64 - 1 < self.bytecode_deadline
             && self.cycles + self.batch_mach + mach < self.clock_deadline
+    }
+
+    /// Recompute [`Vm::bytecode_deadline`] from the next poll and the
+    /// step limit.
+    fn reset_bytecode_deadline(&mut self) {
+        let past_limit = self
+            .config
+            .step_limit
+            .map_or(u64::MAX, |l| l.saturating_add(1));
+        self.bytecode_deadline = self.next_poll.min(past_limit);
     }
 
     /// Recompute [`Vm::clock_deadline`] from the cycle budget and the
@@ -898,12 +899,8 @@ impl<'p> Vm<'p> {
     /// timer.
     #[cold]
     #[inline(never)]
-    fn epilogue_slow<H: RuntimeHooks>(
-        &mut self,
-        hooks: &mut H,
-        next_poll: &mut u64,
-    ) -> Result<bool, VmError> {
-        if self.bytecodes > self.step_cap {
+    fn epilogue_slow<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<bool, VmError> {
+        if self.config.step_limit.is_some_and(|l| self.bytecodes > l) {
             return Err(VmError::StepLimit);
         }
         let mut refetch = false;
@@ -929,8 +926,9 @@ impl<'p> Vm<'p> {
                 }
             }
         }
-        if self.bytecodes >= *next_poll {
-            *next_poll = self.bytecodes + POLL_EVERY_BYTECODES;
+        if self.bytecodes >= self.next_poll {
+            self.next_poll = self.bytecodes + POLL_EVERY_BYTECODES;
+            self.reset_bytecode_deadline();
             self.flush_batch(hooks);
             let overhead = hooks.on_poll(self.program, self.cycles);
             self.cycles += overhead;

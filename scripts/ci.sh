@@ -22,8 +22,10 @@ echo "==> hot-path crates' tests in the debug profile (debug asserts and overflo
 # Every other test step builds --release, which compiles out the
 # debug_assert! checks (heap bounds, array indices, access widths) and
 # integer-overflow checks; this step runs the crates under the dispatch
-# loop with both on.
-cargo test -q -p hpmopt-prim -p hpmopt-bytecode -p hpmopt-memsim -p hpmopt-gc -p hpmopt-jit -p hpmopt-vm
+# loop with both on. hpm is among them: every batch flush reports its
+# accesses to HpmSystem::on_event, and the PEBS countdown and the poll's
+# swapped buffers run there.
+cargo test -q -p hpmopt-prim -p hpmopt-bytecode -p hpmopt-memsim -p hpmopt-gc -p hpmopt-jit -p hpmopt-hpm -p hpmopt-vm
 
 echo "==> benchmark package: build and test perfbench"
 # perfbench is a package of its own that drives the system through public
