@@ -2664,7 +2664,7 @@ mod tests {
         use super::*;
         use crate::predecode::{ADD_JUMP_SPAN, CMP_JUMP_SPAN, SKIP_FUSION};
         use hpmopt_bytecode::{ClassId, FieldId, StaticId};
-        use hpmopt_prim::Rng;
+        use hpmopt_prim::{Fnv1a, Rng};
 
         /// Everything a run hands its hooks.
         #[derive(Debug, Default, PartialEq)]
@@ -2969,6 +2969,27 @@ mod tests {
             (unfused, heads, ran)
         }
 
+        /// A random tier-1, tier-2, plan and code-cache configuration for
+        /// `p`, with tier 2 on or off.
+        fn fusion_config(p: &Program, rng: &mut Rng, tier2: bool) -> VmConfig {
+            let mut cfg = VmConfig::test();
+            cfg.step_limit = None;
+            cfg.jit.tier1_enabled = rng.chance(70);
+            cfg.jit.sample_period_cycles = rng.range(200, 5_000);
+            cfg.jit.tier1_threshold = rng.range(1, 3) as u32;
+            cfg.jit.tier2_enabled = tier2;
+            cfg.jit.tier2_threshold = rng.range(5, 60);
+            if rng.chance(50) {
+                let all = (0..p.methods().len() as u32).map(MethodId).collect();
+                cfg.plan = Some(crate::CompilationPlan::new(all));
+            }
+            if rng.chance(50) {
+                // Bounded: every replaced artifact is retired.
+                cfg.jit.code_cache_capacity_bytes = Some(1 << rng.range(9, 20));
+            }
+            cfg
+        }
+
         #[test]
         fn fused_and_unfused_runs_are_indistinguishable() {
             let (mut heads, mut stops_inside, mut type_errors) = (0, 0, 0);
@@ -2976,21 +2997,7 @@ mod tests {
                 let mut rng = Rng::new(seed);
                 let p = fusion_program(&mut rng);
                 for tier2 in [false, true] {
-                    let mut cfg = VmConfig::test();
-                    cfg.step_limit = None;
-                    cfg.jit.tier1_enabled = rng.chance(70);
-                    cfg.jit.sample_period_cycles = rng.range(200, 5_000);
-                    cfg.jit.tier1_threshold = rng.range(1, 3) as u32;
-                    cfg.jit.tier2_enabled = tier2;
-                    cfg.jit.tier2_threshold = rng.range(5, 60);
-                    if rng.chance(50) {
-                        let all = (0..p.methods().len() as u32).map(MethodId).collect();
-                        cfg.plan = Some(crate::CompilationPlan::new(all));
-                    }
-                    if rng.chance(50) {
-                        // Bounded: every replaced artifact is retired.
-                        cfg.jit.code_cache_capacity_bytes = Some(1 << rng.range(9, 20));
-                    }
+                    let cfg = fusion_config(&p, &mut rng, tier2);
                     let what = format!("seed {seed}, tier2 {tier2}");
                     let (full, h, ran) = check(&p, &cfg, &what);
                     heads += h;
@@ -3026,5 +3033,89 @@ mod tests {
             assert!(stops_inside >= 64, "only {stops_inside} stops inside spans");
             assert!(type_errors > 0, "some loop local must hold a ref");
         }
+
+        /// Folds each hook call, tagged by kind, into one digest, in the
+        /// order the hooks see them.
+        struct Fold {
+            hash: Fnv1a,
+            accesses: u64,
+        }
+
+        impl Fold {
+            fn put(&mut self, tag: u64, fields: &[u64]) {
+                self.hash.write_u64(tag);
+                for &f in fields {
+                    self.hash.write_u64(f);
+                }
+            }
+        }
+
+        impl RuntimeHooks for Fold {
+            fn on_access(&mut self, ctx: &AccessContext) -> u64 {
+                self.accesses += 1;
+                let o = ctx.outcome;
+                let events =
+                    u64::from(o.l1_miss) | u64::from(o.l2_miss) << 1 | u64::from(o.dtlb_miss) << 2;
+                self.put(
+                    1,
+                    &[
+                        ctx.pc,
+                        ctx.addr.0,
+                        o.cycles,
+                        events,
+                        ctx.cycles,
+                        u64::from(ctx.method.0),
+                        u64::from(ctx.bytecode_index),
+                    ],
+                );
+                u64::from(o.l1_miss) * 3
+            }
+            fn on_poll(&mut self, _: &Program, cycles: u64) -> u64 {
+                self.put(2, &[cycles]);
+                7
+            }
+            fn on_compile(&mut self, _: &Program, code: &CompiledCode) {
+                self.put(
+                    3,
+                    &[u64::from(code.method.0), code.tier as u64, code.code_start],
+                );
+            }
+            fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
+                self.put(4, &[u64::from(ev.method.0), ev.tier as u64, cycles]);
+            }
+            fn on_deopt(&mut self, method: MethodId, _: Tier, cycles: u64) {
+                self.put(5, &[u64::from(method.0), cycles]);
+            }
+            fn on_gc(&mut self, _: &GcStats, cycles: u64) {
+                self.put(6, &[cycles]);
+            }
+        }
+
+        /// Every hook stamp of the 64 programs, with tier 2 off and on,
+        /// folded in order, and the access count. Recorded when the VM
+        /// still queued each block's accesses and reported them when the
+        /// block ended; playing each access as it issues moves none. In
+        /// the debug profile this also runs the stamp arithmetic with
+        /// overflow checks on.
+        #[test]
+        fn hook_stamps_are_pinned() {
+            let mut all = Fold {
+                hash: Fnv1a::new(),
+                accesses: 0,
+            };
+            for seed in 0..64u64 {
+                let mut rng = Rng::new(seed);
+                let p = fusion_program(&mut rng);
+                for tier2 in [false, true] {
+                    let cfg = fusion_config(&p, &mut rng, tier2);
+                    let mut vm = Vm::new(&p, cfg);
+                    let result = vm.run(&mut all).map(|_| ());
+                    let stop = u64::from(result.is_err());
+                    all.put(7, &[stop, vm.bytecodes, vm.cycles]);
+                }
+            }
+            assert_eq!((all.accesses, all.hash.finish()), PIN_FUSION_STAMPS);
+        }
+        const PIN_FUSION_STAMPS: (u64, u64) = (191_976, 903_826_823_057_487_741);
     }
 }
