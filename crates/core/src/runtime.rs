@@ -765,10 +765,10 @@ impl Hooks {
         let (batch, mut cost) = self.hpm.poll(cycles);
         let drained = batch.len() as u64;
         cost += self.monitor.process_batch(batch, cycles);
-        // Every buffered sample has just drained, and the VM flushes its
-        // access batch before any install or free, so each later sample
-        // carries a PC in code that is live when it is captured: the
-        // ranges retired so far can no longer be hit.
+        // Every buffered sample has just drained, and the VM reports
+        // each access as it issues, in code that is live then, so each
+        // later sample carries a PC in code that is live when it is
+        // captured: the ranges retired so far can no longer be hit.
         self.monitor.forget_retired();
         self.telemetry.record(
             cycles,

@@ -149,8 +149,6 @@ pub struct HpmStats {
     pub polls: u64,
     /// Cycles spent in the sampling microcode.
     pub sampling_cycles: u64,
-    /// Cycles spent copying samples to user space.
-    pub copy_cycles: u64,
 }
 
 /// The composed monitoring system.
@@ -278,7 +276,6 @@ impl HpmSystem {
         self.unit.swap_buffer(&mut self.drained);
         let drained = self.drained.len() as u64;
         let cost = POLL_BASE_CYCLES + drained * SAMPLE_BYTES * COPY_CYCLES_PER_BYTE;
-        self.stats.copy_cycles += cost;
         self.thread.after_poll(fill_pct, cycles);
 
         self.telemetry.incr(MetricId::HpmPolls);
@@ -454,7 +451,6 @@ mod tests {
             hpm.on_event(0x4000_0000 + i, i, &miss(), i);
         }
         assert_eq!(hpm.poll(10).1, 400 + 5 * 40, "one cycle per sample byte");
-        assert_eq!(hpm.stats().copy_cycles, 400 + 600);
     }
 
     #[test]

@@ -17,8 +17,7 @@ pub enum AccessKind {
     Write,
 }
 
-/// One queued access in a block batch (see
-/// [`MemoryHierarchy::access_batch`]).
+/// One access of a recorded block (see [`MemoryHierarchy::access_batch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchAccess {
     /// Byte address.
@@ -146,24 +145,30 @@ impl MemoryHierarchy {
         self.access_one(addr, size, kind, false)
     }
 
-    /// Play a block's accesses through the hierarchy in one call,
-    /// appending one [`AccessOutcome`] per access to `out` in order.
+    /// Play one access of a basic block through the hierarchy, with the
+    /// block latency model.
     ///
     /// Cache, TLB, and prefetcher state transitions — and every hit/miss
-    /// statistic — are byte-identical to issuing the same accesses through
-    /// [`MemoryHierarchy::access`] one at a time. The latency model is the
-    /// only difference: an access that hits both the DTLB and L1 charges
-    /// zero cycles, because within a block the out-of-order core overlaps
-    /// an L1 hit with the block's other instructions (whose dispatch
-    /// cycles the caller charges separately, including the memory
-    /// instruction itself). Any miss stalls the pipeline and pays the
-    /// same serial latency stack `access` charges.
+    /// statistic — are byte-identical to [`MemoryHierarchy::access`]. The
+    /// latency model is the only difference: an access that hits both
+    /// the DTLB and L1 charges zero cycles, because within a block the
+    /// out-of-order core overlaps an L1 hit with the block's other
+    /// instructions (whose dispatch cycles the caller charges
+    /// separately, including the memory instruction itself). Any miss
+    /// stalls the pipeline and pays the same serial latency stack
+    /// `access` charges.
+    #[inline]
+    pub fn access_pipelined(&mut self, addr: u64, size: u64, kind: AccessKind) -> AccessOutcome {
+        self.access_one(addr, size, kind, true)
+    }
+
+    /// Play a recorded block's accesses through
+    /// [`MemoryHierarchy::access_pipelined`] in order, appending one
+    /// [`AccessOutcome`] per access to `out`.
     pub fn access_batch(&mut self, batch: &[BatchAccess], out: &mut Vec<AccessOutcome>) {
-        out.extend(
-            batch
-                .iter()
-                .map(|b| self.access_one(b.addr, b.size, b.kind, true)),
-        );
+        for b in batch {
+            out.push(self.access_pipelined(b.addr, b.size, b.kind));
+        }
     }
 
     #[inline(always)]
@@ -203,7 +208,7 @@ impl MemoryHierarchy {
                 }
             }
         } else if pipelined && !out.dtlb_miss {
-            // Batched L1+TLB hit: fully overlapped, no stall.
+            // Pipelined L1+TLB hit: fully overlapped, no stall.
             out.cycles = 0;
         }
 

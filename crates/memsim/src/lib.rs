@@ -4,9 +4,9 @@
 //! Pentium 4 with a 16 KB L1 data cache, a 1 MB unified L2, 128-byte cache
 //! lines, a data TLB, and a hardware stream prefetcher. The simulator is
 //! the stand-in for the real memory system: every heap access the VM
-//! executes is played through [`MemoryHierarchy::access`], which returns
-//! the latency in cycles and the set of performance *events* (L1 miss,
-//! L2 miss, DTLB miss) the access raised. Those events are what the
+//! executes is played through [`MemoryHierarchy::access_pipelined`] as
+//! it issues, which returns the latency in cycles and the set of
+//! performance *events* (L1 miss, L2 miss, DTLB miss) the access raised. Those events are what the
 //! PEBS-style sampling unit in `hpmopt-hpm` samples.
 //!
 //! Everything is deterministic: same access stream, same outcomes.

@@ -12,7 +12,7 @@ use std::rc::Rc;
 use hpmopt_bytecode::Instr;
 use hpmopt_bytecode::{ElemKind, MethodId, Program};
 use hpmopt_gc::{Address, GcNeeded, GcStats, Heap};
-use hpmopt_memsim::{AccessKind, AccessOutcome, BatchAccess, MemStats, MemoryHierarchy};
+use hpmopt_memsim::{AccessKind, MemStats, MemoryHierarchy};
 
 use hpmopt_jit::{CodeCache, FreedRange, TierManager};
 
@@ -102,19 +102,6 @@ struct Frame {
     stack_base: usize,
 }
 
-/// Attribution metadata for one queued heap access, carried alongside
-/// the [`BatchAccess`] it describes until the batch is flushed.
-#[derive(Debug, Clone, Copy)]
-struct PendingMeta {
-    mem_pc: u64,
-    method: MethodId,
-    bc: u32,
-    /// Block machine instructions retired before this access issued,
-    /// used to reconstruct the access's serial cycle stamp at flush
-    /// time.
-    mach_before: u64,
-}
-
 /// The virtual machine.
 ///
 /// A `Vm` is not `Send`: its decoded bodies are shared through `Rc`, so
@@ -141,13 +128,15 @@ pub struct Vm<'p> {
     locals: Vec<Value>,
     stack: Vec<Value>,
     frames: Vec<Frame>,
-    batch_reqs: Vec<BatchAccess>,
-    batch_meta: Vec<PendingMeta>,
-    batch_outcomes: Vec<AccessOutcome>,
     /// Machine instructions retired by the current block, converted to
-    /// cycles (divided by [`Vm::batch_width`]) when the batch flushes.
+    /// cycles (divided by [`Vm::batch_width`]) when the block settles.
     batch_mach: u64,
-    /// Retirement width of the block's tier (set at frame entry; a batch
+    /// Latency and hook overhead of the current block's heap accesses,
+    /// added to the clock when the block settles.
+    batch_extra: u64,
+    /// Heap accesses the current block has issued.
+    batch_len: usize,
+    /// Retirement width of the block's tier (set at frame entry; a block
     /// never spans a control transfer, so it is single-tier).
     batch_width: u64,
     /// The first clock value at which the epilogue must look at the
@@ -168,7 +157,9 @@ pub struct Vm<'p> {
 /// How often (in bytecodes) the hooks' poll callback runs.
 const POLL_EVERY_BYTECODES: u64 = 4096;
 
-/// Maximum queued heap accesses before a batch is force-flushed.
+/// Heap accesses after which a block settles: a longer block settles
+/// before its next access, so its compute cycles are rounded up to whole
+/// cycles every 32 accesses.
 const BATCH_CAP: usize = 32;
 
 /// Maximum call depth: pushing a frame beyond it fails the run with
@@ -218,10 +209,9 @@ impl<'p> Vm<'p> {
             locals: Vec::new(),
             stack: Vec::new(),
             frames: Vec::new(),
-            batch_reqs: Vec::with_capacity(BATCH_CAP),
-            batch_meta: Vec::with_capacity(BATCH_CAP),
-            batch_outcomes: Vec::with_capacity(BATCH_CAP),
             batch_mach: 0,
+            batch_extra: 0,
+            batch_len: 0,
             batch_width: BASELINE_ISSUE_WIDTH,
             clock_deadline: 0,
             next_poll: 0,
@@ -292,10 +282,11 @@ impl<'p> Vm<'p> {
 
     /// Run the program to completion.
     ///
-    /// The engine executes pre-decoded bodies with inline caches and
-    /// block-batched memory simulation. The tests check it against the
-    /// per-step reference engine (`run_slow`): same outcome, bytecode
-    /// count and state digest.
+    /// The engine executes pre-decoded bodies with inline caches, plays
+    /// each heap access through the memory hierarchy as it issues and
+    /// charges each basic block's cycles when the block settles. The
+    /// tests check it against the per-step reference engine
+    /// (`run_slow`): same outcome, bytecode count and state digest.
     ///
     /// # Errors
     ///
@@ -321,9 +312,9 @@ impl<'p> Vm<'p> {
 
     /// The per-step reference engine, kept for the tests to compare
     /// [`Vm::run`] against: re-decode and re-cost every bytecode from the
-    /// artifact on each step, play every heap access through the
-    /// hierarchy immediately. Same semantics and digests as the fast
-    /// engine, unbatched cost accounting.
+    /// artifact on each step, charge every heap access its serial
+    /// latency. Same semantics and digests as the fast engine, per-step
+    /// cost accounting.
     #[cfg(test)]
     fn run_slow<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<(), VmError> {
         let mut next_poll = POLL_EVERY_BYTECODES;
@@ -369,18 +360,18 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
-    /// The fast engine: dispatch pre-decoded ops and batch each basic
-    /// block's heap accesses through one hierarchy call.
+    /// The fast engine: dispatch pre-decoded ops and settle each basic
+    /// block's cycles into the clock when it ends.
     fn run_fast<H: RuntimeHooks>(&mut self, hooks: &mut H) -> Result<(), VmError> {
         self.next_poll = POLL_EVERY_BYTECODES;
         self.reset_bytecode_deadline();
         self.reset_clock_deadline();
         let r = self.exec_fast(hooks);
-        // Any exit — normal or error — drains the batch so the hooks see
-        // every access that architecturally completed before the stop
-        // point (an erroring op's dispatch cost is never charged, same
-        // as the per-step engine).
-        self.flush_batch(hooks);
+        // Any exit — normal or error — settles the block, so the clock
+        // holds every cycle retired before the stop point (an erroring
+        // op's dispatch cost is never charged, same as the per-step
+        // engine).
+        self.settle_block();
         r
     }
 
@@ -452,7 +443,7 @@ impl<'p> Vm<'p> {
                             let (tgt, src) = (d.block_of[next_pc], d.block_of[pc]);
                             if self.tiers.record_back_edge(method, tgt, src) {
                                 self.batch_mach += cost;
-                                self.flush_batch(hooks);
+                                self.settle_block();
                                 self.install(method, Tier::Region, hooks);
                                 self.frames.last_mut().expect("running frame").pc = next_pc;
                                 self.epilogue(hooks)?;
@@ -588,13 +579,11 @@ impl<'p> Vm<'p> {
 
                     Op::New(class) => {
                         // Allocation can trigger a collection, which
-                        // flushes the memory hierarchy: drain the batch
-                        // first so queued accesses replay against pre-GC
-                        // cache state and pre-GC object addresses.
-                        self.flush_batch(hooks);
+                        // moves the clock: settle the block first.
+                        self.settle_block();
                         let obj = tri!(self.alloc_object_gc(class, hooks));
                         // Initializing the header touches the first line.
-                        self.queue_access(hooks, obj, 8, AccessKind::Write, dop.mem_pc, method, bc);
+                        self.access(hooks, obj, 8, AccessKind::Write, dop.mem_pc, method, bc);
                         self.stack.push(Value::Ref(obj));
                     }
                     Op::NewArray(kind) => {
@@ -602,9 +591,9 @@ impl<'p> Vm<'p> {
                         if len < 0 {
                             fail!(VmError::IndexOutOfBounds);
                         }
-                        self.flush_batch(hooks);
+                        self.settle_block();
                         let obj = tri!(self.alloc_array_gc(kind, len as u64, hooks));
-                        self.queue_access(hooks, obj, 8, AccessKind::Write, dop.mem_pc, method, bc);
+                        self.access(hooks, obj, 8, AccessKind::Write, dop.mem_pc, method, bc);
                         self.stack.push(Value::Ref(obj));
                     }
                     Op::GetField { offset, is_ref, ic } => {
@@ -614,7 +603,7 @@ impl<'p> Vm<'p> {
                         }
                         cost += self.field_ic_cost(mi, ic, dop.extra, obj);
                         let addr = self.heap.field_addr(obj, offset);
-                        self.queue_access(hooks, addr, 8, AccessKind::Read, dop.mem_pc, method, bc);
+                        self.access(hooks, addr, 8, AccessKind::Read, dop.mem_pc, method, bc);
                         let raw = self.heap.get_field(obj, offset);
                         self.stack.push(if is_ref {
                             Value::Ref(Address(raw))
@@ -630,15 +619,7 @@ impl<'p> Vm<'p> {
                         }
                         cost += self.field_ic_cost(mi, ic, dop.extra, obj);
                         let addr = self.heap.field_addr(obj, offset);
-                        self.queue_access(
-                            hooks,
-                            addr,
-                            8,
-                            AccessKind::Write,
-                            dop.mem_pc,
-                            method,
-                            bc,
-                        );
+                        self.access(hooks, addr, 8, AccessKind::Write, dop.mem_pc, method, bc);
                         let (raw, v_is_ref) = match v {
                             Value::Ref(a) => (a.0, true),
                             Value::Int(i) => (i as u64, false),
@@ -649,7 +630,7 @@ impl<'p> Vm<'p> {
                         self.heap.set_field(obj, offset, raw, v_is_ref);
                     }
                     Op::GetStatic { index, addr } => {
-                        self.queue_access(
+                        self.access(
                             hooks,
                             Address(addr),
                             8,
@@ -662,7 +643,7 @@ impl<'p> Vm<'p> {
                     }
                     Op::PutStatic { index, addr } => {
                         let v = tri!(self.pop());
-                        self.queue_access(
+                        self.access(
                             hooks,
                             Address(addr),
                             8,
@@ -684,7 +665,7 @@ impl<'p> Vm<'p> {
                             fail!(VmError::IndexOutOfBounds);
                         }
                         let addr = self.heap.elem_addr(arr, kind, idx as u64);
-                        self.queue_access(
+                        self.access(
                             hooks,
                             addr,
                             kind.width(),
@@ -717,7 +698,7 @@ impl<'p> Vm<'p> {
                             _ => fail!(VmError::TypeMismatch),
                         };
                         let addr = self.heap.elem_addr(arr, kind, idx as u64);
-                        self.queue_access(
+                        self.access(
                             hooks,
                             addr,
                             kind.width(),
@@ -734,7 +715,7 @@ impl<'p> Vm<'p> {
                             fail!(VmError::NullPointer);
                         }
                         // The length lives in the header line.
-                        self.queue_access(hooks, arr, 8, AccessKind::Read, dop.mem_pc, method, bc);
+                        self.access(hooks, arr, 8, AccessKind::Read, dop.mem_pc, method, bc);
                         self.stack.push(Value::Int(self.heap.array_len(arr) as i64));
                     }
                     Op::IsNull => {
@@ -748,10 +729,10 @@ impl<'p> Vm<'p> {
                     }
 
                     Op::Call { callee, argc, ic } => {
-                        // A call ends the block: drain the batch so the
-                        // callee (and a possible first-call compile) see
-                        // a settled clock.
-                        self.flush_batch(hooks);
+                        // A call ends the block: settle it so the callee
+                        // (and a possible first-call compile) see a
+                        // settled clock.
+                        self.settle_block();
                         self.ensure_compiled(callee, hooks);
                         let mut frame_overhead = CALL_OVERHEAD_CYCLES;
                         if self.config.inline_caches {
@@ -779,7 +760,7 @@ impl<'p> Vm<'p> {
                     }
                     Op::Return => {
                         self.batch_mach += cost;
-                        self.flush_batch(hooks);
+                        self.settle_block();
                         self.pop_frame(None);
                         self.epilogue(hooks)?;
                         continue 'frames;
@@ -787,7 +768,7 @@ impl<'p> Vm<'p> {
                     Op::ReturnVal => {
                         let v = tri!(self.pop());
                         self.batch_mach += cost;
-                        self.flush_batch(hooks);
+                        self.settle_block();
                         self.pop_frame(Some(v));
                         self.epilogue(hooks)?;
                         continue 'frames;
@@ -799,7 +780,7 @@ impl<'p> Vm<'p> {
                         // baseline code), so no cost and no step count:
                         // drop the region artifact, reinstall baseline,
                         // and re-enter the frame at the same pc.
-                        self.flush_batch(hooks);
+                        self.settle_block();
                         self.deopts += 1;
                         self.tiers.deopt(method);
                         self.install(method, Tier::Baseline, hooks);
@@ -904,7 +885,7 @@ impl<'p> Vm<'p> {
             return Err(VmError::StepLimit);
         }
         let mut refetch = false;
-        let clock = self.cycles + self.batch_mach.div_ceil(self.batch_width);
+        let clock = self.cycles + self.block_cycles();
         if let Some(budget) = self.config.cycle_budget {
             if clock > budget {
                 return Err(VmError::CycleBudget);
@@ -919,8 +900,8 @@ impl<'p> Vm<'p> {
                 self.reset_clock_deadline();
                 if let Some(hot) = hot {
                     // Recompilation swaps the running artifact: settle
-                    // the batch so the install lands on an ordered clock.
-                    self.flush_batch(hooks);
+                    // the block so the install lands on an ordered clock.
+                    self.settle_block();
                     self.recompile(hot, hooks);
                     refetch = true;
                 }
@@ -929,7 +910,7 @@ impl<'p> Vm<'p> {
         if self.bytecodes >= self.next_poll {
             self.next_poll = self.bytecodes + POLL_EVERY_BYTECODES;
             self.reset_bytecode_deadline();
-            self.flush_batch(hooks);
+            self.settle_block();
             let overhead = hooks.on_poll(self.program, self.cycles);
             self.cycles += overhead;
             self.monitor_cycles += overhead;
@@ -963,10 +944,15 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Queue a heap access for the current block's batch.
+    /// Play a heap access through the hierarchy as it issues and report
+    /// it to the hooks, stamped with the serial clock after it: the
+    /// settled clock, the block's compute cycles so far, the latency and
+    /// overhead of the block's earlier accesses and its own latency.
+    /// Every path that moves [`Vm::cycles`] settles the block first, so
+    /// this is the stamp the block would give the access at its end.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn queue_access<H: RuntimeHooks>(
+    fn access<H: RuntimeHooks>(
         &mut self,
         hooks: &mut H,
         addr: Address,
@@ -976,74 +962,44 @@ impl<'p> Vm<'p> {
         method: MethodId,
         bc: u32,
     ) {
-        if self.batch_reqs.len() >= BATCH_CAP {
-            self.flush_batch(hooks);
+        if self.batch_len >= BATCH_CAP {
+            self.settle_block();
         }
-        self.batch_reqs.push(BatchAccess {
-            addr: addr.0,
-            size,
-            kind,
-        });
-        self.batch_meta.push(PendingMeta {
-            mem_pc,
+        self.batch_len += 1;
+        let outcome = self.mem.access_pipelined(addr.0, size, kind);
+        let ctx = AccessContext {
+            pc: mem_pc,
+            addr,
+            outcome,
+            cycles: self.cycles + self.block_cycles() + self.batch_extra + outcome.cycles,
             method,
-            bc,
-            mach_before: self.batch_mach,
-        });
+            bytecode_index: bc,
+        };
+        let overhead = hooks.on_access(&ctx);
+        self.monitor_cycles += overhead;
+        self.batch_extra += outcome.cycles + overhead;
     }
 
-    /// Drain the pending batch: replay it through the hierarchy in one
-    /// call, report every access to the hooks with a reconstructed
-    /// serial cycle stamp (block start + compute before the access +
-    /// latency and overhead of earlier batch entries + its own latency,
-    /// exactly the stamp the per-step engine would have produced), and
-    /// settle the block's compute cycles into the clock.
-    fn flush_batch<H: RuntimeHooks>(&mut self, hooks: &mut H) {
-        // Baseline code retires `BASELINE_ISSUE_WIDTH` instructions per
-        // cycle, opt and region code `OPT_ISSUE_WIDTH`. A constant
-        // divisor compiles each per-access division to a multiply.
+    /// The block's compute cycles so far, `ceil(batch_mach / width)`.
+    /// Baseline code retires `BASELINE_ISSUE_WIDTH` instructions per
+    /// cycle, opt and region code `OPT_ISSUE_WIDTH`. A constant divisor
+    /// compiles each division to a multiply.
+    #[inline(always)]
+    fn block_cycles(&self) -> u64 {
         match self.batch_width {
-            BASELINE_ISSUE_WIDTH => {
-                self.flush_batch_by(hooks, |m| m.div_ceil(BASELINE_ISSUE_WIDTH))
-            }
-            OPT_ISSUE_WIDTH => self.flush_batch_by(hooks, |m| m.div_ceil(OPT_ISSUE_WIDTH)),
+            BASELINE_ISSUE_WIDTH => self.batch_mach.div_ceil(BASELINE_ISSUE_WIDTH),
+            OPT_ISSUE_WIDTH => self.batch_mach.div_ceil(OPT_ISSUE_WIDTH),
             w => unreachable!("no tier retires {w} instructions per cycle"),
         }
     }
 
-    /// [`Vm::flush_batch`] with `cycles_of(n)` = `ceil(n / batch_width)`.
-    #[inline(always)]
-    fn flush_batch_by<H: RuntimeHooks>(&mut self, hooks: &mut H, cycles_of: impl Fn(u64) -> u64) {
-        let block_cycles = cycles_of(self.batch_mach);
-        if self.batch_reqs.is_empty() {
-            self.cycles += block_cycles;
-            self.batch_mach = 0;
-            return;
-        }
-        self.batch_outcomes.clear();
-        self.mem
-            .access_batch(&self.batch_reqs, &mut self.batch_outcomes);
-        let base = self.cycles;
-        let mut extra = 0u64;
-        for i in 0..self.batch_reqs.len() {
-            let meta = self.batch_meta[i];
-            let outcome = self.batch_outcomes[i];
-            let ctx = AccessContext {
-                pc: meta.mem_pc,
-                addr: Address(self.batch_reqs[i].addr),
-                outcome,
-                cycles: base + cycles_of(meta.mach_before) + extra + outcome.cycles,
-                method: meta.method,
-                bytecode_index: meta.bc,
-            };
-            let overhead = hooks.on_access(&ctx);
-            self.monitor_cycles += overhead;
-            extra += outcome.cycles + overhead;
-        }
-        self.cycles += block_cycles + extra;
+    /// Settle the block: add its compute cycles and its accesses'
+    /// latency and overhead to the clock, and start the next block.
+    fn settle_block(&mut self) {
+        self.cycles += self.block_cycles() + self.batch_extra;
         self.batch_mach = 0;
-        self.batch_reqs.clear();
-        self.batch_meta.clear();
+        self.batch_extra = 0;
+        self.batch_len = 0;
     }
 
     /// Build the summary for the current state (used by `run`, callable
@@ -2426,7 +2382,7 @@ mod tests {
         let programs = [
             polymorphic_field_site_program(),
             expr_program(|m| {
-                // Allocation churn so both engines cross GC and batching
+                // Allocation churn so both engines cross GC and block
                 // boundaries, not just arithmetic.
                 m.for_loop(
                     1,
@@ -2664,6 +2620,7 @@ mod tests {
         use super::*;
         use crate::predecode::{ADD_JUMP_SPAN, CMP_JUMP_SPAN, SKIP_FUSION};
         use hpmopt_bytecode::{ClassId, FieldId, StaticId};
+        use hpmopt_memsim::AccessOutcome;
         use hpmopt_prim::{Fnv1a, Rng};
 
         /// Everything a run hands its hooks.

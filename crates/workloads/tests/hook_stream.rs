@@ -137,7 +137,12 @@ fn planned_job_hook_streams_are_pinned() {
 }
 const PIN_JOBS: [(&str, u64, u64, u64); 4] = [
     ("db", 4_050_002, 7_721_571_326_599_026_012, 55_762_321),
-    ("lusearch", 1_429_850, 15_699_966_323_084_490_320, 24_131_227),
+    (
+        "lusearch",
+        1_429_850,
+        15_699_966_323_084_490_320,
+        24_131_227,
+    ),
     ("jess", 562_595, 9_866_770_674_219_749_318, 4_086_715),
     ("fop", 15_005, 12_083_843_626_163_771_719, 65_605),
 ];
