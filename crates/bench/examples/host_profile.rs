@@ -46,7 +46,7 @@ fn main() {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
-    use std::collections::{BTreeMap, HashSet};
+    use std::collections::{BTreeMap, BTreeSet, HashSet};
     use std::ffi::c_void;
     use std::io::Write;
     use std::process::{Command, Stdio};
@@ -70,6 +70,9 @@ mod sampler {
     /// Requested interval; the kernel rounds it up to its tick.
     const INTERVAL_US: i64 = 1_000;
 
+    // The process runs on one thread while the timer is armed, so the
+    // handler interrupts the thread that later reads these: relaxed
+    // accesses suffice.
     static PCS: [AtomicU64; CAPACITY] = [const { AtomicU64::new(0) }; CAPACITY];
     static TAKEN: AtomicUsize = AtomicUsize::new(0);
 
@@ -213,20 +216,26 @@ mod sampler {
         cfg
     }
 
-    /// The start address of this executable's mapping at file offset 0,
-    /// which `addr2line` addresses are relative to.
-    fn load_base(exe: &str) -> Result<u64, String> {
+    /// The address range this executable is mapped at: from its mapping
+    /// at file offset 0, which `addr2line` addresses are relative to, to
+    /// the end of its last mapping.
+    fn exe_range(exe: &str) -> Result<(u64, u64), String> {
         let maps = std::fs::read_to_string("/proc/self/maps").map_err(|e| e.to_string())?;
-        maps.lines()
-            .find_map(|l| {
-                let f: Vec<&str> = l.split_whitespace().collect();
-                if f.get(5) != Some(&exe) || f.get(2) != Some(&"00000000") {
-                    return None;
-                }
-                let start = f[0].split('-').next()?;
-                u64::from_str_radix(start, 16).ok()
-            })
-            .ok_or_else(|| format!("no mapping of {exe} in /proc/self/maps"))
+        let (mut base, mut end) = (None, 0);
+        for l in maps.lines() {
+            let f: Vec<&str> = l.split_whitespace().collect();
+            if f.get(5) != Some(&exe) {
+                continue;
+            }
+            let (lo, hi) = f[0].split_once('-').ok_or("bad /proc/self/maps line")?;
+            let parse = |x| u64::from_str_radix(x, 16).map_err(|e| e.to_string());
+            if f.get(2) == Some(&"00000000") {
+                base = Some(parse(lo)?);
+            }
+            end = end.max(parse(hi)?);
+        }
+        let base = base.ok_or_else(|| format!("no mapping of {exe} in /proc/self/maps"))?;
+        Ok((base, end))
     }
 
     /// One symbolized frame: function and source file.
@@ -245,25 +254,27 @@ mod sampler {
             .spawn()
             .map_err(|e| format!("addr2line: {e}"))?;
         let input: String = addrs.iter().map(|a| format!("{a:#x}\n")).collect();
-        child
-            .stdin
-            .take()
-            .expect("piped stdin")
-            .write_all(input.as_bytes())
-            .map_err(|e| format!("addr2line: {e}"))?;
+        // Feed the addresses from a second thread: with more than a pipe
+        // buffer of them, addr2line blocks on its output until it is read.
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        let feeder = std::thread::spawn(move || stdin.write_all(input.as_bytes()));
         let out = child
             .wait_with_output()
             .map_err(|e| format!("addr2line: {e}"))?;
+        feeder
+            .join()
+            .expect("the feeder thread does not panic")
+            .map_err(|e| format!("addr2line: {e}"))?;
         let text = String::from_utf8_lossy(&out.stdout);
         let mut all: Vec<Vec<Frame>> = Vec::new();
-        let mut lines = text.lines().peekable();
+        let mut lines = text.lines();
         while let Some(line) = lines.next() {
             if line.starts_with("0x") {
                 all.push(Vec::new());
             } else if let Some(frames) = all.last_mut() {
                 let file = lines.next().unwrap_or("??").to_string();
                 frames.push(Frame {
-                    function: strip_hash(line).to_string(),
+                    function: line.to_string(),
                     file,
                 });
             }
@@ -278,17 +289,10 @@ mod sampler {
         Ok(all)
     }
 
-    /// A demangled legacy symbol without its `::h<hash>` suffix.
-    fn strip_hash(f: &str) -> &str {
-        match f.rfind("::h") {
-            Some(i) if f.len() - i == 19 => &f[..i],
-            _ => f,
-        }
-    }
-
     /// The crate a source file belongs to: `crates/<name>/` in this
-    /// workspace, `library/<name>/` in the standard library (marked, as
-    /// the standard `core` is not this workspace's `core`).
+    /// workspace; `library/<name>/` or `deps/<name>/` in the standard
+    /// library (marked, as the standard `core` is not this workspace's
+    /// `core`); otherwise the file itself.
     fn crate_of(file: &str) -> String {
         let name = |root: &str| {
             let i = file.rfind(root)?;
@@ -296,12 +300,12 @@ mod sampler {
         };
         if let Some(c) = name("crates/") {
             c
-        } else if let Some(c) = name("library/") {
+        } else if let Some(c) = name("library/").or_else(|| name("deps/")) {
             format!("{c} (std)")
-        } else if file.contains("examples/") {
-            "this example".into()
-        } else {
+        } else if file.starts_with("??") {
             "? (no line info)".into()
+        } else {
+            file.split(':').next().unwrap_or(file).to_string()
         }
     }
 
@@ -331,11 +335,12 @@ mod sampler {
 
         let exe = std::env::current_exe().map_err(|e| e.to_string())?;
         let exe = exe.to_string_lossy().into_owned();
-        let base = load_base(&exe)?;
+        let (base, end) = exe_range(&exe)?;
+        let relative = |pc: u64| (base..end).contains(&pc).then(|| pc - base);
         let inside: Vec<u64> = pcs
             .iter()
-            .filter_map(|&pc| pc.checked_sub(base))
-            .collect::<HashSet<u64>>()
+            .filter_map(|&pc| relative(pc))
+            .collect::<BTreeSet<u64>>()
             .into_iter()
             .collect();
         let frames = symbolize(&exe, &inside)?;
@@ -344,8 +349,10 @@ mod sampler {
         let mut crates: BTreeMap<String, usize> = BTreeMap::new();
         let mut functions: BTreeMap<&str, usize> = BTreeMap::new();
         for &pc in &pcs {
-            let Some(fs) = pc.checked_sub(base).and_then(|r| by_addr.get(&r)) else {
-                *crates.entry("(outside the executable)".into()).or_default() += 1;
+            let Some(fs) = relative(pc).and_then(|r| by_addr.get(&r)) else {
+                *crates
+                    .entry("(outside the executable: libc, vdso)".into())
+                    .or_default() += 1;
                 continue;
             };
             let innermost = fs.first().map_or_else(|| "?".into(), |f| crate_of(&f.file));

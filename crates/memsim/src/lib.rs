@@ -6,8 +6,9 @@
 //! the stand-in for the real memory system: every heap access the VM
 //! executes is played through [`MemoryHierarchy::access_pipelined`] as
 //! it issues, which returns the latency in cycles and the set of
-//! performance *events* (L1 miss, L2 miss, DTLB miss) the access raised. Those events are what the
-//! PEBS-style sampling unit in `hpmopt-hpm` samples.
+//! performance *events* (L1 miss, L2 miss, DTLB miss) the access
+//! raised. Those events are what the PEBS-style sampling unit in
+//! `hpmopt-hpm` samples.
 //!
 //! Everything is deterministic: same access stream, same outcomes.
 //!

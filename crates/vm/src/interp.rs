@@ -3038,13 +3038,29 @@ mod tests {
                 );
             }
             fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
-                self.put(4, &[u64::from(ev.method.0), ev.tier as u64, cycles]);
+                self.put(
+                    4,
+                    &[
+                        u64::from(ev.method.0),
+                        ev.tier as u64,
+                        ev.code_start,
+                        ev.code_end,
+                        ev.epoch,
+                        u64::from(ev.evicted),
+                        ev.cache_bytes,
+                        cycles,
+                    ],
+                );
             }
-            fn on_deopt(&mut self, method: MethodId, _: Tier, cycles: u64) {
-                self.put(5, &[u64::from(method.0), cycles]);
+            fn on_deopt(&mut self, method: MethodId, from: Tier, cycles: u64) {
+                self.put(5, &[u64::from(method.0), from as u64, cycles]);
             }
             fn on_gc(&mut self, _: &GcStats, cycles: u64) {
                 self.put(6, &[cycles]);
+            }
+            fn on_exit(&mut self, _: &Program, cycles: u64) -> u64 {
+                self.put(7, &[cycles]);
+                0
             }
         }
 
@@ -3066,13 +3082,12 @@ mod tests {
                 for tier2 in [false, true] {
                     let cfg = fusion_config(&p, &mut rng, tier2);
                     let mut vm = Vm::new(&p, cfg);
-                    let result = vm.run(&mut all).map(|_| ());
-                    let stop = u64::from(result.is_err());
-                    all.put(7, &[stop, vm.bytecodes, vm.cycles]);
+                    let stop = u64::from(vm.run(&mut all).is_err());
+                    all.put(8, &[stop, vm.bytecodes, vm.cycles]);
                 }
             }
             assert_eq!((all.accesses, all.hash.finish()), PIN_FUSION_STAMPS);
         }
-        const PIN_FUSION_STAMPS: (u64, u64) = (191_976, 903_826_823_057_487_741);
+        const PIN_FUSION_STAMPS: (u64, u64) = (191_976, 7_793_587_721_790_093_786);
     }
 }

@@ -35,14 +35,6 @@ impl Fold {
     }
 }
 
-fn tier(t: Tier) -> u64 {
-    match t {
-        Tier::Baseline => 0,
-        Tier::Opt => 1,
-        Tier::Region => 2,
-    }
-}
-
 impl RuntimeHooks for Fold {
     fn on_access(&mut self, ctx: &AccessContext) -> u64 {
         self.accesses += 1;
@@ -70,7 +62,7 @@ impl RuntimeHooks for Fold {
     fn on_compile(&mut self, _: &Program, code: &CompiledCode) {
         self.put(
             3,
-            &[u64::from(code.method.0), tier(code.tier), code.code_start],
+            &[u64::from(code.method.0), code.tier as u64, code.code_start],
         );
     }
     fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
@@ -78,7 +70,7 @@ impl RuntimeHooks for Fold {
             4,
             &[
                 u64::from(ev.method.0),
-                tier(ev.tier),
+                ev.tier as u64,
                 ev.code_start,
                 ev.code_end,
                 ev.epoch,
@@ -89,7 +81,7 @@ impl RuntimeHooks for Fold {
         );
     }
     fn on_deopt(&mut self, method: MethodId, from: Tier, cycles: u64) {
-        self.put(5, &[u64::from(method.0), tier(from), cycles]);
+        self.put(5, &[u64::from(method.0), from as u64, cycles]);
     }
     fn on_gc(&mut self, _: &GcStats, cycles: u64) {
         self.put(6, &[cycles]);
