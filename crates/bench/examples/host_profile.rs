@@ -205,13 +205,7 @@ mod sampler {
             setup::run_config(w, a.size, heap, SamplingInterval::Off, false)
         };
         if a.tiered {
-            cfg.vm.plan = None;
-            cfg.vm.jit.tier1_enabled = true;
-            cfg.vm.jit.sample_period_cycles = 200_000;
-            cfg.vm.jit.tier1_threshold = 2;
-            cfg.vm.jit.tier2_enabled = true;
-            cfg.vm.jit.tier2_threshold = 64;
-            cfg.vm.jit.code_cache_capacity_bytes = Some(512);
+            setup::tiered(&mut cfg.vm);
         }
         cfg
     }

@@ -34,7 +34,7 @@ use hpmopt_stress::{run_shards, RunnerConfig};
 use hpmopt_telemetry::json::JsonWriter;
 use hpmopt_telemetry::read::{self, Value};
 use hpmopt_telemetry::{Telemetry, DEFAULT_TRACE_CAPACITY};
-use hpmopt_workloads::setup::{auto_interval, heap_config, run, run_config};
+use hpmopt_workloads::setup::{auto_interval, heap_config, run, run_config, tiered};
 use hpmopt_workloads::{by_name, Size, Workload};
 
 /// The fixed workload set a default trajectory measures.
@@ -212,15 +212,7 @@ pub fn measure_workload_tiered(name: &str, size: Size) -> WorkloadPoint {
     let (point, baseline, enabled) =
         measure_row(name, size, format!("{name}+tiered"), |w, heap| {
             let mut cfg = run_config(w, size, heap, auto_interval(), true);
-            cfg.vm.plan = None;
-            cfg.vm.jit.tier1_enabled = true;
-            cfg.vm.jit.sample_period_cycles = 200_000;
-            cfg.vm.jit.tier1_threshold = 2;
-            cfg.vm.jit.tier2_enabled = true;
-            cfg.vm.jit.tier2_threshold = 64;
-            // Well under the workload's code footprint: every compile must
-            // fight for space, so eviction and range reuse run constantly.
-            cfg.vm.jit.code_cache_capacity_bytes = Some(512);
+            tiered(&mut cfg.vm);
             cfg
         });
     assert_eq!(

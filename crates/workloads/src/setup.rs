@@ -117,6 +117,21 @@ pub fn run_config(
     }
 }
 
+/// Switch `vm` to the tiered-churn shape (the `jython+tiered`
+/// trajectory row and the jython-tiered benchmark): no plan, the
+/// tier-1 timer, back-edge tier 2, and a 512-byte code cache, well under
+/// any program's code footprint, so every compile must fight for space
+/// and eviction and range reuse run constantly.
+pub fn tiered(vm: &mut VmConfig) {
+    vm.plan = None;
+    vm.jit.tier1_enabled = true;
+    vm.jit.sample_period_cycles = 200_000;
+    vm.jit.tier1_threshold = 2;
+    vm.jit.tier2_enabled = true;
+    vm.jit.tier2_threshold = 64;
+    vm.jit.code_cache_capacity_bytes = Some(512);
+}
+
 /// The auto sampling mode at simulation scale.
 #[must_use]
 pub fn auto_interval() -> SamplingInterval {

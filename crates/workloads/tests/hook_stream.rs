@@ -142,13 +142,7 @@ const PIN_JOBS: [(&str, u64, u64, u64); 4] = [
 #[test]
 fn tiered_jython_hook_stream_is_pinned() {
     let (w, mut cfg) = job_config("jython");
-    cfg.plan = None;
-    cfg.jit.tier1_enabled = true;
-    cfg.jit.sample_period_cycles = 200_000;
-    cfg.jit.tier1_threshold = 2;
-    cfg.jit.tier2_enabled = true;
-    cfg.jit.tier2_threshold = 64;
-    cfg.jit.code_cache_capacity_bytes = Some(512);
+    setup::tiered(&mut cfg);
     let (s, got) = fold(&w.program, cfg);
     assert!(s.deopts > 0, "the stream covers deopts");
     assert!(s.code_evictions > 0, "the stream covers evictions");
