@@ -12,7 +12,7 @@
 //! ```text
 //! cargo run --release -p hpmopt-bench --example host_profile -- db small planned monitored 12
 //! cargo run --release -p hpmopt-bench --example host_profile -- lusearch tiny planned reference 80
-//! cargo run --release -p hpmopt-bench --example host_profile -- jython small tiered monitored 4
+//! cargo run --release -p hpmopt-bench --example host_profile -- jython small tiered monitored 100
 //! ```
 //!
 //! `planned` is the benchmark's pre-generated compilation plan
