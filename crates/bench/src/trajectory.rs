@@ -10,7 +10,7 @@
 //! compile/deopt/eviction churn is gated like any other cycle cost), a
 //! pinned stress-seed shard whose per-seed cycle counts come straight
 //! from the shard runner's summary data, and the serve open-loop row
-//! ([`hpmopt_serve::openloop::trajectory_point`]). Simulated cycles are
+//! ([`hpmopt_serve::bench::trajectory_point`]). Simulated cycles are
 //! deterministic, so the committed baseline (`BENCH_trajectory.json`)
 //! only changes when the code's cost model actually changes; wall time
 //! is recorded for context but never gated on.
@@ -29,7 +29,7 @@ use std::time::Instant;
 use hpmopt_core::runtime::{RunConfig, RunReport};
 use hpmopt_gc::{CollectorKind, HeapConfig};
 use hpmopt_hpm::SamplingInterval;
-use hpmopt_serve::openloop::{self, ServePoint};
+use hpmopt_serve::bench::{self, ServePoint};
 use hpmopt_stress::{run_shards, RunnerConfig};
 use hpmopt_telemetry::json::JsonWriter;
 use hpmopt_telemetry::read::{self, Value};
@@ -109,7 +109,7 @@ pub struct Trajectory {
     pub workloads: Vec<WorkloadPoint>,
     /// Per-seed stress points, in seed order.
     pub stress: Vec<StressPoint>,
-    /// Open-loop serve-bench rows ([`openloop::trajectory_point`]);
+    /// Open-loop serve-bench rows ([`bench::trajectory_point`]);
     /// empty when [`measure`] ran without the serve row.
     pub serve: Vec<ServePoint>,
 }
@@ -229,7 +229,7 @@ pub fn measure_workload_tiered(name: &str, size: Size) -> WorkloadPoint {
 /// Measure a full trajectory: every named workload at `size`, the
 /// pinned [`TIERED_WORKLOAD`] tiered-churn row, the pinned stress shard
 /// `0..seeds`, and, when `serve` is set, the serve open-loop row
-/// ([`openloop::trajectory_point`]).
+/// ([`bench::trajectory_point`]).
 ///
 /// # Panics
 ///
@@ -271,7 +271,7 @@ pub fn measure(workloads: &[String], size: Size, seeds: u64, serve: bool) -> Tra
         workloads: points,
         stress,
         serve: if serve {
-            vec![openloop::trajectory_point()]
+            vec![bench::trajectory_point()]
         } else {
             Vec::new()
         },

@@ -26,7 +26,7 @@
 //! frees has been resolved.
 
 use hpmopt_bytecode::MethodId;
-use hpmopt_vm::machine::{CompiledCode, Tier};
+use hpmopt_vm::{CompiledCode, Tier};
 
 /// Why a sample could not be attributed to a bytecode instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

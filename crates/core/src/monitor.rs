@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use hpmopt_bytecode::{ClassId, FieldId, MethodId, Program};
 use hpmopt_hpm::Sample;
 use hpmopt_telemetry::{MetricId, SampleWitness, Telemetry};
-use hpmopt_vm::machine::{CompiledCode, Tier};
+use hpmopt_vm::{CompiledCode, Tier};
 
 use crate::interest::{analyze_method, InterestMap};
 use crate::mapping::{ResolveFailure, SampleResolver};

@@ -227,7 +227,7 @@ mod tests {
     use hpmopt_hpm::Sample;
     use hpmopt_memsim::EventKind;
     use hpmopt_vm::compiler::compile;
-    use hpmopt_vm::machine::Tier;
+    use hpmopt_vm::Tier;
 
     fn setup() -> (hpmopt_bytecode::Program, FieldId, OnlineMonitor, u64) {
         let mut pb = ProgramBuilder::new();

@@ -14,14 +14,13 @@ use hpmopt_bytecode::{ClassId, FieldId, MethodId, Program};
 use hpmopt_gc::policy::{CoallocDecision, CoallocPolicy, NoCoalloc};
 use hpmopt_gc::GcStats;
 use hpmopt_hpm::{HpmConfig, HpmStats, HpmSystem};
-use hpmopt_profile::{ColdReason, LoadOutcome, Profile, ProfileStore};
+use hpmopt_profile::{ColdReason, LoadOutcome, Profile, ProfileStore, MERGE_DECAY};
 use hpmopt_telemetry::{
     CycleBuckets, DecisionRecord, FeedbackChain, HistogramId, MetricId, Telemetry, TraceKind,
 };
-use hpmopt_vm::machine::{CompiledCode, Tier};
 use hpmopt_vm::{
-    AccessContext, CancelToken, CodeRetired, CompilationPlan, RunSummary, RuntimeHooks, Vm,
-    VmConfig, VmError,
+    AccessContext, CancelToken, CodeRetired, CompilationPlan, CompiledCode, RunSummary,
+    RuntimeHooks, Tier, Vm, VmConfig, VmError,
 };
 
 use crate::feedback::{Assessor, FeedbackConfig, Verdict};
@@ -110,8 +109,6 @@ pub struct RunReport {
     /// Per-poll `(cycles, cumulative selected events)` — the global miss
     /// curve of Figure 7(b).
     pub event_series: Vec<(u64, u64)>,
-    /// The sampling interval in force at the end (after auto adaptation).
-    pub final_interval: u64,
     /// Whether a persisted profile warm-started this run.
     pub warm_start: bool,
     /// What *this* run measured (warm-start seeds subtracted), built
@@ -348,7 +345,7 @@ impl HpmRuntime {
                 if let Some(store) = &store {
                     let merged = match prior {
                         Some(mut p) => {
-                            p.merge_run(&fresh, self.config.profile.decay);
+                            p.merge_run(&fresh, MERGE_DECAY);
                             p
                         }
                         None => fresh.clone(),
@@ -391,7 +388,6 @@ impl HpmRuntime {
             decisions,
             series,
             event_series: hooks.event_series,
-            final_interval: hooks.hpm.current_interval(),
             warm_start,
             fresh_profile,
             result_digest,

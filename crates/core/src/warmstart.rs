@@ -26,9 +26,6 @@ pub struct ProfileOptions {
     /// Profile file to load at startup and save at shutdown; `None`
     /// disables persistence entirely (the paper's behavior).
     pub path: Option<PathBuf>,
-    /// Exponential decay applied to prior weights when merging this
-    /// run's measurements at shutdown (`weight = old * decay + fresh`).
-    pub decay: f64,
     /// Whether to persist the merged profile at shutdown. Disable for
     /// read-only consumers like the report tool's control run.
     pub save: bool,
@@ -52,7 +49,6 @@ impl Default for ProfileOptions {
     fn default() -> Self {
         ProfileOptions {
             path: None,
-            decay: 0.5,
             save: true,
             workload: String::new(),
             checkout: None,

@@ -8,7 +8,7 @@ use hpmopt_core::interest::analyze_method;
 use hpmopt_core::mapping::SampleResolver;
 use hpmopt_prim::Rng;
 use hpmopt_vm::compiler::compile;
-use hpmopt_vm::machine::Tier;
+use hpmopt_vm::Tier;
 
 /// Cases per property.
 const CASES: u64 = 256;

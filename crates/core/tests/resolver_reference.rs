@@ -13,7 +13,7 @@ use hpmopt_bytecode::{FieldType, MethodId, Program};
 use hpmopt_core::mapping::{ResolveFailure, ResolvedPc, SampleResolver};
 use hpmopt_prim::Rng;
 use hpmopt_vm::compiler::compile;
-use hpmopt_vm::machine::{CompiledCode, Tier};
+use hpmopt_vm::{CompiledCode, Tier};
 
 /// Seeded churn streams.
 const STREAMS: u64 = 64;

@@ -5,8 +5,8 @@
 //! resource:
 //!
 //! - [`code`] — the [`CompiledCode`] artifact and its machine-code map
-//!   ([`McMap`]), moved here from `hpmopt-vm::machine` so that both the
-//!   VM and the attribution pipeline depend on one definition.
+//!   ([`McMap`]), one definition for both the VM and the attribution
+//!   pipeline (the vm crate re-exports them at its root).
 //! - [`tier`] — the [`TierManager`], which replaces the old binary
 //!   baseline/opt adaptive-optimization split with execution-count-driven
 //!   tiers: a timer-sample threshold promotes a method to the optimizing

@@ -8,6 +8,8 @@
 //! - [`IntHasher`] (with [`IntMap`] and [`IntSet`]): the integer-key
 //!   hasher behind the collector's address maps and the state digest's
 //!   visit order.
+//! - [`pool`]: the indexed work-stealing pool behind the stress shard
+//!   runner and the serve load generator's waves.
 //!
 //! Every output of the first two is pinned somewhere downstream (stress
 //! digests, profile bytes, benchmark job mixes), so neither may change a
@@ -16,6 +18,7 @@
 
 mod fnv;
 mod inthash;
+pub mod pool;
 mod rng;
 
 pub use fnv::{fnv1a, Fnv1a};

@@ -7,14 +7,15 @@
 //! ```
 //!
 //! `merge` applies the same exponential decay the runtime uses at
-//! shutdown: `PRIOR` weights are multiplied by `D` (default 0.5), then
-//! `FRESH`'s last-run misses are added; the result is written to `OUT`.
+//! shutdown: `PRIOR` weights are multiplied by `D` (default
+//! [`MERGE_DECAY`], 0.5), then `FRESH`'s last-run misses are added; the
+//! result is written to `OUT`.
 //! Merging requires matching fingerprints — profiles of different
 //! programs or machine configurations must not be blended.
 
 use std::process::ExitCode;
 
-use hpmopt_profile::{inspect, Profile, ProfileStore};
+use hpmopt_profile::{inspect, Profile, ProfileStore, MERGE_DECAY};
 
 fn usage() -> ExitCode {
     eprintln!("usage: hpmopt-profile inspect FILE");
@@ -59,7 +60,7 @@ fn main() -> ExitCode {
         }
         Some("merge") => {
             let mut out: Option<&str> = None;
-            let mut decay = 0.5f64;
+            let mut decay = MERGE_DECAY;
             let mut files: Vec<&str> = Vec::new();
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {

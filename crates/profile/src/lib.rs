@@ -143,6 +143,11 @@ pub struct FieldProfile {
     pub last_run_misses: u64,
 }
 
+/// The decay every merge applies ([`Profile::merge_run`]): the runtime's
+/// disk save, the shared repository's merges in the serve daemon and its
+/// load generator, and the default of `hpmopt-profile merge --decay`.
+pub const MERGE_DECAY: f64 = 0.5;
+
 /// A complete persisted profile: fingerprint, run count, per-field miss
 /// histogram, and the most recent run's decision log.
 #[derive(Debug, Clone, PartialEq)]

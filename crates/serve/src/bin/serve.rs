@@ -6,36 +6,28 @@
 //!                    [--heap-mult M] [--cycle-budget C]
 //!                    [--max-live-jobs N] [--max-heap-bytes B]
 //!                    [--spill DIR] [--prom]
-//! hpmopt-serve bench [--rounds R] [--jobs N] [--workers W] [--tenants T]
-//!                    [--workloads A,B,..] [--size tiny|small|full]
-//!                    [--seed S] [--qps Q] [--open-jobs N] [--quantum C]
-//!                    [--repo-bytes B] [--repo-ttl OPS] [--check]
+//! hpmopt-serve bench [--workers W] [--check]
 //! ```
 //!
 //! `run` starts the live daemon, submits `N` jobs round-robin across
 //! tenants and workloads, waits for every report, prints them plus the
 //! fleet telemetry, and shuts down (persisting the repository to
-//! `--spill DIR` when given). `bench` runs both deterministic load
-//! generators — the closed-loop rounds, then the QPS-paced open-loop
-//! latency run: the combined summary on stdout is byte-identical for
-//! any `--workers` value; wall-clock throughput goes to stderr.
-//! `--qps 0` skips the open-loop section; `--qps Q` paces its arrivals,
-//! `--open-jobs` sizes it, `--quantum` sets the DRR fairness quantum in
-//! service cycles, and `--repo-bytes`/`--repo-ttl` bound its profile
-//! repository (capacity bytes / TTL in repository operations). With
-//! `--check`, `bench` exits 1 unless perturbation deltas are zero, warm
-//! jobs beat cold to the first decision, and (when the open-loop
-//! section ran) four virtual workers strictly outrun one. Both
-//! subcommands reject an unknown `--workloads` name while parsing: they
-//! name it, print the usage and exit 2 before any job runs.
+//! `--spill DIR` when given). `bench` runs the deterministic load
+//! generator's two presets, the closed loop and then the QPS-paced open
+//! loop, on `W` real workers: the combined summary on stdout is
+//! byte-identical for any `--workers` value; wall-clock throughput goes
+//! to stderr. With `--check`, `bench` exits 1 unless, in both runs,
+//! every job completes with the unmonitored baseline's digest, no
+//! program's warm jobs reach the first decision later than its cold
+//! ones (on average), and four virtual workers strictly outrun one;
+//! and unless some program was measured both cold and warm at all.
+//! `run` rejects an unknown `--workloads` name while parsing: it names
+//! it, prints the usage and exits 2 before any job runs.
 
 use std::process::ExitCode;
 
 use hpmopt_serve::job::DEFAULT_HEAP_MULT;
-use hpmopt_serve::{
-    run_bench, run_openloop, BenchConfig, JobSpec, OpenLoopConfig, Service, ServiceConfig,
-    TenantCaps,
-};
+use hpmopt_serve::{run_load, JobSpec, LoadConfig, Service, ServiceConfig, TenantCaps};
 use hpmopt_workloads::{names, Size};
 
 fn usage() -> ExitCode {
@@ -44,10 +36,7 @@ fn usage() -> ExitCode {
          [--workloads A,B,..] [--size tiny|small|full] [--heap-mult M] \
          [--cycle-budget C] [--max-live-jobs N] [--max-heap-bytes B] \
          [--spill DIR] [--prom]\n\
-         hpmopt-serve bench [--rounds R] [--jobs N] [--workers W] [--tenants T] \
-         [--workloads A,B,..] [--size tiny|small|full] [--seed S] \
-         [--qps Q] [--open-jobs N] [--quantum C] [--repo-bytes B] [--repo-ttl OPS] \
-         [--check]"
+         hpmopt-serve bench [--workers W] [--check]"
     );
     ExitCode::from(2)
 }
@@ -204,68 +193,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
 }
 
 fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut config = BenchConfig::default();
-    let mut open = OpenLoopConfig::default();
-    let mut run_open = true;
+    let mut workers = 4;
     let mut check = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--rounds" => match take_value(args, &mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => config.rounds = n,
-                None => return usage(),
-            },
-            "--jobs" => match take_value(args, &mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => config.jobs_per_round = n,
-                None => return usage(),
-            },
             "--workers" => match take_value(args, &mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => {
-                    config.workers = n;
-                    open.workers = n;
-                }
-                None => return usage(),
-            },
-            "--tenants" => match take_value(args, &mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => config.tenants = n,
-                None => return usage(),
-            },
-            "--workloads" => match take_value(args, &mut i).and_then(parse_workloads) {
-                Some(w) => config.workloads = w,
-                None => return usage(),
-            },
-            "--size" => match take_value(args, &mut i).and_then(parse_size) {
-                Some(s) => config.size = s,
-                None => return usage(),
-            },
-            "--seed" => match take_value(args, &mut i).and_then(|v| v.parse().ok()) {
-                Some(s) => {
-                    config.seed = s;
-                    open.seed = s;
-                }
-                None => return usage(),
-            },
-            "--qps" => match take_value(args, &mut i).and_then(|v| v.parse().ok()) {
-                Some(0) => run_open = false,
-                Some(q) => open.qps = q,
-                None => return usage(),
-            },
-            "--open-jobs" => match take_value(args, &mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => open.jobs = n,
-                None => return usage(),
-            },
-            "--quantum" => match take_value(args, &mut i).and_then(|v| v.parse().ok()) {
-                Some(q) => open.quantum_cycles = q,
-                None => return usage(),
-            },
-            "--repo-bytes" => match take_value(args, &mut i).and_then(|v| v.parse().ok()) {
-                Some(0) => open.repo.capacity_bytes = None,
-                Some(b) => open.repo.capacity_bytes = Some(b),
-                None => return usage(),
-            },
-            "--repo-ttl" => match take_value(args, &mut i).and_then(|v| v.parse().ok()) {
-                Some(0) => open.repo.ttl_ops = None,
-                Some(t) => open.repo.ttl_ops = Some(t),
+                Some(n) => workers = n,
                 None => return usage(),
             },
             "--check" => check = true,
@@ -273,25 +207,25 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    if config.workloads.is_empty() {
-        return usage();
-    }
 
-    let report = run_bench(&config);
-    print!("{}", report.summary);
-    eprintln!("{}", report.throughput_line());
-    let open_ok = if run_open {
-        let open_report = run_openloop(&open);
-        print!("{}", open_report.summary);
-        eprintln!("{}", open_report.throughput_line());
-        open_report.check()
-    } else {
-        true
-    };
-    if check && !(report.check() && open_ok) {
+    // The open loop's bounded repository keeps evicting, so only the
+    // closed loop is sure to measure a program both cold and warm.
+    let mut ok = true;
+    let mut warm_measured = false;
+    for config in [
+        LoadConfig::closed_loop(workers),
+        LoadConfig::open_loop(workers),
+    ] {
+        let report = run_load(&config);
+        print!("{}", report.summary);
+        eprintln!("{}", report.throughput_line());
+        ok &= report.check();
+        warm_measured |= report.warm_beats_cold.is_some();
+    }
+    if check && !(ok && warm_measured) {
         eprintln!(
-            "check failed: perturbation deltas, warm-start regression, or \
-             missing multi-worker speedup (see summary)"
+            "check failed: perturbation deltas, warm-start regression or no \
+             warm start measured, or missing multi-worker speedup (see summary)"
         );
         return ExitCode::FAILURE;
     }

@@ -23,11 +23,11 @@
 //!   cycle caps → [`RejectReason`] / killed jobs) and the live
 //!   scheduler-and-workers daemon over a *bounded* profile repository
 //!   (LRU+TTL byte-capacity eviction);
-//! - [`bench`](mod@bench) + [`openloop`] — the deterministic load generators:
-//!   closed-loop rounds for throughput/warm-start, and a QPS-paced
-//!   open-loop run for queue-wait tails and tenant fairness. Both
-//!   summaries are byte-identical for any worker count (CI diffs 1
-//!   worker against N).
+//! - [`bench`](mod@bench) — the deterministic load generator: one
+//!   QPS-paced run of a fixed job list, where a closed loop is the
+//!   unbounded rate. Its presets measure warm start and queue-wait
+//!   tails with tenant fairness; the summary is byte-identical for any
+//!   worker count (CI diffs 1 worker against N).
 //!
 //! Fleet observability reuses the workspace telemetry: per-job
 //! snapshots are absorbed into `serve.*` counters and histograms
@@ -36,14 +36,12 @@
 
 pub mod bench;
 pub mod job;
-pub mod openloop;
 pub mod scheduler;
 pub mod service;
 pub mod tenant;
 
-pub use bench::{run_bench, BenchConfig, BenchReport};
+pub use bench::{run_load, LoadConfig, LoadReport};
 pub use job::{run_job, JobOutcome, JobReport, JobRun, JobSpec, RejectReason};
-pub use openloop::{run_openloop, OpenLoopConfig, OpenLoopReport};
 pub use scheduler::{DrrQueue, SchedulerConfig, ShardedScheduler};
 pub use service::{Service, ServiceConfig};
 pub use tenant::{TenantBook, TenantCaps};

@@ -16,8 +16,8 @@
 //!
 //! Live mode trades the bench's determinism for latency: merges land in
 //! completion order, so two daemon runs may interleave differently.
-//! The deterministic counterparts with the same execution unit are
-//! [`crate::bench`] (closed-loop) and [`crate::openloop`] (QPS-paced).
+//! The deterministic counterpart with the same execution unit is the
+//! load generator in [`crate::bench`].
 //!
 //! # Shutdown vs Drop
 //!
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use hpmopt_profile::{RepoConfig, SharedProfileRepo};
+use hpmopt_profile::{RepoConfig, SharedProfileRepo, MERGE_DECAY};
 use hpmopt_telemetry::{HistogramId, MetricId, Telemetry, TelemetrySnapshot};
 use hpmopt_vm::CancelToken;
 
@@ -52,15 +52,13 @@ pub struct ServiceConfig {
     /// Worker threads executing jobs (clamped to ≥ 1). Also the shard
     /// count of the run-queue scheduler: one home shard per worker.
     pub workers: usize,
-    /// Exponential decay for repository merges.
+    /// Exponential decay for repository merges ([`MERGE_DECAY`]).
     pub decay: f64,
     /// Caps applied to tenants without explicit caps.
     pub default_caps: TenantCaps,
     /// Directory to preload profiles from at startup and persist to at
     /// shutdown — warm starts across daemon restarts.
     pub spill_dir: Option<PathBuf>,
-    /// Run-queue fairness and steal-order parameters.
-    pub scheduler: SchedulerConfig,
     /// Sharding and bounds of the shared profile repository.
     pub repo: RepoConfig,
 }
@@ -69,10 +67,9 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 4,
-            decay: 0.5,
+            decay: MERGE_DECAY,
             default_caps: TenantCaps::default(),
             spill_dir: None,
-            scheduler: SchedulerConfig::default(),
             repo: RepoConfig::default(),
         }
     }
@@ -115,7 +112,7 @@ impl Service {
         let inner = Arc::new(Inner {
             repo: SharedProfileRepo::with_config(config.repo),
             tenants: TenantBook::new(config.default_caps),
-            scheduler: ShardedScheduler::new(workers, &config.scheduler),
+            scheduler: ShardedScheduler::new(workers, &SchedulerConfig::default()),
             results: Mutex::new(BTreeMap::new()),
             done: Condvar::new(),
             cancel: CancelToken::new(),
@@ -179,8 +176,8 @@ impl Service {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let tenant = spec.tenant.clone();
         // DRR cost 1: the daemon schedules job *slots* fairly. (The
-        // open-loop simulator charges service cycles instead; see
-        // crate::openloop.)
+        // load generator's queueing model charges service cycles
+        // instead; see crate::bench::simulate.)
         let depth = self
             .inner
             .scheduler

@@ -1,16 +1,14 @@
 //! Integration tests for the multi-tenant service: admission control,
 //! clean cycle-budget kills, tenant isolation (one tenant's misbehavior
 //! never perturbs another's digests), fleet warm start, the worker-count
-//! independence of the deterministic bench, bounded-repository eviction
-//! (evicted fingerprints fall back to a clean cold start), the
+//! independence of the deterministic load generator, bounded-repository
+//! eviction (evicted fingerprints fall back to a clean cold start), the
 //! shutdown-vs-Drop asymmetry, and open-loop tenant fairness.
 
 use hpmopt_profile::RepoConfig;
-use hpmopt_serve::bench::{run_bench, BenchConfig};
 use hpmopt_serve::job::fingerprint_of;
 use hpmopt_serve::{
-    run_openloop, JobOutcome, JobSpec, OpenLoopConfig, RejectReason, Service, ServiceConfig,
-    TenantCaps,
+    run_load, JobOutcome, JobSpec, LoadConfig, RejectReason, Service, ServiceConfig, TenantCaps,
 };
 use hpmopt_telemetry::{MetricId, Telemetry};
 use hpmopt_workloads::setup;
@@ -162,19 +160,19 @@ fn sequential_jobs_warm_start_monotonically() {
     service.shutdown();
 }
 
-/// The bench summary is byte-identical across worker counts: same
-/// schedule, same checkouts, same merges, same text.
+/// The load generator's summary is byte-identical across worker
+/// counts: same jobs, same checkouts, same merges, same text.
 #[test]
 fn bench_summary_is_worker_count_independent() {
-    let config = BenchConfig {
+    let config = LoadConfig {
         workers: 1,
-        rounds: 2,
-        jobs_per_round: 2,
-        workloads: vec!["hsqldb".to_string()],
-        ..BenchConfig::default()
+        jobs: vec![JobSpec::new("t0", "hsqldb"); 4],
+        qps: None,
+        wave: 2,
+        repo: RepoConfig::default(),
     };
-    let solo = run_bench(&config);
-    let pooled = run_bench(&BenchConfig {
+    let solo = run_load(&config);
+    let pooled = run_load(&LoadConfig {
         workers: 3,
         ..config
     });
@@ -183,9 +181,10 @@ fn bench_summary_is_worker_count_independent() {
         solo.summary, pooled.summary,
         "summary must not depend on worker count"
     );
-    assert_eq!(solo.perturbation_deltas, 0);
-    assert!(
-        solo.warm_ok,
+    assert_eq!(solo.point.perturbation_deltas, 0);
+    assert_eq!(
+        solo.warm_beats_cold,
+        Some(true),
         "warm mean must beat cold mean:\n{}",
         solo.summary
     );
@@ -338,9 +337,12 @@ fn evicted_fingerprint_resubmits_as_clean_cold_start() {
 /// heavy jobs queued first simply win.
 #[test]
 fn open_loop_fairness_bounds_light_tenant_and_starves_nobody() {
-    let report = run_openloop(&OpenLoopConfig::default());
+    let report = run_load(&LoadConfig::open_loop(4));
     assert!(report.check(), "open-loop contract:\n{}", report.summary);
-    assert!(report.evictions >= 1, "the bounded repo must churn");
+    assert!(
+        report.point.repo_evictions >= 1,
+        "the bounded repo must churn"
+    );
 
     let light = report
         .tenants

@@ -99,14 +99,11 @@ impl ShapeKnobs {
     }
 }
 
-/// Ids the generator hands back alongside the program so oracles can
-/// inspect final state.
+/// A generated program and the ids of all its methods.
 #[derive(Debug, Clone)]
 pub struct GeneratedProgram {
     /// The verified program.
     pub program: Program,
-    /// The `checksum` static (program-visible result).
-    pub checksum: StaticId,
     /// Every method id, for all-methods compilation plans.
     pub all_methods: Vec<MethodId>,
 }
@@ -246,15 +243,12 @@ pub fn generate(seed: u64, knobs: ShapeKnobs) -> GeneratedProgram {
     let main = pb.add_method(m);
     pb.set_entry(main);
 
-    let mut gp = GeneratedProgram {
-        program: pb.finish().expect("generated program verifies"),
-        checksum,
-        all_methods: Vec::new(),
-    };
-    gp.all_methods = (0..gp.program.methods().len() as u32)
-        .map(MethodId)
-        .collect();
-    gp
+    let program = pb.finish().expect("generated program verifies");
+    let all_methods = (0..program.methods().len() as u32).map(MethodId).collect();
+    GeneratedProgram {
+        program,
+        all_methods,
+    }
 }
 
 /// `build_c`: allocate a `list_len`-node list of `class`, publishing each

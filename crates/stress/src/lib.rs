@@ -16,7 +16,6 @@
 
 pub mod genprog;
 pub mod oracles;
-pub mod pool;
 pub mod rng;
 pub mod scenario;
 pub mod shard;

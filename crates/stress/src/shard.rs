@@ -1,7 +1,7 @@
 //! Parallel shard runner with a deterministic merge.
 //!
 //! Seeds are distributed to `std::thread` workers through the shared
-//! work-stealing pool primitive ([`crate::pool`]); each worker writes
+//! work-stealing pool primitive ([`hpmopt_prim::pool`]); each worker writes
 //! its outcome into the slot indexed by the seed's position, and the
 //! merge reads slots back in seed order. The report therefore depends
 //! only on the seed range — never on worker count, scheduling, or
@@ -15,8 +15,9 @@
 
 use std::time::{Duration, Instant};
 
+use hpmopt_prim::pool;
+
 use crate::oracles::{run_scenario, ScenarioOutcome};
-use crate::pool;
 use crate::scenario::Scenario;
 
 /// Shard-runner parameters.

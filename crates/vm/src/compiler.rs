@@ -16,7 +16,7 @@
 
 use hpmopt_bytecode::{Instr, MethodId, Program};
 
-use crate::machine::{CompiledCode, McMap, Tier};
+use crate::{CompiledCode, McMap, Tier};
 
 /// The per-opcode cost table: machine instructions emitted per bytecode
 /// as `(baseline, opt, region)`. This is the **single source of truth**

@@ -14,7 +14,7 @@ use hpmopt_gc::policy::{CoallocPolicy, NoCoalloc};
 use hpmopt_gc::{Address, GcStats};
 use hpmopt_memsim::AccessOutcome;
 
-use crate::machine::{CompiledCode, Tier};
+use crate::{CompiledCode, Tier};
 
 /// Context of one heap data access, as the sampling hardware would see it.
 #[derive(Debug, Clone, Copy)]

@@ -19,15 +19,14 @@ use hpmopt_jit::{CodeCache, FreedRange, TierManager};
 use crate::compiler::{compile, compiled_code_bytes};
 use crate::config::{CancelToken, VmConfig};
 use crate::hooks::{AccessContext, CodeRetired, RuntimeHooks};
-use crate::machine::{CompiledCode, Tier};
 use crate::predecode::{
     decode, DecodedMethod, IcSlot, Op, ADD_JUMP_SPAN, BASELINE_ISSUE_WIDTH, CMP_JUMP_SPAN,
     IC_ARRAY_KEY, OPT_ISSUE_WIDTH,
 };
 use crate::value::{Value, VmError};
-use crate::CODE_BASE;
 #[cfg(test)]
 use crate::STATICS_BASE;
+use crate::{CompiledCode, Tier, CODE_BASE};
 
 /// Per-method code-size report (Table 2 rows).
 #[derive(Debug, Clone, PartialEq, Eq)]

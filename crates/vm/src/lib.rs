@@ -17,7 +17,7 @@
 //!   The VM announces each install and each freed range to its
 //!   [`hooks::RuntimeHooks`], whose sample resolver keeps the sorted
 //!   method table that maps a sampled program counter back to a method.
-//! - Each artifact carries **machine-code maps** ([`machine::McMap`])
+//! - Each artifact carries **machine-code maps** ([`McMap`])
 //!   translating machine addresses to bytecode indices. Baseline code
 //!   always has full maps; opt code has GC-point-only maps unless the
 //!   paper's extension (map *every* instruction, Section 4.2) is enabled —
@@ -57,16 +57,15 @@ pub mod config;
 pub mod digest;
 pub mod hooks;
 pub mod interp;
-pub mod machine;
 mod predecode;
 pub mod value;
 
 pub use compiler::compile;
 pub use config::{CancelToken, VmConfig};
 pub use hooks::{AccessContext, CodeRetired, NoHooks, RuntimeHooks};
+pub use hpmopt_jit::code::{CompiledCode, McMap, Tier};
 pub use hpmopt_jit::{CompilationPlan, JitConfig, TierManager};
 pub use interp::{RunSummary, Vm};
-pub use machine::{CompiledCode, McMap, Tier};
 pub use value::{Value, VmError};
 
 /// Base virtual address of the immortal code space. Distinct from the

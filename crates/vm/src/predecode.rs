@@ -32,8 +32,7 @@ use std::rc::Rc;
 use hpmopt_bytecode::{ClassId, ElemKind, Instr, MethodId, Program};
 
 use crate::compiler::ic_hit_count;
-use crate::machine::{CompiledCode, Tier};
-use crate::STATICS_BASE;
+use crate::{CompiledCode, Tier, STATICS_BASE};
 
 /// Sentinel for an inline-cache slot that has never been keyed.
 pub(crate) const IC_EMPTY: u32 = u32::MAX;

@@ -16,8 +16,9 @@ use hpmopt_bytecode::{MethodId, Program};
 use hpmopt_gc::{CollectorKind, GcStats};
 use hpmopt_hpm::SamplingInterval;
 use hpmopt_prim::Fnv1a;
-use hpmopt_vm::machine::{CompiledCode, Tier};
-use hpmopt_vm::{AccessContext, CodeRetired, RunSummary, RuntimeHooks, Vm, VmConfig};
+use hpmopt_vm::{
+    AccessContext, CodeRetired, CompiledCode, RunSummary, RuntimeHooks, Tier, Vm, VmConfig,
+};
 use hpmopt_workloads::{by_name, setup, Size};
 
 /// Folds each hook call, tagged by kind, into one digest.

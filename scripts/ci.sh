@@ -77,15 +77,16 @@ echo "==> smoke: stress corpus replays as recorded"
 cargo run --release -p hpmopt-stress -- replay tests/corpus/*.case
 
 echo "==> smoke: hpmopt-serve bench (zero perturbation, warm beats cold)"
-# --check fails the run unless every completed job's digest matches the
-# unmonitored baseline, warm jobs beat cold to the first decision, AND
-# the open-loop section shows 4 virtual workers strictly outrunning 1.
+# bench runs the load generator's two presets, the closed loop and then
+# the open loop. --check fails the run unless, in both, every job
+# completes with the unmonitored baseline's digest, warm jobs beat cold
+# to the first decision, and 4 virtual workers strictly outrun 1.
 cargo run --release --bin hpmopt-serve -p hpmopt-serve -- bench --workers 1 --check \
     >target/ci-serve-w1.txt 2>/dev/null
 cargo run --release --bin hpmopt-serve -p hpmopt-serve -- bench --workers 4 --check \
     >target/ci-serve-w4.txt 2>/dev/null
-# The deterministic summary — closed-loop rounds AND the QPS-paced
-# open-loop section — must be byte-identical at any concurrency.
+# The deterministic summary of both presets must be byte-identical at
+# any concurrency.
 cmp target/ci-serve-w1.txt target/ci-serve-w4.txt
 
 echo "CI OK"
