@@ -131,8 +131,8 @@ impl CodeCache {
     /// the current simulated cycle (the LRU timestamp); `pinned` lists
     /// methods whose code must not be evicted (anything on the call
     /// stack, plus the method being installed). Returns the start
-    /// address and any ranges evicted to make room — the caller must
-    /// retire each from sample attribution.
+    /// address, and appends to `evicted` any ranges evicted to make room
+    /// — the caller must retire each from sample attribution.
     ///
     /// # Panics
     ///
@@ -145,14 +145,14 @@ impl CodeCache {
         bytes: u64,
         now: u64,
         pinned: &[MethodId],
-    ) -> (u64, Vec<FreedRange>) {
+        evicted: &mut Vec<FreedRange>,
+    ) -> u64 {
         let Some(capacity) = self.capacity else {
             let start = self.cursor;
             self.cursor += bytes;
-            return (start, Vec::new());
+            return start;
         };
         let limit = self.base + capacity;
-        let mut evicted = Vec::new();
         let start = loop {
             if let Some(start) = self.take_first_fit(bytes) {
                 break start;
@@ -165,7 +165,7 @@ impl CodeCache {
             // Too big to ever fit, or nothing evictable left: overflow
             // the bump pointer rather than deadlock. The cache runs over
             // capacity until enough code dies.
-            if bytes > capacity || !self.evict_lru(pinned, &mut evicted) {
+            if bytes > capacity || !self.evict_lru(pinned, evicted) {
                 let start = self.cursor;
                 self.cursor += bytes;
                 break start;
@@ -190,7 +190,7 @@ impl CodeCache {
             },
         );
         self.live_bytes += bytes;
-        (start, evicted)
+        start
     }
 
     /// Free the live range of `method` starting at `start` (its old
@@ -301,13 +301,27 @@ mod tests {
 
     const BASE: u64 = 0x4000_0000;
 
+    /// One allocation into a fresh buffer: the start and the evictions.
+    fn alloc(
+        c: &mut CodeCache,
+        method: MethodId,
+        tier: Tier,
+        bytes: u64,
+        now: u64,
+        pinned: &[MethodId],
+    ) -> (u64, Vec<FreedRange>) {
+        let mut evicted = Vec::new();
+        let start = c.alloc(method, tier, bytes, now, pinned, &mut evicted);
+        (start, evicted)
+    }
+
     #[test]
     fn unbounded_is_a_pure_bump_allocator() {
         let mut c = CodeCache::new(BASE, None);
-        let (a, ev) = c.alloc(MethodId(0), Tier::Baseline, 40, 0, &[]);
+        let (a, ev) = alloc(&mut c, MethodId(0), Tier::Baseline, 40, 0, &[]);
         assert_eq!(a, BASE);
         assert!(ev.is_empty());
-        let (b, _) = c.alloc(MethodId(1), Tier::Baseline, 24, 5, &[]);
+        let (b, _) = alloc(&mut c, MethodId(1), Tier::Baseline, 24, 5, &[]);
         assert_eq!(b, BASE + 40, "contiguous, never reused");
         assert_eq!(c.free(MethodId(0), a), None, "unbounded never frees");
         assert_eq!(c.epoch(), 0);
@@ -317,12 +331,12 @@ mod tests {
     #[test]
     fn bounded_reuses_a_freed_range() {
         let mut c = CodeCache::new(BASE, Some(1024));
-        let (a, _) = c.alloc(MethodId(0), Tier::Baseline, 40, 0, &[]);
+        let (a, _) = alloc(&mut c, MethodId(0), Tier::Baseline, 40, 0, &[]);
         let freed = c.free(MethodId(0), a).expect("live range");
         assert_eq!((freed.start, freed.end), (a, a + 40));
         assert_eq!(freed.epoch, 1, "epoch advances on free");
         assert!(!freed.evicted);
-        let (b, ev) = c.alloc(MethodId(1), Tier::Opt, 24, 10, &[]);
+        let (b, ev) = alloc(&mut c, MethodId(1), Tier::Opt, 24, 10, &[]);
         assert_eq!(b, a, "freed range is reused first-fit");
         assert!(ev.is_empty());
         assert_eq!(c.frees(), 1);
@@ -332,10 +346,10 @@ mod tests {
     #[test]
     fn capacity_pressure_evicts_lru_and_skips_pinned() {
         let mut c = CodeCache::new(BASE, Some(100));
-        let (a, _) = c.alloc(MethodId(0), Tier::Baseline, 40, 0, &[]);
-        let (b, _) = c.alloc(MethodId(1), Tier::Baseline, 40, 1, &[]);
+        let (a, _) = alloc(&mut c, MethodId(0), Tier::Baseline, 40, 0, &[]);
+        let (b, _) = alloc(&mut c, MethodId(1), Tier::Baseline, 40, 1, &[]);
         // Method 0 is older but pinned; method 1 must be the victim.
-        let (d, ev) = c.alloc(MethodId(2), Tier::Baseline, 40, 2, &[MethodId(0)]);
+        let (d, ev) = alloc(&mut c, MethodId(2), Tier::Baseline, 40, 2, &[MethodId(0)]);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].method, MethodId(1));
         assert!(ev[0].evicted);
@@ -346,22 +360,24 @@ mod tests {
         // hotter than method 2.
         c.touch(MethodId(2), 3);
         c.touch(MethodId(0), 4);
-        let (_, ev) = c.alloc(MethodId(3), Tier::Baseline, 40, 5, &[]);
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].method, MethodId(2));
+        // Evictions are appended to the caller's buffer.
+        let mut evicted = ev;
+        c.alloc(MethodId(3), Tier::Baseline, 40, 5, &[], &mut evicted);
+        assert_eq!(evicted.len(), 2);
+        assert_eq!(evicted[1].method, MethodId(2));
         let _ = a;
     }
 
     #[test]
     fn adjacent_frees_coalesce() {
         let mut c = CodeCache::new(BASE, Some(1024));
-        let (a, _) = c.alloc(MethodId(0), Tier::Baseline, 40, 0, &[]);
-        let (b, _) = c.alloc(MethodId(1), Tier::Baseline, 40, 0, &[]);
+        let (a, _) = alloc(&mut c, MethodId(0), Tier::Baseline, 40, 0, &[]);
+        let (b, _) = alloc(&mut c, MethodId(1), Tier::Baseline, 40, 0, &[]);
         c.free(MethodId(0), a).unwrap();
         c.free(MethodId(1), b).unwrap();
         // An 80-byte allocation only fits the free list if the two
         // 40-byte holes merged.
-        let (d, ev) = c.alloc(MethodId(2), Tier::Baseline, 80, 1, &[]);
+        let (d, ev) = alloc(&mut c, MethodId(2), Tier::Baseline, 80, 1, &[]);
         assert_eq!(d, a);
         assert!(ev.is_empty());
         assert_eq!(c.epoch(), 2);
@@ -370,8 +386,8 @@ mod tests {
     #[test]
     fn all_pinned_overflows_instead_of_deadlocking() {
         let mut c = CodeCache::new(BASE, Some(64));
-        let (a, _) = c.alloc(MethodId(0), Tier::Baseline, 64, 0, &[]);
-        let (b, ev) = c.alloc(MethodId(1), Tier::Baseline, 32, 1, &[MethodId(0)]);
+        let (a, _) = alloc(&mut c, MethodId(0), Tier::Baseline, 64, 0, &[]);
+        let (b, ev) = alloc(&mut c, MethodId(1), Tier::Baseline, 32, 1, &[MethodId(0)]);
         assert!(ev.is_empty(), "nothing evictable");
         assert_eq!(b, a + 64, "bump pointer overflows capacity");
         assert!(c.live_bytes() > 64);
@@ -381,8 +397,8 @@ mod tests {
     #[test]
     fn oversized_allocation_overflows_without_evicting() {
         let mut c = CodeCache::new(BASE, Some(64));
-        c.alloc(MethodId(0), Tier::Baseline, 40, 0, &[]);
-        let (_, ev) = c.alloc(MethodId(1), Tier::Baseline, 128, 1, &[]);
+        alloc(&mut c, MethodId(0), Tier::Baseline, 40, 0, &[]);
+        let (_, ev) = alloc(&mut c, MethodId(1), Tier::Baseline, 128, 1, &[]);
         assert!(
             ev.is_empty(),
             "evicting cannot make a > capacity allocation fit"
@@ -428,7 +444,8 @@ mod tests {
                         }
                         let pinned = [MethodId(rng.below(METHODS) as u32)];
                         let bytes = rng.range(1, 256);
-                        let (start, evicted) = c.alloc(m, Tier::Baseline, bytes, now, &pinned);
+                        let (start, evicted) =
+                            alloc(&mut c, m, Tier::Baseline, bytes, now, &pinned);
                         for fr in evicted {
                             start_of[fr.method.0 as usize] = None;
                         }

@@ -5,6 +5,13 @@
 //! per-bytecode instruction counts (the cycle cost model), and the
 //! machine-code map used to translate a sampled PC back to a bytecode
 //! index (Section 4.2 of the paper).
+//!
+//! Everything but the start address depends only on the method and the
+//! tier, so an artifact keeps its counts and maps behind one shared
+//! [`Arc`]: a clone copies no vector, and
+//! [`CompiledCode::relocated`] lays the same code out at another start.
+
+use std::sync::Arc;
 
 use hpmopt_bytecode::MethodId;
 
@@ -73,6 +80,20 @@ impl McMap {
     }
 }
 
+/// The part of an artifact that does not depend on where it is placed.
+#[derive(Debug)]
+struct Layout {
+    /// Machine-instruction count of each bytecode, as a cumulative sum:
+    /// bytecode `i` occupies machine instructions
+    /// `bc_end[i-1]..bc_end[i]` (with `bc_end[-1] = 0`).
+    bc_end: Vec<u32>,
+    /// PC → bytecode translation map, indexed from the code start.
+    mc_map: McMap,
+    /// Machine indices of GC points (allocations and calls); sized like
+    /// the stock GC maps for the space comparison in Table 2.
+    gc_points: Vec<u32>,
+}
+
 /// The compiled artifact for one method at one tier.
 #[derive(Debug, Clone)]
 pub struct CompiledCode {
@@ -88,15 +109,8 @@ pub struct CompiledCode {
     /// the range before). Always 0 with an unbounded cache, which never
     /// frees.
     pub install_epoch: u64,
-    /// Machine-instruction count of each bytecode, as a cumulative sum:
-    /// bytecode `i` occupies machine instructions
-    /// `bc_end[i-1]..bc_end[i]` (with `bc_end[-1] = 0`).
-    bc_end: Vec<u32>,
-    /// PC → bytecode translation map.
-    pub mc_map: McMap,
-    /// Machine indices of GC points (allocations and calls); sized like
-    /// the stock GC maps for the space comparison in Table 2.
-    pub gc_points: Vec<u32>,
+    /// Counts and maps, shared by every clone and relocation.
+    layout: Arc<Layout>,
 }
 
 impl CompiledCode {
@@ -121,16 +135,43 @@ impl CompiledCode {
             tier,
             code_start,
             install_epoch: 0,
-            bc_end,
-            mc_map,
-            gc_points,
+            layout: Arc::new(Layout {
+                bc_end,
+                mc_map,
+                gc_points,
+            }),
         }
+    }
+
+    /// The same code laid out at `code_start`: it shares this artifact's
+    /// counts and maps, and, like a new artifact, has install epoch 0.
+    #[must_use]
+    pub fn relocated(&self, code_start: u64) -> Self {
+        CompiledCode {
+            method: self.method,
+            tier: self.tier,
+            code_start,
+            install_epoch: 0,
+            layout: Arc::clone(&self.layout),
+        }
+    }
+
+    /// PC → bytecode translation map.
+    #[must_use]
+    pub fn mc_map(&self) -> &McMap {
+        &self.layout.mc_map
+    }
+
+    /// Machine indices of GC points (allocations and calls).
+    #[must_use]
+    pub fn gc_points(&self) -> &[u32] {
+        &self.layout.gc_points
     }
 
     /// Total machine instructions.
     #[must_use]
     pub fn machine_len(&self) -> u32 {
-        self.bc_end.last().copied().unwrap_or(0)
+        self.layout.bc_end.last().copied().unwrap_or(0)
     }
 
     /// Machine-code size in bytes.
@@ -148,8 +189,9 @@ impl CompiledCode {
     /// Number of machine instructions lowered for bytecode `bc`.
     #[must_use]
     pub fn mach_count(&self, bc: usize) -> u32 {
-        let end = self.bc_end[bc];
-        let start = if bc == 0 { 0 } else { self.bc_end[bc - 1] };
+        let bc_end = &self.layout.bc_end;
+        let end = bc_end[bc];
+        let start = if bc == 0 { 0 } else { bc_end[bc - 1] };
         end - start
     }
 
@@ -158,7 +200,7 @@ impl CompiledCode {
     /// bytecodes; this is the PC a precise event sample reports.
     #[must_use]
     pub fn mem_pc(&self, bc: usize) -> u64 {
-        let end = self.bc_end[bc];
+        let end = self.layout.bc_end[bc];
         debug_assert!(end > 0);
         self.code_start + u64::from(end - 1) * MACH_INSTR_BYTES
     }
@@ -166,7 +208,7 @@ impl CompiledCode {
     /// GC-map size in bytes (Table 2 accounting).
     #[must_use]
     pub fn gc_map_bytes(&self) -> u64 {
-        self.gc_points.len() as u64 * GCMAP_ENTRY_BYTES
+        self.gc_points().len() as u64 * GCMAP_ENTRY_BYTES
     }
 
     /// Translate a code address inside this artifact to a bytecode index.
@@ -176,7 +218,7 @@ impl CompiledCode {
             return None;
         }
         let mach_idx = ((pc - self.code_start) / MACH_INSTR_BYTES) as u32;
-        self.mc_map.lookup(mach_idx)
+        self.mc_map().lookup(mach_idx)
     }
 }
 
@@ -253,8 +295,25 @@ mod tests {
     #[test]
     fn map_sizes_count_entries() {
         let c = artifact();
-        assert_eq!(c.mc_map.size_bytes(), 6 * MCMAP_ENTRY_BYTES);
+        assert_eq!(c.mc_map().size_bytes(), 6 * MCMAP_ENTRY_BYTES);
         assert_eq!(c.gc_map_bytes(), GCMAP_ENTRY_BYTES);
+    }
+
+    #[test]
+    fn relocation_moves_the_code_and_shares_the_maps() {
+        let c = artifact();
+        let r = c.relocated(0x5000_0000);
+        assert_eq!(r.code_start, 0x5000_0000);
+        assert_eq!(r.code_end(), 0x5000_0000 + 24);
+        assert_eq!(r.mem_pc(1), c.mem_pc(1) - c.code_start + r.code_start);
+        assert_eq!(r.bytecode_at(0x5000_0000 + 8), Some(1));
+        assert_eq!(
+            r.bytecode_at(c.code_start),
+            None,
+            "the old range is not its"
+        );
+        assert!(Arc::ptr_eq(&r.layout, &c.layout), "no map is copied");
+        assert_eq!((r.method, r.tier, r.install_epoch), (c.method, c.tier, 0));
     }
 
     #[test]

@@ -191,14 +191,14 @@ mod tests {
     fn baseline_always_has_full_maps() {
         let (p, id) = program();
         let base = compile(&p, id, Tier::Baseline, 0x4000_0000, false);
-        assert!(matches!(base.mc_map, McMap::Full(_)));
+        assert!(matches!(base.mc_map(), McMap::Full(_)));
     }
 
     #[test]
     fn opt_without_extension_maps_only_gc_points() {
         let (p, id) = program();
         let opt = compile(&p, id, Tier::Opt, 0x4000_0000, false);
-        let McMap::GcPointsOnly(entries) = &opt.mc_map else {
+        let McMap::GcPointsOnly(entries) = opt.mc_map() else {
             panic!("expected GC-point map");
         };
         assert_eq!(entries.len(), 1, "exactly the New instruction");
@@ -220,7 +220,7 @@ mod tests {
         // Table 2's headline: full MC maps are ~4-5× the GC maps.
         let (p, id) = program();
         let base = compile(&p, id, Tier::Baseline, 0x4000_0000, true);
-        assert!(base.mc_map.size_bytes() > 2 * base.gc_map_bytes());
+        assert!(base.mc_map().size_bytes() > 2 * base.gc_map_bytes());
     }
 
     #[test]

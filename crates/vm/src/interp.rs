@@ -114,6 +114,8 @@ pub struct Vm<'p> {
     mem: MemoryHierarchy,
     compiled: Vec<Option<CompiledCode>>,
     decoded: Vec<Option<DecodedMethod>>,
+    /// Per method, what a reinstall at the baseline or opt tier reuses.
+    memo: Vec<Memo>,
     generations: Vec<u32>,
     tiers: TierManager,
     cache: CodeCache,
@@ -151,6 +153,30 @@ pub struct Vm<'p> {
     /// and after each poll.
     bytecode_deadline: u64,
     roots_scratch: Vec<Address>,
+    /// The methods an install pins: every frame's, plus its own.
+    pinned_scratch: Vec<MethodId>,
+    /// The ranges an install evicted, until each is retired.
+    evicted_scratch: Vec<FreedRange>,
+}
+
+/// One method's builds at the baseline and opt tiers (in that order),
+/// kept so that a reinstall relocates them instead of compiling and
+/// decoding again. A build is kept from the method's second install at
+/// its tier on, so a method installed once costs no memory; region
+/// builds are never kept, because they depend on the hot-block set.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    installed: [bool; 2],
+    built: [Option<(CompiledCode, DecodedMethod)>; 2],
+}
+
+/// The [`Memo`] slot of `tier`, if its builds are kept.
+fn memo_slot(tier: Tier) -> Option<usize> {
+    match tier {
+        Tier::Baseline => Some(0),
+        Tier::Opt => Some(1),
+        Tier::Region => None,
+    }
 }
 
 /// How often (in bytecodes) the hooks' poll callback runs.
@@ -195,6 +221,7 @@ impl<'p> Vm<'p> {
             mem: MemoryHierarchy::new(config.mem.clone()),
             compiled: vec![None; program.methods().len()],
             decoded: vec![None; program.methods().len()],
+            memo: vec![Memo::default(); program.methods().len()],
             generations: vec![0; program.methods().len()],
             tiers: TierManager::new(config.jit.clone()),
             cache: CodeCache::new(CODE_BASE, config.jit.code_cache_capacity_bytes),
@@ -216,6 +243,8 @@ impl<'p> Vm<'p> {
             next_poll: 0,
             bytecode_deadline: 0,
             roots_scratch: Vec::with_capacity(64),
+            pinned_scratch: Vec::new(),
+            evicted_scratch: Vec::new(),
             program,
             config,
         }
@@ -1014,7 +1043,7 @@ impl<'p> Vm<'p> {
                 tier: c.tier,
                 machine_code_bytes: c.machine_code_bytes(),
                 gc_map_bytes: c.gc_map_bytes(),
-                mc_map_bytes: c.mc_map.size_bytes(),
+                mc_map_bytes: c.mc_map().size_bytes(),
             })
             .collect();
         RunSummary {
@@ -1084,25 +1113,62 @@ impl<'p> Vm<'p> {
         // Methods on the call stack (plus the one being installed) are
         // pinned: evicting a frame's running code would strand its
         // return pc.
-        let mut pinned: Vec<MethodId> = self.frames.iter().map(|f| f.method).collect();
+        let mut pinned = std::mem::take(&mut self.pinned_scratch);
+        pinned.clear();
+        pinned.extend(self.frames.iter().map(|f| f.method));
         pinned.push(m);
-        let (start, evicted) = self.cache.alloc(m, tier, bytes, self.cycles, &pinned);
-        for fr in evicted {
+        let mut evicted = std::mem::take(&mut self.evicted_scratch);
+        let start = self
+            .cache
+            .alloc(m, tier, bytes, self.cycles, &pinned, &mut evicted);
+        self.pinned_scratch = pinned;
+        for fr in evicted.drain(..) {
             let ei = fr.method.0 as usize;
             self.compiled[ei] = None;
             self.decoded[ei] = None;
             self.retire(fr, hooks);
         }
-        let mut code = compile(self.program, m, tier, start, self.config.full_mcmaps);
+        self.evicted_scratch = evicted;
+        let (mut code, body) = self.build(m, tier, start);
         code.install_epoch = self.cache.epoch();
         hooks.on_compile(self.program, &code);
-        // Re-decode against the new artifact: inline-cache slots start
-        // cold, and bumping the generation invalidates every call site
-        // linked to the previous artifact.
-        let region = (tier == Tier::Region).then(|| self.tiers.hot_region(m));
-        self.decoded[m.0 as usize] = Some(decode(self.program, &code, region.as_deref()));
+        // The new body's inline-cache slots start cold, and bumping the
+        // generation invalidates every call site linked to the previous
+        // artifact.
+        self.decoded[m.0 as usize] = Some(body);
         self.generations[m.0 as usize] = self.generations[m.0 as usize].wrapping_add(1);
         self.compiled[m.0 as usize] = Some(code);
+    }
+
+    /// The artifact and decoded body of `m` at `tier`, laid out at
+    /// `start`: the kept build relocated, if there is one, or else a new
+    /// compile and decode (kept from the second install at a kept tier
+    /// on). Either way the host work is all that differs: the caller
+    /// charges, counts and announces the install the same.
+    fn build(&mut self, m: MethodId, tier: Tier, start: u64) -> (CompiledCode, DecodedMethod) {
+        let slot = memo_slot(tier);
+        let memo = &mut self.memo[m.0 as usize];
+        if let Some((code, body)) = slot.and_then(|s| memo.built[s].as_ref()) {
+            let (code, body) = (
+                code.relocated(start),
+                body.relocated(code.code_start, start),
+            );
+            #[cfg(test)]
+            tests::reinstall::record(&code, &body, true, None);
+            return (code, body);
+        }
+        let code = compile(self.program, m, tier, start, self.config.full_mcmaps);
+        let region = (tier == Tier::Region).then(|| self.tiers.hot_region(m));
+        let body = decode(self.program, &code, region.as_deref());
+        #[cfg(test)]
+        tests::reinstall::record(&code, &body, false, region.as_deref());
+        if let Some(s) = slot {
+            if memo.installed[s] {
+                memo.built[s] = Some((code.clone(), body.clone()));
+            }
+            memo.installed[s] = true;
+        }
+        (code, body)
     }
 
     /// Tell the hooks to retire a freed code range from sample
@@ -2483,6 +2549,196 @@ mod tests {
                 assert_eq!(r.unwrap_err(), VmError::StepLimit);
                 assert_eq!(vm.bytecodes, limit + 1, "tier1 {tier1}, limit {limit}");
             }
+        }
+    }
+
+    /// A reinstall served from the per-run memo must be indistinguishable
+    /// from a fresh build at the same start.
+    pub(super) mod reinstall {
+        use super::*;
+        use crate::predecode::IC_EMPTY;
+        use std::cell::RefCell;
+        use std::collections::{HashMap, HashSet};
+
+        /// One install, as `Vm::build` handed it over.
+        struct Installed {
+            code: CompiledCode,
+            body: DecodedMethod,
+            /// Relocated from the memo rather than compiled and decoded.
+            reused: bool,
+            /// The hot-block set a region body was decoded with.
+            region: Option<Vec<u32>>,
+        }
+
+        thread_local! {
+            /// The installs of the run in progress under [`installs`].
+            static LOG: RefCell<Option<Vec<Installed>>> = const { RefCell::new(None) };
+        }
+
+        pub(in crate::interp) fn record(
+            code: &CompiledCode,
+            body: &DecodedMethod,
+            reused: bool,
+            region: Option<&[u32]>,
+        ) {
+            LOG.with(|log| {
+                if let Some(log) = log.borrow_mut().as_mut() {
+                    log.push(Installed {
+                        code: code.clone(),
+                        body: body.clone(),
+                        reused,
+                        region: region.map(<[u32]>::to_vec),
+                    });
+                }
+            });
+        }
+
+        /// Run `p` under `cfg` and return every install it made.
+        fn installs(p: &Program, cfg: VmConfig) -> Vec<Installed> {
+            LOG.with(|log| *log.borrow_mut() = Some(Vec::new()));
+            let run = Vm::new(p, cfg).run(&mut NoHooks);
+            let log = LOG.with(|log| log.borrow_mut().take()).unwrap_or_default();
+            run.expect("program completes");
+            log
+        }
+
+        /// Four helpers, called round-robin from a loop, that each bump a
+        /// field of one object `n` times and return from inside their
+        /// loop: a region over the loop then never deopts, so a small
+        /// code cache evicts helpers at every tier while another runs.
+        fn churn_program() -> Program {
+            let mut pb = ProgramBuilder::new();
+            let node = pb.add_class("Node", &[("v", FieldType::Int)]);
+            let v = pb.field_id(node, "v").unwrap();
+            let acc = pb.add_static("acc", FieldType::Int);
+            let mut helpers = Vec::new();
+            for (name, k) in [("f", 1), ("g", 3), ("h", 7), ("k", 9)] {
+                // name(o, n): o.v += k, n + 1 times; return o.v.
+                let mut h = MethodBuilder::new(name, 2, 1, true);
+                let (top, more) = (h.label(), h.label());
+                h.bind(top);
+                h.load(0).load(0).get_field(v).const_i(k).add().put_field(v);
+                h.load(2).load(1).ge().jump_if_not(more);
+                h.load(0).get_field(v).ret_val();
+                h.bind(more);
+                h.load(2).const_i(1).add().store(2);
+                h.jump(top);
+                helpers.push(pb.add_method(h));
+            }
+            let mut m = MethodBuilder::new("main", 0, 2, false);
+            m.new_object(node).store(1);
+            m.for_loop(
+                0,
+                |m| {
+                    m.const_i(120);
+                },
+                |m| {
+                    for &h in &helpers {
+                        m.load(1).const_i(6).call(h).put_static(acc);
+                    }
+                },
+            );
+            m.ret();
+            let id = pb.add_method(m);
+            pb.set_entry(id);
+            pb.finish().unwrap()
+        }
+
+        /// Baseline churn, opt churn with full and GC-point-only maps, and
+        /// region churn, each in a cache that holds about two helpers.
+        fn configs() -> Vec<VmConfig> {
+            let base = || {
+                let mut cfg = VmConfig::test();
+                cfg.jit.code_cache_capacity_bytes = Some(640);
+                cfg
+            };
+            let mut baseline = base();
+            baseline.jit.tier1_enabled = false;
+            let mut opt = base();
+            opt.jit.sample_period_cycles = 500;
+            opt.jit.tier1_threshold = 1;
+            let mut stock_maps = opt.clone();
+            stock_maps.full_mcmaps = false;
+            let mut region = opt.clone();
+            region.jit.tier2_enabled = true;
+            region.jit.tier2_threshold = 8;
+            vec![baseline, opt, stock_maps, region]
+        }
+
+        #[test]
+        fn reinstalls_relocate_what_a_fresh_build_would_make() {
+            let p = churn_program();
+            let mut reused = [0usize; 3];
+            let mut region_installs = HashMap::new();
+            let mut reused_starts = HashMap::new();
+            let mut installs_at = HashMap::new();
+            for (i, cfg) in configs().into_iter().enumerate() {
+                let full_maps = cfg.full_mcmaps;
+                for inst in installs(&p, cfg) {
+                    let (code, body) = (&inst.code, &inst.body);
+                    let (m, tier) = (code.method, code.tier);
+                    let what = format!("{m:?} at {tier} at {:#x}", code.code_start);
+                    let fresh = compile(&p, m, tier, code.code_start, full_maps);
+                    assert_eq!(code.code_end(), fresh.code_end(), "{what}");
+                    for bc in 0..p.method(m).len() {
+                        assert_eq!(code.mem_pc(bc), fresh.mem_pc(bc), "{what}, bc {bc}");
+                    }
+                    for mach in 0..=fresh.machine_len() {
+                        assert_eq!(
+                            code.mc_map().lookup(mach),
+                            fresh.mc_map().lookup(mach),
+                            "{what}, machine index {mach}"
+                        );
+                    }
+                    assert_eq!(code.gc_points(), fresh.gc_points(), "{what}");
+                    let want = decode(&p, &fresh, inst.region.as_deref());
+                    assert_eq!(body.ops, want.ops, "{what}: decoded ops");
+                    assert_eq!(body.block_of, want.block_of, "{what}");
+                    assert_eq!((body.width, body.tier), (want.width, want.tier));
+                    assert_eq!(body.ics.len(), want.ics.len(), "{what}");
+                    assert!(
+                        body.ics.iter().all(|s| matches!(
+                            s,
+                            IcSlot::Field { class: IC_EMPTY }
+                                | IcSlot::Call {
+                                    generation: IC_EMPTY
+                                }
+                        )),
+                        "{what}: inline caches start cold"
+                    );
+                    if tier == Tier::Region {
+                        *region_installs.entry(m).or_insert(0) += 1;
+                        assert!(!inst.reused, "{what}: a region body is always compiled");
+                        continue;
+                    }
+                    // A build is kept at a method's second install at a
+                    // tier, and every later install there relocates it.
+                    let nth = installs_at.entry((i, m, tier)).or_insert(0);
+                    *nth += 1;
+                    assert_eq!(inst.reused, *nth > 2, "{what}: install {nth}");
+                    if inst.reused {
+                        reused[tier as usize] += 1;
+                        reused_starts
+                            .entry((i, m, tier))
+                            .or_insert_with(HashSet::new)
+                            .insert(code.code_start);
+                    }
+                }
+            }
+            // The helpers are reinstalled many times over at both kept
+            // tiers, and a helper relocated to two starts moved away from
+            // its kept build's at least once.
+            assert!(reused[Tier::Baseline as usize] > 100, "{reused:?}");
+            assert!(reused[Tier::Opt as usize] > 100, "{reused:?}");
+            let moved = reused_starts.values().filter(|s| s.len() > 1).count();
+            assert!(
+                moved >= 8,
+                "only {moved} helpers were relocated to two starts"
+            );
+            assert!(
+                region_installs.values().any(|&n| n >= 3),
+                "a region body is reinstalled: {region_installs:?}"
+            );
         }
     }
 

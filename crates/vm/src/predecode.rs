@@ -13,8 +13,13 @@
 //! generation); a hit retires the fast-path instruction count from
 //! [`crate::compiler::ic_hit_count`], a mismatch re-keys the slot and
 //! retires the full sequence. Slots are rebuilt (cold) whenever the
-//! method is recompiled, and call slots are invalidated by construction
-//! when a callee is recompiled because the callee's generation bumps.
+//! method is (re)installed, and call slots are invalidated by
+//! construction when a callee is reinstalled because the callee's
+//! generation bumps.
+//!
+//! A reinstall at a tier the method already had does not decode again:
+//! [`DecodedMethod::relocated`] copies the earlier body with each
+//! memory pc moved to the new code start.
 //!
 //! A peephole pass ([`fuse`]) then rewrites the head `Load` of the two
 //! sequences [`hpmopt_bytecode::builder::MethodBuilder::for_loop`] wraps
@@ -172,7 +177,7 @@ pub(crate) enum IcSlot {
 }
 
 /// A method body decoded against one compiled artifact. Replaced — with
-/// all cache slots cold — whenever the method is (re)compiled.
+/// all cache slots cold — whenever the method is (re)installed.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodedMethod {
     /// One entry per bytecode, same indices as the method body. Shared,
@@ -189,8 +194,31 @@ pub(crate) struct DecodedMethod {
     /// Basic-block id of each bytecode (leaders: entry, branch targets,
     /// fall-throughs after control transfers). The tier manager counts
     /// back-edge executions per block, and region compilation keeps the
-    /// hottest blocks.
-    pub block_of: Vec<u32>,
+    /// hottest blocks. Shared by every relocation of the body.
+    pub block_of: Rc<[u32]>,
+}
+
+impl DecodedMethod {
+    /// This body for the same artifact laid out at `to` instead of
+    /// `from`: a copy of the ops with each memory pc moved by the same
+    /// distance as the code, and the same cache slots. A body kept for
+    /// relocation never runs, so its slots, and the copy's, are cold.
+    pub(crate) fn relocated(&self, from: u64, to: u64) -> DecodedMethod {
+        DecodedMethod {
+            ops: self
+                .ops
+                .iter()
+                .map(|d| DecodedOp {
+                    mem_pc: d.mem_pc - from + to,
+                    ..*d
+                })
+                .collect(),
+            ics: self.ics.clone(),
+            width: self.width,
+            tier: self.tier,
+            block_of: Rc::clone(&self.block_of),
+        }
+    }
 }
 
 /// Basic-block id per bytecode: a new block starts at the entry, at every
@@ -371,7 +399,7 @@ pub(crate) fn decode(
         ics,
         width,
         tier: code.tier,
-        block_of,
+        block_of: block_of.into(),
     }
 }
 
@@ -550,6 +578,24 @@ mod tests {
                     );
                 }
                 assert_eq!(heads, want_heads, "{tier:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_relocated_body_is_the_body_decoded_at_the_new_start() {
+        let (p, id) = counted_loops_program();
+        for tier in [Tier::Baseline, Tier::Opt] {
+            let code = compile(&p, id, tier, 0x4000_0000, true);
+            let body = decode(&p, &code, None);
+            for to in [0x4000_0000, 0x4000_0100, 0x4001_0000] {
+                let moved = body.relocated(code.code_start, to);
+                let want = decode(&p, &code.relocated(to), None);
+                assert_eq!(moved.ops, want.ops, "{tier} at {to:#x}");
+                assert_eq!(moved.block_of, want.block_of);
+                assert!(Rc::ptr_eq(&moved.block_of, &body.block_of), "shared");
+                assert_eq!((moved.width, moved.tier), (want.width, want.tier));
+                assert_eq!(moved.ics.len(), want.ics.len());
             }
         }
     }

@@ -25,8 +25,12 @@ echo "==> hot-path crates' tests in the debug profile (debug asserts and overflo
 # loop with both on. hpm is among them: every heap access reaches
 # HpmSystem::on_event as it issues, and the PEBS countdown and the poll's
 # swapped buffers run there. The vm tests pin every hook stamp, so the
-# stamp arithmetic runs with overflow checks too.
+# stamp arithmetic runs with overflow checks too. The pinned hook streams
+# run here as well: the tiered jython stream reinstalls evicted code
+# thousands of times, so the relocation arithmetic runs with overflow
+# checks on.
 cargo test -q -p hpmopt-prim -p hpmopt-bytecode -p hpmopt-memsim -p hpmopt-gc -p hpmopt-jit -p hpmopt-hpm -p hpmopt-vm
+cargo test -q -p hpmopt-workloads --test hook_stream
 
 echo "==> benchmark package: build and test perfbench"
 # perfbench is a package of its own that drives the system through public
