@@ -10,17 +10,25 @@
 //! 4. The JSON, text, and Prometheus exports are byte-stable against
 //!    committed golden files (regenerate deliberately with
 //!    `UPDATE_GOLDEN=1 cargo test --test observability`).
+//! 5. What the runtime exports from three real `db` runs (decisions,
+//!    trace, metrics, the compile-cost and GC pause histograms, fresh
+//!    profiles) folds to a pinned digest.
+
+use std::collections::BTreeSet;
 
 use hpmopt::bytecode::MethodId;
 use hpmopt::core::feedback::FeedbackConfig;
 use hpmopt::core::runtime::{ForcedBadPlacement, HpmRuntime, RunConfig, RunReport};
+use hpmopt::core::ProfileOptions;
 use hpmopt::gc::{CollectorKind, HeapConfig};
 use hpmopt::hpm::{HpmConfig, SamplingInterval};
+use hpmopt::profile::Profile;
 use hpmopt::telemetry::{
     prom, HistogramId, MetricId, SampleWitness, Telemetry, TraceKind, DEFAULT_TRACE_CAPACITY,
 };
 use hpmopt::vm::{CompilationPlan, VmConfig};
 use hpmopt::workloads::{self, Size, Workload};
+use hpmopt_prim::Fnv1a;
 
 /// The Figure 8 sabotage configuration on `db` (tiny): a deliberately
 /// bad placement pinned mid-run, with a feedback loop tight enough to
@@ -269,3 +277,85 @@ fn exports_are_byte_stable_against_committed_goldens() {
         &prom::render(&snap, &[("workload", "golden")]),
     );
 }
+
+/// The three `db` Tiny runs of the export pin, each labelled `db` for
+/// the profile repository: the forced-bad run, a plain cold run, and a
+/// plain warm run that checks out the cold run's fresh profile. Every
+/// run charges its compiles; the plain runs promote through the tier-1
+/// timer, so the compile costs of both tiers are observed.
+fn export_pin_runs() -> Vec<(Telemetry, RunReport)> {
+    let w = workloads::by_name("db", Size::Tiny).unwrap();
+    let run = |forced: bool, checkout: Option<Profile>| {
+        let telemetry = Telemetry::enabled(DEFAULT_TRACE_CAPACITY);
+        let mut cfg = forced_bad_config(&w, telemetry.clone());
+        if !forced {
+            cfg.vm.plan = None;
+            cfg.vm.jit.tier1_enabled = true;
+            cfg.vm.jit.sample_period_cycles = 200_000;
+            cfg.vm.jit.tier1_threshold = 2;
+            cfg.watch_fields.clear();
+            cfg.forced_bad = None;
+            cfg.feedback = FeedbackConfig::default();
+        }
+        cfg.vm.baseline_compile_cycles_per_bc = 3;
+        cfg.vm.opt_compile_cycles_per_bc = 30;
+        cfg.profile = ProfileOptions::from_checkout(checkout, "db");
+        let report = HpmRuntime::new(cfg).run(&w.program).unwrap();
+        (telemetry, report)
+    };
+    let forced = run(true, None);
+    let cold = run(false, None);
+    let warm = run(false, cold.1.fresh_profile.clone());
+    vec![forced, cold, warm]
+}
+
+/// Everything the runtime exports from real runs, folded with FNV-1a:
+/// every decision record, every trace event but `recompilation` (whose
+/// stamp is the compile's, not the decision pipeline's), every metric,
+/// the compile-cost and GC pause histograms, and each fresh profile's
+/// encoding. A change to how the runtime reads the policy's decision
+/// log, the VM's compile charge, its freed code ranges, the collector's
+/// counters or its prior profile must leave this digest alone.
+#[test]
+fn runtime_exports_of_real_runs_are_pinned() {
+    let mut h = Fnv1a::new();
+    let mut actions = BTreeSet::new();
+    for (telemetry, report) in export_pin_runs() {
+        let snap = telemetry.snapshot(report.cycles);
+        for d in &snap.decisions {
+            actions.insert(d.action);
+            h.write_str(&format!("{d:?}"));
+        }
+        for e in &snap.events {
+            if !matches!(e.kind, TraceKind::Recompilation { .. }) {
+                h.write_str(&format!("{e:?}"));
+            }
+        }
+        for &v in &snap.values {
+            h.write_u64(v);
+        }
+        for id in [
+            HistogramId::JitCompileCostCycles,
+            HistogramId::GcMinorPauseCycles,
+            HistogramId::GcMajorPauseCycles,
+        ] {
+            let hist = snap.hist(id);
+            for &b in &hist.buckets {
+                h.write_u64(b);
+            }
+            h.write_u64(hist.sum);
+        }
+        let fresh = report
+            .fresh_profile
+            .expect("a labelled run reports its profile");
+        h.write(&fresh.encode());
+    }
+    for action in ["enabled", "pinned", "reverted", "warm_start"] {
+        assert!(
+            actions.contains(action),
+            "no `{action}` decision: {actions:?}"
+        );
+    }
+    assert_eq!(h.finish(), PIN_RUNTIME_EXPORTS);
+}
+const PIN_RUNTIME_EXPORTS: u64 = 9_197_789_534_229_551_463;
