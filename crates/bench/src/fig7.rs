@@ -55,12 +55,7 @@ pub fn measure(size: Size) -> Series {
             (c, avg)
         })
         .collect();
-    let decision_at = report.policy_events.first().map(|e| match e {
-        hpmopt_core::policy::PolicyEvent::Enabled { cycles, .. }
-        | hpmopt_core::policy::PolicyEvent::Pinned { cycles, .. }
-        | hpmopt_core::policy::PolicyEvent::Reverted { cycles, .. }
-        | hpmopt_core::policy::PolicyEvent::WarmStarted { cycles, .. } => *cycles,
-    });
+    let decision_at = report.policy_events.first().map(|e| e.cycles);
     Series {
         cumulative,
         rate,

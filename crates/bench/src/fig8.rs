@@ -9,7 +9,7 @@
 //! several measurement periods switches back; the miss rate returns to
 //! its old value.
 
-use hpmopt_core::policy::PolicyEvent;
+use hpmopt_core::policy::DecisionKind;
 use hpmopt_core::runtime::ForcedBadPlacement;
 use hpmopt_gc::CollectorKind;
 use hpmopt_workloads::{by_name, Size};
@@ -77,16 +77,12 @@ pub fn measure(size: Size) -> Trajectory {
     let mut pinned_at = None;
     let mut reverted_at = None;
     for e in &report.policy_events {
-        match *e {
-            PolicyEvent::Pinned { cycles, .. } => pinned_at = Some(cycles),
-            PolicyEvent::Reverted { cycles, .. }
-                if pinned_at.is_some() && reverted_at.is_none() =>
-            {
-                reverted_at = Some(cycles);
+        match e.kind {
+            DecisionKind::Pinned => pinned_at = Some(e.cycles),
+            DecisionKind::Reverted if pinned_at.is_some() && reverted_at.is_none() => {
+                reverted_at = Some(e.cycles);
             }
-            PolicyEvent::Enabled { .. }
-            | PolicyEvent::Reverted { .. }
-            | PolicyEvent::WarmStarted { .. } => {}
+            _ => {}
         }
     }
     Trajectory {

@@ -13,8 +13,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use hpmopt_core::runtime::RunReport;
-use hpmopt_core::ProfileOptions;
+use hpmopt_core::{warmstart, ProfileOptions};
 use hpmopt_gc::CollectorKind;
+use hpmopt_profile::{LoadOutcome, ProfileStore};
 use hpmopt_workloads::{by_name, Size};
 
 use crate::{fmt, setup};
@@ -44,16 +45,25 @@ fn events_at(r: &RunReport, fraction: f64) -> u64 {
 #[must_use]
 pub fn measure(size: Size, tag: &str) -> (RunReport, RunReport) {
     let w = by_name("db", size).expect("db exists");
-    let path = temp_profile(tag);
-    let configure = || {
+    let store = ProfileStore::new(temp_profile(tag));
+    let run = || {
         let heap = setup::heap_config(&w, 4, 1, CollectorKind::GenMs);
         let mut cfg = setup::run_config(&w, size, heap, setup::auto_interval(), true);
-        cfg.profile = ProfileOptions::at(&path, "db");
-        cfg
+        let prior = store
+            .load_any()
+            .map_or_else(LoadOutcome::Cold, LoadOutcome::Warm);
+        cfg.profile = ProfileOptions {
+            workload: "db".into(),
+            prior: prior.clone(),
+        };
+        let telemetry = cfg.telemetry.clone();
+        let report = setup::run(&w, cfg);
+        warmstart::save_run(&store, prior, &report, &telemetry);
+        report
     };
-    let cold = setup::run(&w, configure());
-    let warm = setup::run(&w, configure());
-    let _ = std::fs::remove_file(&path);
+    let cold = run();
+    let warm = run();
+    let _ = std::fs::remove_file(store.path());
     (cold, warm)
 }
 

@@ -12,48 +12,27 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hpmopt_bytecode::{ClassId, FieldId, Program};
 use hpmopt_gc::policy::{CoallocDecision, CoallocPolicy};
+pub use hpmopt_profile::DecisionKind;
 
 use crate::monitor::OnlineMonitor;
 
 /// Something the policy did, with its cycle timestamp (the report's
-/// decision log).
+/// decision log). `kind` is the profile repository's own decision kind,
+/// so the log persists as recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyEvent {
-    /// Co-allocation enabled for a class through the named field.
-    Enabled {
-        /// When.
-        cycles: u64,
-        /// Which class.
-        class: ClassId,
-        /// Through which field.
-        field: FieldId,
-    },
-    /// A pinned (externally forced) decision was installed.
-    Pinned {
-        /// When.
-        cycles: u64,
-        /// Which class.
-        class: ClassId,
-        /// Padding inserted between parent and child.
-        gap_bytes: u64,
-    },
-    /// A decision was reverted by the feedback assessor.
-    Reverted {
-        /// When.
-        cycles: u64,
-        /// Which class.
-        class: ClassId,
-    },
-    /// A decision was installed at startup from a persisted profile,
-    /// before any sample of this run was taken.
-    WarmStarted {
-        /// When (normally 0).
-        cycles: u64,
-        /// Which class.
-        class: ClassId,
-        /// Through which field.
-        field: FieldId,
-    },
+pub struct PolicyEvent {
+    /// When (0 for a warm start, installed before the first bytecode).
+    pub cycles: u64,
+    /// Which class.
+    pub class: ClassId,
+    /// What the policy did.
+    pub kind: DecisionKind,
+    /// The field co-allocated through: set when a decision is enabled
+    /// or warm-started, `None` for a pin or a revert, which act on the
+    /// class.
+    pub field: Option<FieldId>,
+    /// Padding between parent and child of a pin; 0 otherwise.
+    pub gap_bytes: u64,
 }
 
 /// Policy configuration.
@@ -114,11 +93,7 @@ impl AdaptivePolicy {
             };
             if is_new {
                 self.decisions.insert(class, (field, decision));
-                self.events.push(PolicyEvent::Enabled {
-                    cycles,
-                    class,
-                    field,
-                });
+                self.log(cycles, class, DecisionKind::Enabled, Some(field), 0);
             }
         }
     }
@@ -136,22 +111,20 @@ impl AdaptivePolicy {
             gap_bytes: 0,
         };
         self.decisions.insert(class, (field, decision));
-        self.events.push(PolicyEvent::WarmStarted {
-            cycles,
-            class,
-            field,
-        });
+        self.log(cycles, class, DecisionKind::WarmStarted, Some(field), 0);
     }
 
     /// Pin a decision that overrides the adaptive one (Figure 8's bad
     /// placement).
     pub fn pin(&mut self, class: ClassId, decision: CoallocDecision, cycles: u64) {
         self.pinned.insert(class, decision);
-        self.events.push(PolicyEvent::Pinned {
+        self.log(
             cycles,
             class,
-            gap_bytes: decision.gap_bytes,
-        });
+            DecisionKind::Pinned,
+            None,
+            decision.gap_bytes,
+        );
     }
 
     /// Revert a class's decision (feedback): removes pin and adaptive
@@ -159,7 +132,7 @@ impl AdaptivePolicy {
     pub fn revert(&mut self, class: ClassId, cycles: u64) {
         let had = self.pinned.remove(&class).is_some() | self.decisions.remove(&class).is_some();
         if had {
-            self.events.push(PolicyEvent::Reverted { cycles, class });
+            self.log(cycles, class, DecisionKind::Reverted, None, 0);
         }
         // A pinned bad decision reverts to the adaptive path; an adaptive
         // decision that regressed must not come back.
@@ -171,8 +144,25 @@ impl AdaptivePolicy {
     /// Remove only a pin, letting the adaptive decision (if any) resume.
     pub fn unpin(&mut self, class: ClassId, cycles: u64) {
         if self.pinned.remove(&class).is_some() {
-            self.events.push(PolicyEvent::Reverted { cycles, class });
+            self.log(cycles, class, DecisionKind::Reverted, None, 0);
         }
+    }
+
+    fn log(
+        &mut self,
+        cycles: u64,
+        class: ClassId,
+        kind: DecisionKind,
+        field: Option<FieldId>,
+        gap_bytes: u64,
+    ) {
+        self.events.push(PolicyEvent {
+            cycles,
+            class,
+            kind,
+            field,
+            gap_bytes,
+        });
     }
 
     /// Classes with an active (pinned or adaptive) decision.
@@ -330,10 +320,12 @@ mod tests {
         assert_eq!(d.field_offset, p.field(y).offset);
         assert_eq!(
             pol.events(),
-            &[PolicyEvent::WarmStarted {
+            &[PolicyEvent {
                 cycles: 0,
                 class,
-                field: y
+                kind: DecisionKind::WarmStarted,
+                field: Some(y),
+                gap_bytes: 0,
             }]
         );
         // The adaptive refresh sees the same (class, field) as current

@@ -14,12 +14,12 @@ use hpmopt_bytecode::{ClassId, FieldId, MethodId, Program};
 use hpmopt_gc::policy::{CoallocDecision, CoallocPolicy, NoCoalloc};
 use hpmopt_gc::GcStats;
 use hpmopt_hpm::{HpmConfig, HpmStats, HpmSystem};
-use hpmopt_profile::{ColdReason, LoadOutcome, Profile, ProfileStore, MERGE_DECAY};
+use hpmopt_profile::{ColdReason, DecisionKind, LoadOutcome, Profile};
 use hpmopt_telemetry::{
     CycleBuckets, DecisionRecord, FeedbackChain, HistogramId, MetricId, Telemetry, TraceKind,
 };
 use hpmopt_vm::{
-    AccessContext, CancelToken, CodeRetired, CompilationPlan, CompiledCode, RunSummary,
+    AccessContext, CancelToken, CompilationPlan, CompiledCode, FreedRange, RunSummary,
     RuntimeHooks, Tier, Vm, VmConfig, VmError,
 };
 
@@ -62,9 +62,9 @@ pub struct RunConfig {
     pub watch_fields: Vec<(String, String)>,
     /// Optional Figure 8 forced bad placement.
     pub forced_bad: Option<ForcedBadPlacement>,
-    /// Persistent-profile repository settings (warm start + shutdown
-    /// save). Disabled by default: the paper's system has no
-    /// persistence.
+    /// The prior profile to warm-start from and the workload label of
+    /// the run's fresh one. Disabled by default: the paper's system has
+    /// no persistence.
     pub profile: ProfileOptions,
     /// Telemetry sink shared by every pipeline layer. Disabled by
     /// default, in which case all recording is a no-op.
@@ -112,9 +112,10 @@ pub struct RunReport {
     /// Whether a persisted profile warm-started this run.
     pub warm_start: bool,
     /// What *this* run measured (warm-start seeds subtracted), built
-    /// whenever profile persistence or a shared-repository checkout is
-    /// configured. A shared repository decay-merges this back on job
-    /// completion; `None` when the run used no profile machinery.
+    /// whenever the run has a workload label. Its caller decay-merges it
+    /// into the prior ([`warmstart::save_run`], or the shared
+    /// repository on job completion); `None` when the run did no
+    /// profile work.
     pub fresh_profile: Option<Profile>,
     /// Placement-independent digest of the program-visible end state
     /// (statics plus reachable heap contents,
@@ -138,12 +139,8 @@ impl RunReport {
     pub fn cycles_to_first_decision(&self) -> Option<u64> {
         self.policy_events
             .iter()
-            .filter_map(|e| match *e {
-                PolicyEvent::Enabled { cycles, .. }
-                | PolicyEvent::WarmStarted { cycles, .. }
-                | PolicyEvent::Pinned { cycles, .. } => Some(cycles),
-                PolicyEvent::Reverted { .. } => None,
-            })
+            .filter(|e| e.kind != DecisionKind::Reverted)
+            .map(|e| e.cycles)
             .min()
     }
 
@@ -152,7 +149,7 @@ impl RunReport {
     pub fn revert_count(&self) -> usize {
         self.policy_events
             .iter()
-            .filter(|e| matches!(e, PolicyEvent::Reverted { .. }))
+            .filter(|e| e.kind == DecisionKind::Reverted)
             .count()
     }
 
@@ -225,51 +222,38 @@ impl HpmRuntime {
         let mut hpm = HpmSystem::new(self.config.hpm);
         hpm.set_telemetry(telemetry.clone());
 
-        // Warm start: consult the profile repository before the first
-        // bytecode runs. A load can only ever degrade to a cold start —
-        // a broken profile file (or a stale in-memory checkout) must
-        // not break the run.
-        let wants_profile = self.config.profile.path.is_some()
-            || self.config.profile.checkout.is_some()
-            || self.config.profile.report_fresh;
-        let fingerprint = wants_profile.then(|| {
-            warmstart::fingerprint(program, &self.config.vm, &self.config.profile.workload)
-        });
-        let store = self.config.profile.path.as_ref().map(ProfileStore::new);
-        let mut prior: Option<Profile> = None;
+        // Warm start: take the prior profile before the first bytecode
+        // runs. A prior can only ever degrade to a cold start: a broken
+        // profile file or a stale checkout must not break the run.
+        let profile = &self.config.profile;
+        let fingerprint = (!profile.workload.is_empty())
+            .then(|| warmstart::fingerprint(program, &self.config.vm, &profile.workload));
         let mut seeds: Option<Seeds> = None;
         if let Some(fp) = &fingerprint {
-            // An in-memory checkout (shared-repository mode) takes
-            // precedence over the disk store.
-            let outcome = match self.config.profile.checkout.clone() {
-                Some(p) if p.fingerprint == *fp => LoadOutcome::Warm(p),
-                Some(_) => LoadOutcome::Cold(ColdReason::FingerprintMismatch),
-                None => match &store {
-                    Some(s) => s.load(fp),
-                    None => LoadOutcome::Cold(ColdReason::Missing),
-                },
-            };
-            match outcome {
-                LoadOutcome::Warm(p) => {
+            match &profile.prior {
+                LoadOutcome::Warm(p) if p.fingerprint == *fp => {
                     telemetry.incr(MetricId::ProfileWarmStarts);
                     seeds = Some(warmstart::compute_seeds(
                         program,
-                        &p,
+                        p,
                         self.config.policy.min_field_misses,
                     ));
-                    prior = Some(p);
                 }
-                LoadOutcome::Cold(reason) => {
+                prior => {
                     telemetry.incr(MetricId::ProfileColdStarts);
-                    telemetry.incr(match reason {
-                        ColdReason::Missing => MetricId::ProfileLoadMissing,
-                        ColdReason::Io(_) | ColdReason::Format(_) => MetricId::ProfileLoadCorrupt,
-                        ColdReason::FingerprintMismatch => MetricId::ProfileLoadMismatch,
+                    telemetry.incr(match prior {
+                        LoadOutcome::Cold(ColdReason::Missing) => MetricId::ProfileLoadMissing,
+                        LoadOutcome::Cold(ColdReason::Io(_) | ColdReason::Format(_)) => {
+                            MetricId::ProfileLoadCorrupt
+                        }
+                        // A prior measured on another program, machine
+                        // or workload.
+                        _ => MetricId::ProfileLoadMismatch,
                     });
                 }
             }
         }
-        let warm_start = prior.is_some();
+        let warm_start = seeds.is_some();
 
         let mut hooks = Hooks {
             hpm,
@@ -289,8 +273,6 @@ impl HpmRuntime {
             policy_events_emitted: 0,
             gc_seen: GcStats::default(),
             last_cycles: 0,
-            baseline_cc: self.config.vm.baseline_compile_cycles_per_bc,
-            opt_cc: self.config.vm.opt_compile_cycles_per_bc,
             last_poll_cycles: None,
             revert_ctx: BTreeMap::new(),
         };
@@ -320,47 +302,25 @@ impl HpmRuntime {
         let mut vm = Vm::new(program, vm_config);
         let summary = vm.run(&mut hooks)?;
         let result_digest = vm.state_digest();
-        sync_final_counters(&hooks, &summary);
+        sync_final_counters(&telemetry, &summary);
 
         // Shutdown: build what *this* run measured (seeded history
-        // subtracted). In disk mode it is decay-merged into the prior
-        // profile and saved; in shared-repository mode the fresh
-        // profile rides back on the report and the repository merges.
-        let mut fresh_profile: Option<Profile> = None;
-        if let Some(fp) = fingerprint {
+        // subtracted). The caller merges it into the prior.
+        let fresh_profile = fingerprint.map(|fp| {
             let mut totals = hooks.monitor.field_totals();
             for (f, n) in &mut totals {
                 if let Some(&(_, s)) = hooks.seeded.iter().find(|(sf, _)| sf == f) {
                     *n = n.saturating_sub(s);
                 }
             }
-            let fresh = warmstart::build_profile(
+            warmstart::build_profile(
                 program,
                 fp,
                 &totals,
                 hooks.policy.events(),
                 &summary.opt_compiled,
-            );
-            if self.config.profile.save {
-                if let Some(store) = &store {
-                    let merged = match prior {
-                        Some(mut p) => {
-                            p.merge_run(&fresh, MERGE_DECAY);
-                            p
-                        }
-                        None => fresh.clone(),
-                    };
-                    match store.save(&merged) {
-                        Ok(_) => {
-                            telemetry.incr(MetricId::ProfileSaves);
-                            telemetry.set_gauge(MetricId::ProfileRuns, u64::from(merged.runs));
-                        }
-                        Err(_) => telemetry.incr(MetricId::ProfileSaveErrors),
-                    }
-                }
-            }
-            fresh_profile = Some(fresh);
-        }
+            )
+        });
 
         let field_totals = hooks
             .monitor
@@ -461,7 +421,7 @@ impl PlanWatch {
 }
 
 impl RuntimeHooks for PlanWatch {
-    fn on_compile(&mut self, _program: &Program, code: &CompiledCode) {
+    fn on_compile(&mut self, _program: &Program, code: &CompiledCode, _cost: u64) {
         let Some(stop) = &self.stop else {
             return;
         };
@@ -477,11 +437,11 @@ impl RuntimeHooks for PlanWatch {
 }
 
 /// Push the run's final aggregate statistics into the telemetry
-/// registry. The `memsim.*` and residual `gc.*`/`vm.*` numbers are
-/// kept by their subsystems (which stay telemetry-free) and exported
-/// here in one go, so the snapshot taken after a run is exact.
-fn sync_final_counters(hooks: &Hooks, summary: &RunSummary) {
-    let t = &hooks.telemetry;
+/// registry. The `memsim.*` and `vm.*` numbers are kept by their
+/// subsystems (which stay telemetry-free) and exported here in one go,
+/// so the snapshot taken after a run is exact. The `gc.*` counters are
+/// not: `on_gc` adds each collection's deltas as it happens.
+fn sync_final_counters(t: &Telemetry, summary: &RunSummary) {
     let mem = &summary.mem;
     t.add(MetricId::MemsimL1Hits, mem.l1_hits);
     t.add(MetricId::MemsimL1Misses, mem.l1_misses);
@@ -492,28 +452,6 @@ fn sync_final_counters(hooks: &Hooks, summary: &RunSummary) {
     t.add(MetricId::MemsimDtlbHits, mem.dtlb_hits);
     t.add(MetricId::MemsimDtlbMisses, mem.dtlb_misses);
     t.add(MetricId::MemsimDtlbEvictions, mem.dtlb_evictions);
-
-    // GC counters were advanced per collection in `on_gc`; cover any
-    // allocation/promotion tail after the last collection callback.
-    let gc = &summary.gc;
-    let seen = &hooks.gc_seen;
-    t.add(
-        MetricId::GcMinorCollections,
-        gc.minor_collections - seen.minor_collections,
-    );
-    t.add(
-        MetricId::GcMajorCollections,
-        gc.major_collections - seen.major_collections,
-    );
-    t.add(
-        MetricId::GcPromotedBytes,
-        gc.bytes_promoted - seen.bytes_promoted,
-    );
-    t.add(
-        MetricId::GcCoallocatedBytes,
-        gc.bytes_coallocated - seen.bytes_coallocated,
-    );
-
     t.set_gauge(MetricId::VmCompileCycles, summary.compile_cycles);
 }
 
@@ -563,10 +501,6 @@ struct Hooks {
     gc_seen: GcStats,
     /// Most recent cycle stamp observed (for callbacks without a clock).
     last_cycles: u64,
-    /// Per-bytecode compile costs from the VM config, mirroring what
-    /// `Vm::install` charges (for the compile-cost histogram).
-    baseline_cc: u64,
-    opt_cc: u64,
     /// Cycle stamp of the previous poll (poll-gap histogram).
     last_poll_cycles: Option<u64>,
     /// Feedback evidence captured when a revert verdict fires, consumed
@@ -625,24 +559,13 @@ impl RuntimeHooks for Hooks {
             .on_event(ctx.pc, ctx.addr.0, &ctx.outcome, ctx.cycles)
     }
 
-    fn on_compile(&mut self, program: &Program, code: &CompiledCode) {
+    fn on_compile(&mut self, program: &Program, code: &CompiledCode, cost: u64) {
         self.monitor.register_artifact(program, code);
-        let (tier, per_bc) = match code.tier {
-            Tier::Baseline => {
-                self.telemetry.incr(MetricId::JitCompilesBaseline);
-                ("baseline", self.baseline_cc)
-            }
-            Tier::Opt => {
-                self.telemetry.incr(MetricId::JitCompilesOpt);
-                ("opt", self.opt_cc)
-            }
-            Tier::Region => {
-                self.telemetry.incr(MetricId::JitCompilesRegion);
-                ("region", self.opt_cc)
-            }
-        };
-        // Mirror of what `Vm::install` charges for this compilation.
-        let cost = per_bc * program.method(code.method).len() as u64;
+        self.telemetry.incr(match code.tier {
+            Tier::Baseline => MetricId::JitCompilesBaseline,
+            Tier::Opt => MetricId::JitCompilesOpt,
+            Tier::Region => MetricId::JitCompilesRegion,
+        });
         self.telemetry
             .observe(HistogramId::JitCompileCostCycles, cost);
         self.telemetry
@@ -651,33 +574,33 @@ impl RuntimeHooks for Hooks {
             self.last_cycles,
             TraceKind::Recompilation {
                 method: code.method.0,
-                tier,
+                tier: tier_name(code.tier),
             },
         );
     }
 
-    fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
+    fn on_code_retired(&mut self, freed: &FreedRange, cache_bytes: u64, cycles: u64) {
         self.last_cycles = cycles;
         // Stamp subsequent samples with the new epoch and take the
         // artifact out of resolution — the two halves of the
         // attribution-across-code-churn contract.
-        self.hpm.set_code_epoch(ev.epoch);
-        self.monitor.retire_artifact(ev.code_start);
+        self.hpm.set_code_epoch(freed.epoch);
+        self.monitor.retire_artifact(freed.start);
         self.telemetry.incr(MetricId::JitCodeFrees);
-        if ev.evicted {
+        if freed.evicted {
             self.telemetry.incr(MetricId::JitEvictions);
         }
         self.telemetry
-            .set_gauge(MetricId::JitCacheBytes, ev.cache_bytes);
+            .set_gauge(MetricId::JitCacheBytes, cache_bytes);
         self.telemetry
-            .set_gauge_max(MetricId::JitCodeEpoch, ev.epoch);
+            .set_gauge_max(MetricId::JitCodeEpoch, freed.epoch);
         self.telemetry.record(
             cycles,
             TraceKind::CodeEviction {
-                method: ev.method.0,
-                tier: tier_name(ev.tier),
-                epoch: ev.epoch,
-                evicted: ev.evicted,
+                method: freed.method.0,
+                tier: tier_name(freed.tier),
+                epoch: freed.epoch,
+                evicted: freed.evicted,
             },
         );
     }
@@ -844,72 +767,40 @@ impl Hooks {
         let threshold = self.policy.config().min_field_misses;
         let events = self.policy.events();
         for event in &events[self.policy_events_emitted..] {
-            let (kind, metric, action, field, gap_bytes) = match *event {
-                PolicyEvent::Enabled { class, field, .. } => (
-                    TraceKind::CoallocDecision {
-                        class: class.0,
-                        field: field.0,
-                        action: "enabled",
-                    },
-                    MetricId::CorePolicyEnabled,
-                    "enabled",
-                    Some(field),
-                    0,
-                ),
-                PolicyEvent::Pinned {
-                    class, gap_bytes, ..
-                } => (
-                    TraceKind::CoallocDecision {
-                        class: class.0,
-                        field: u32::MAX,
-                        action: "pinned",
-                    },
-                    MetricId::CorePolicyPinned,
-                    "pinned",
-                    None,
-                    gap_bytes,
-                ),
-                PolicyEvent::Reverted { class, .. } => (
-                    TraceKind::CoallocDecision {
-                        class: class.0,
-                        field: u32::MAX,
-                        action: "reverted",
-                    },
-                    MetricId::CorePolicyReverted,
-                    "reverted",
-                    None,
-                    0,
-                ),
-                PolicyEvent::WarmStarted { class, field, .. } => (
-                    TraceKind::CoallocDecision {
-                        class: class.0,
-                        field: field.0,
-                        action: "warm_start",
-                    },
-                    MetricId::CorePolicyWarmStarted,
-                    "warm_start",
-                    Some(field),
-                    0,
-                ),
+            let PolicyEvent {
+                cycles: at,
+                class,
+                kind,
+                field,
+                gap_bytes,
+            } = *event;
+            // The trace and provenance spell a warm start `warm_start`.
+            let (metric, action) = match kind {
+                DecisionKind::Enabled => (MetricId::CorePolicyEnabled, "enabled"),
+                DecisionKind::Pinned => (MetricId::CorePolicyPinned, "pinned"),
+                DecisionKind::Reverted => (MetricId::CorePolicyReverted, "reverted"),
+                DecisionKind::WarmStarted => (MetricId::CorePolicyWarmStarted, "warm_start"),
             };
-            let (at, class) = match *event {
-                PolicyEvent::Enabled { cycles, class, .. }
-                | PolicyEvent::Pinned { cycles, class, .. }
-                | PolicyEvent::Reverted { cycles, class, .. }
-                | PolicyEvent::WarmStarted { cycles, class, .. } => (cycles, class),
-            };
-            self.telemetry.record(at, kind);
+            let field_id = field.map_or(u32::MAX, |f| f.0);
+            self.telemetry.record(
+                at,
+                TraceKind::CoallocDecision {
+                    class: class.0,
+                    field: field_id,
+                    action,
+                },
+            );
             self.telemetry.incr(metric);
             // Sample-to-decision latency: first witnessed sample on the
             // decision's field to the policy action.
-            if action == "enabled" {
+            if kind == DecisionKind::Enabled {
                 if let Some(first) = field.and_then(|f| self.telemetry.first_witness_cycle(f.0)) {
                     self.telemetry
                         .span_at(HistogramId::CoreDecisionLatencyCycles, first)
                         .end(at);
                 }
             }
-            let feedback = if action == "reverted" {
+            let feedback = if kind == DecisionKind::Reverted {
                 self.revert_ctx.remove(&class)
             } else {
                 None
@@ -917,7 +808,7 @@ impl Hooks {
             self.telemetry.record_decision(DecisionRecord {
                 cycle: at,
                 class: class.0,
-                field: field.map_or(u32::MAX, |f| f.0),
+                field: field_id,
                 action,
                 field_misses: field.map_or(0, |f| self.monitor.total(f)),
                 threshold,
@@ -1175,7 +1066,7 @@ mod tests {
         let pinned = report
             .policy_events
             .iter()
-            .any(|e| matches!(e, PolicyEvent::Pinned { .. }));
+            .any(|e| e.kind == DecisionKind::Pinned);
         assert!(
             pinned,
             "bad decision was installed: {:?}",

@@ -11,75 +11,82 @@
 //! by its own observation that decisions stabilize early and stay valid
 //! for the rest of the run.
 
-use std::path::PathBuf;
-
 use hpmopt_bytecode::{ClassId, FieldId, MethodId, Program};
 use hpmopt_prim::Fnv1a;
-use hpmopt_profile::{DecisionKind, Fingerprint, Profile};
+use hpmopt_profile::{ColdReason, Fingerprint, LoadOutcome, Profile, ProfileStore, MERGE_DECAY};
+use hpmopt_telemetry::{MetricId, Telemetry};
 use hpmopt_vm::VmConfig;
 
 use crate::policy::PolicyEvent;
+use crate::runtime::RunReport;
 
-/// How (and whether) a run uses the profile repository.
+/// How (and whether) a run uses the profile repository. The run reads
+/// no file and writes none: it takes one prior profile and hands its
+/// fresh one back in [`crate::runtime::RunReport::fresh_profile`], and
+/// its caller persists ([`save_run`] for a file, the shared
+/// repository's merge for the serve daemon).
 #[derive(Debug, Clone)]
 pub struct ProfileOptions {
-    /// Profile file to load at startup and save at shutdown; `None`
-    /// disables persistence entirely (the paper's behavior).
-    pub path: Option<PathBuf>,
-    /// Whether to persist the merged profile at shutdown. Disable for
-    /// read-only consumers like the report tool's control run.
-    pub save: bool,
-    /// Workload label baked into the fingerprint.
+    /// Workload label baked into the fingerprint. Empty means no
+    /// profile work at all (the paper's behavior): no prior is read, no
+    /// `profile.*` counter moves and no fresh profile is built.
     pub workload: String,
-    /// In-memory prior profile checked out from a shared repository
-    /// (the serve daemon's fleet-wide warm start). Takes precedence
-    /// over `path` for loading; a checkout whose fingerprint does not
-    /// match the run degrades to a cold start exactly like a stale
-    /// file. The run's own measurements come back in
-    /// [`crate::runtime::RunReport::fresh_profile`] for the caller to
-    /// merge, so the repository — not the run — owns the decay-merge.
-    pub checkout: Option<Profile>,
-    /// Build and report the run's fresh profile even with no `path`
-    /// and no `checkout` — a cold first job under a shared repository
-    /// still has to hand its measurements back for merging.
-    pub report_fresh: bool,
+    /// The prior profile, or why there is none. A prior whose
+    /// fingerprint does not match the run starts it cold, like a
+    /// corrupt or missing file, and each reason is counted.
+    pub prior: LoadOutcome,
 }
 
 impl Default for ProfileOptions {
     fn default() -> Self {
         ProfileOptions {
-            path: None,
-            save: true,
             workload: String::new(),
-            checkout: None,
-            report_fresh: false,
+            prior: LoadOutcome::Cold(ColdReason::Missing),
         }
     }
 }
 
 impl ProfileOptions {
-    /// Persist to (and warm-start from) `path`, labeled `workload`.
-    #[must_use]
-    pub fn at(path: impl Into<PathBuf>, workload: &str) -> Self {
-        ProfileOptions {
-            path: Some(path.into()),
-            workload: workload.to_string(),
-            ..ProfileOptions::default()
-        }
-    }
-
-    /// Warm-start from an in-memory checkout (possibly `None` for a
-    /// cold first run) and report the run's fresh profile back without
-    /// touching the filesystem — the serve daemon's configuration.
+    /// Warm-start from an in-memory checkout (`None` for a cold first
+    /// run) and report the run's fresh profile back: the serve daemon's
+    /// configuration.
     #[must_use]
     pub fn from_checkout(checkout: Option<Profile>, workload: &str) -> Self {
         ProfileOptions {
-            save: false,
             workload: workload.to_string(),
-            checkout,
-            report_fresh: true,
-            ..ProfileOptions::default()
+            prior: checkout.map_or(LoadOutcome::Cold(ColdReason::Missing), LoadOutcome::Warm),
         }
+    }
+}
+
+/// Persist a finished run: decay-merge its fresh profile into `prior`
+/// when `prior` is the profile the run warm-started from (same
+/// fingerprint), else keep the fresh profile alone, and save the result
+/// to `store`. Counts `profile.saves` and sets `profile.runs`, or counts
+/// `profile.save_errors`. A run with no fresh profile (no workload
+/// label) saves nothing.
+pub fn save_run(
+    store: &ProfileStore,
+    prior: LoadOutcome,
+    report: &RunReport,
+    telemetry: &Telemetry,
+) {
+    let Some(fresh) = &report.fresh_profile else {
+        return;
+    };
+    let merged = match prior {
+        LoadOutcome::Warm(mut p) if p.fingerprint == fresh.fingerprint => {
+            p.merge_run(fresh, MERGE_DECAY);
+            p
+        }
+        _ => fresh.clone(),
+    };
+    match store.save(&merged) {
+        Ok(_) => {
+            telemetry.incr(MetricId::ProfileSaves);
+            telemetry.set_gauge(MetricId::ProfileRuns, u64::from(merged.runs));
+        }
+        Err(_) => telemetry.incr(MetricId::ProfileSaveErrors),
     }
 }
 
@@ -201,41 +208,11 @@ pub fn build_profile(
         let (class, name) = split_field_name(program, field);
         profile.record_field(&class, &name, misses);
     }
-    for event in events {
-        match *event {
-            PolicyEvent::Enabled {
-                cycles,
-                class,
-                field,
-            } => {
-                let (c, f) = (class_name(program, class), short_field_name(program, field));
-                profile.record_decision(&c, &f, DecisionKind::Enabled, cycles);
-            }
-            PolicyEvent::WarmStarted {
-                cycles,
-                class,
-                field,
-            } => {
-                let (c, f) = (class_name(program, class), short_field_name(program, field));
-                profile.record_decision(&c, &f, DecisionKind::WarmStarted, cycles);
-            }
-            PolicyEvent::Pinned { cycles, class, .. } => {
-                profile.record_decision(
-                    &class_name(program, class),
-                    "",
-                    DecisionKind::Pinned,
-                    cycles,
-                );
-            }
-            PolicyEvent::Reverted { cycles, class } => {
-                profile.record_decision(
-                    &class_name(program, class),
-                    "",
-                    DecisionKind::Reverted,
-                    cycles,
-                );
-            }
-        }
+    for e in events {
+        let field = e
+            .field
+            .map_or_else(String::new, |f| short_field_name(program, f));
+        profile.record_decision(&class_name(program, e.class), &field, e.kind, e.cycles);
     }
     profile.seal_run();
     profile
@@ -265,6 +242,7 @@ mod tests {
     use super::*;
     use hpmopt_bytecode::builder::{MethodBuilder, ProgramBuilder};
     use hpmopt_bytecode::FieldType;
+    use hpmopt_profile::DecisionKind;
 
     fn program() -> Program {
         let mut pb = ProgramBuilder::new();
@@ -359,14 +337,19 @@ mod tests {
             Fingerprint::new(1, 2, "t"),
             &[(x, 42)],
             &[
-                PolicyEvent::WarmStarted {
+                PolicyEvent {
                     cycles: 0,
                     class: a,
-                    field: x,
+                    kind: DecisionKind::WarmStarted,
+                    field: Some(x),
+                    gap_bytes: 0,
                 },
-                PolicyEvent::Reverted {
+                PolicyEvent {
                     cycles: 900,
                     class: a,
+                    kind: DecisionKind::Reverted,
+                    field: None,
+                    gap_bytes: 0,
                 },
             ],
             &[p.entry()],

@@ -14,7 +14,7 @@ use hpmopt_gc::policy::{CoallocPolicy, NoCoalloc};
 use hpmopt_gc::{Address, GcStats};
 use hpmopt_memsim::AccessOutcome;
 
-use crate::{CompiledCode, Tier};
+use crate::{CompiledCode, FreedRange, Tier};
 
 /// Context of one heap data access, as the sampling hardware would see it.
 #[derive(Debug, Clone, Copy)]
@@ -31,31 +31,6 @@ pub struct AccessContext {
     pub method: MethodId,
     /// Bytecode index of the access.
     pub bytecode_index: u32,
-}
-
-/// A compiled artifact's address range was returned to the code cache
-/// (the method was recompiled, deoptimized, or evicted for capacity).
-/// The monitoring module must retire the range from sample attribution:
-/// any in-flight sample stamped with an earlier code epoch may carry a
-/// PC from inside it.
-#[derive(Debug, Clone, Copy)]
-pub struct CodeRetired {
-    /// Method whose code occupied the range.
-    pub method: MethodId,
-    /// Tier of the retired artifact.
-    pub tier: Tier,
-    /// First retired code address.
-    pub code_start: u64,
-    /// One past the last retired code address.
-    pub code_end: u64,
-    /// Code epoch after the free; samples captured before it must not be
-    /// attributed to whatever occupies the range next.
-    pub epoch: u64,
-    /// True when the range was evicted for capacity (vs freed because the
-    /// method was recompiled or deoptimized).
-    pub evicted: bool,
-    /// Live code-cache bytes after the free.
-    pub cache_bytes: u64,
 }
 
 /// Callbacks the VM invokes while executing.
@@ -91,17 +66,26 @@ pub trait RuntimeHooks {
 
     /// A method was (re)compiled. The monitoring module registers the
     /// artifact's code range and, for opt-tier code, runs the
-    /// instructions-of-interest analysis.
-    fn on_compile(&mut self, program: &Program, code: &CompiledCode) {
-        let _ = (program, code);
+    /// instructions-of-interest analysis. `cost` is what the install
+    /// charged the clock for the compile (the tier's per-bytecode cost
+    /// times the method's length; 0 with the default free compiles).
+    fn on_compile(&mut self, program: &Program, code: &CompiledCode, cost: u64) {
+        let _ = (program, code, cost);
     }
 
-    /// A compiled artifact's range was freed or evicted. The monitoring
-    /// module bumps its notion of the code epoch and retires the range
-    /// from sample attribution (late samples become *stale*, never
-    /// misattributed). Never called with the default unbounded cache.
-    fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
-        let _ = (ev, cycles);
+    /// A compiled artifact's range went back to the code cache: its
+    /// method was recompiled or deoptimized, or the range was evicted
+    /// for capacity (`freed.evicted`). The monitoring module moves its
+    /// samples to the epoch after the free and retires the range from
+    /// sample attribution, so a late sample carrying a PC from inside it
+    /// resolves *stale*, never to whatever is installed there next.
+    /// `cache_bytes` is the cache's live bytes when the install that
+    /// freed the range reports it: right after the free of the method's
+    /// own previous code, or after the new code is placed when the range
+    /// was evicted to make room. Never called with the default unbounded
+    /// cache.
+    fn on_code_retired(&mut self, freed: &FreedRange, cache_bytes: u64, cycles: u64) {
+        let _ = (freed, cache_bytes, cycles);
     }
 
     /// A region-compiled method left its region and deoptimized back to

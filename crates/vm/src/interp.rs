@@ -18,7 +18,7 @@ use hpmopt_jit::{CodeCache, FreedRange, TierManager};
 
 use crate::compiler::{compile, compiled_code_bytes};
 use crate::config::{CancelToken, VmConfig};
-use crate::hooks::{AccessContext, CodeRetired, RuntimeHooks};
+use crate::hooks::{AccessContext, RuntimeHooks};
 use crate::predecode::{
     decode, DecodedMethod, IcSlot, Op, ADD_JUMP_SPAN, BASELINE_ISSUE_WIDTH, CMP_JUMP_SPAN,
     IC_ARRAY_KEY, OPT_ISSUE_WIDTH,
@@ -1131,7 +1131,7 @@ impl<'p> Vm<'p> {
         self.evicted_scratch = evicted;
         let (mut code, body) = self.build(m, tier, start);
         code.install_epoch = self.cache.epoch();
-        hooks.on_compile(self.program, &code);
+        hooks.on_compile(self.program, &code, cost);
         // The new body's inline-cache slots start cold, and bumping the
         // generation invalidates every call site linked to the previous
         // artifact.
@@ -1174,18 +1174,7 @@ impl<'p> Vm<'p> {
     /// Tell the hooks to retire a freed code range from sample
     /// attribution.
     fn retire<H: RuntimeHooks>(&mut self, fr: FreedRange, hooks: &mut H) {
-        hooks.on_code_retired(
-            &CodeRetired {
-                method: fr.method,
-                tier: fr.tier,
-                code_start: fr.start,
-                code_end: fr.end,
-                epoch: fr.epoch,
-                evicted: fr.evicted,
-                cache_bytes: self.cache.live_bytes(),
-            },
-            self.cycles,
-        );
+        hooks.on_code_retired(&fr, self.cache.live_bytes(), self.cycles);
     }
 
     // ----- frames ----------------------------------------------------------
@@ -2763,11 +2752,11 @@ mod tests {
                 self.polls.push(cycles);
                 7
             }
-            fn on_compile(&mut self, _: &Program, code: &CompiledCode) {
+            fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64) {
                 self.compiles.push((code.method, code.tier));
             }
-            fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
-                self.retired.push((ev.method, ev.tier, cycles));
+            fn on_code_retired(&mut self, freed: &FreedRange, _: u64, cycles: u64) {
+                self.retired.push((freed.method, freed.tier, cycles));
             }
         }
 
@@ -2906,12 +2895,12 @@ mod tests {
                 self.polls.push(cycles);
                 7
             }
-            fn on_compile(&mut self, _: &Program, code: &CompiledCode) {
+            fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64) {
                 self.compiles
                     .push((code.method.0, code.tier, code.code_start));
             }
-            fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
-                self.retired.push((ev.method.0, ev.tier, cycles));
+            fn on_code_retired(&mut self, freed: &FreedRange, _: u64, cycles: u64) {
+                self.retired.push((freed.method.0, freed.tier, cycles));
             }
             fn on_deopt(&mut self, method: MethodId, _: Tier, cycles: u64) {
                 self.deopts.push((method.0, cycles));
@@ -3286,23 +3275,23 @@ mod tests {
                 self.put(2, &[cycles]);
                 7
             }
-            fn on_compile(&mut self, _: &Program, code: &CompiledCode) {
+            fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64) {
                 self.put(
                     3,
                     &[u64::from(code.method.0), code.tier as u64, code.code_start],
                 );
             }
-            fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
+            fn on_code_retired(&mut self, freed: &FreedRange, cache_bytes: u64, cycles: u64) {
                 self.put(
                     4,
                     &[
-                        u64::from(ev.method.0),
-                        ev.tier as u64,
-                        ev.code_start,
-                        ev.code_end,
-                        ev.epoch,
-                        u64::from(ev.evicted),
-                        ev.cache_bytes,
+                        u64::from(freed.method.0),
+                        freed.tier as u64,
+                        freed.start,
+                        freed.end,
+                        freed.epoch,
+                        u64::from(freed.evicted),
+                        cache_bytes,
                         cycles,
                     ],
                 );

@@ -62,9 +62,9 @@ pub mod value;
 
 pub use compiler::compile;
 pub use config::{CancelToken, VmConfig};
-pub use hooks::{AccessContext, CodeRetired, NoHooks, RuntimeHooks};
+pub use hooks::{AccessContext, NoHooks, RuntimeHooks};
 pub use hpmopt_jit::code::{CompiledCode, McMap, Tier};
-pub use hpmopt_jit::{CompilationPlan, JitConfig, TierManager};
+pub use hpmopt_jit::{CompilationPlan, FreedRange, JitConfig, TierManager};
 pub use interp::{RunSummary, Vm};
 pub use value::{Value, VmError};
 

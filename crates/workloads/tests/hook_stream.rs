@@ -17,7 +17,7 @@ use hpmopt_gc::{CollectorKind, GcStats};
 use hpmopt_hpm::SamplingInterval;
 use hpmopt_prim::Fnv1a;
 use hpmopt_vm::{
-    AccessContext, CodeRetired, CompiledCode, RunSummary, RuntimeHooks, Tier, Vm, VmConfig,
+    AccessContext, CompiledCode, FreedRange, RunSummary, RuntimeHooks, Tier, Vm, VmConfig,
 };
 use hpmopt_workloads::{by_name, setup, Size};
 
@@ -60,23 +60,23 @@ impl RuntimeHooks for Fold {
         self.put(2, &[cycles]);
         7
     }
-    fn on_compile(&mut self, _: &Program, code: &CompiledCode) {
+    fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64) {
         self.put(
             3,
             &[u64::from(code.method.0), code.tier as u64, code.code_start],
         );
     }
-    fn on_code_retired(&mut self, ev: &CodeRetired, cycles: u64) {
+    fn on_code_retired(&mut self, freed: &FreedRange, cache_bytes: u64, cycles: u64) {
         self.put(
             4,
             &[
-                u64::from(ev.method.0),
-                ev.tier as u64,
-                ev.code_start,
-                ev.code_end,
-                ev.epoch,
-                u64::from(ev.evicted),
-                ev.cache_bytes,
+                u64::from(freed.method.0),
+                freed.tier as u64,
+                freed.start,
+                freed.end,
+                freed.epoch,
+                u64::from(freed.evicted),
+                cache_bytes,
                 cycles,
             ],
         );

@@ -7,7 +7,7 @@
 //! ```
 
 use hpmopt::core::feedback::FeedbackConfig;
-use hpmopt::core::policy::PolicyEvent;
+use hpmopt::core::policy::DecisionKind;
 use hpmopt::core::runtime::{ForcedBadPlacement, HpmRuntime, RunConfig};
 use hpmopt::gc::{CollectorKind, HeapConfig};
 use hpmopt::hpm::{HpmConfig, SamplingInterval};
@@ -56,34 +56,16 @@ fn main() {
 
     println!("policy timeline:");
     for e in &report.policy_events {
-        match e {
-            PolicyEvent::Enabled { cycles, .. } => {
-                println!(
-                    "  {:>7.1}M cycles  co-allocation enabled (miss-driven)",
-                    *cycles as f64 / 1e6
-                );
-            }
-            PolicyEvent::Pinned {
-                cycles, gap_bytes, ..
-            } => {
-                println!(
-                    "  {:>7.1}M cycles  BAD placement pinned ({gap_bytes}-byte gap between parent and child)",
-                    *cycles as f64 / 1e6
-                );
-            }
-            PolicyEvent::Reverted { cycles, .. } => {
-                println!(
-                    "  {:>7.1}M cycles  feedback detected the regression and reverted",
-                    *cycles as f64 / 1e6
-                );
-            }
-            PolicyEvent::WarmStarted { cycles, .. } => {
-                println!(
-                    "  {:>7.1}M cycles  co-allocation seeded from a saved profile",
-                    *cycles as f64 / 1e6
-                );
-            }
-        }
+        let what = match e.kind {
+            DecisionKind::Enabled => "co-allocation enabled (miss-driven)".to_string(),
+            DecisionKind::Pinned => format!(
+                "BAD placement pinned ({}-byte gap between parent and child)",
+                e.gap_bytes
+            ),
+            DecisionKind::Reverted => "feedback detected the regression and reverted".to_string(),
+            DecisionKind::WarmStarted => "co-allocation seeded from a saved profile".to_string(),
+        };
+        println!("  {:>7.1}M cycles  {what}", e.cycles as f64 / 1e6);
     }
 
     println!("\nString::value miss curve (cumulative sampled misses per period):");

@@ -14,10 +14,10 @@
 //! bug and fails the process (nonzero exit), which is what lets CI gate
 //! on it.
 //!
-//! With `--profile FILE`, both runs warm-start from `FILE` (identically,
-//! so the perturbation check still holds) and the enabled run persists
-//! its merged measurements back at exit. The disabled control runs
-//! first and never saves, so the two runs always load the same bytes.
+//! With `--profile FILE`, both runs warm-start from the profile read
+//! once from `FILE` (identically, so the perturbation check still
+//! holds), and the enabled run's measurements are merged into it and
+//! saved back before the snapshot is taken.
 //!
 //! Additional modes (the perturbation gate runs in all of them):
 //!
@@ -38,9 +38,10 @@ use std::process::ExitCode;
 use hpmopt::bytecode::{FieldId, MethodId, Program};
 use hpmopt::core::policy::PolicyConfig;
 use hpmopt::core::runtime::{ForcedBadPlacement, HpmRuntime, RunConfig, RunReport};
-use hpmopt::core::ProfileOptions;
+use hpmopt::core::{warmstart, ProfileOptions};
 use hpmopt::gc::CollectorKind;
 use hpmopt::hpm::{HpmConfig, SamplingInterval};
+use hpmopt::profile::{LoadOutcome, ProfileStore};
 use hpmopt::telemetry::json::{number, JsonWriter};
 use hpmopt::telemetry::{
     prom, DecisionRecord, Telemetry, TelemetrySnapshot, TraceKind, DEFAULT_TRACE_CAPACITY,
@@ -99,27 +100,31 @@ fn main() -> ExitCode {
         return usage();
     };
     let out_path = out_path.unwrap_or_else(|| format!("target/hpmopt-report-{workload_name}.json"));
-    let profile_opts = |save: bool| match &profile_path {
-        Some(p) => {
-            let mut opts = ProfileOptions::at(p, &workload_name);
-            opts.save = save;
-            opts
-        }
+    let store = profile_path.map(ProfileStore::new);
+    let profile = match &store {
+        Some(store) => ProfileOptions {
+            workload: workload_name.clone(),
+            prior: store
+                .load_any()
+                .map_or_else(LoadOutcome::Cold, LoadOutcome::Warm),
+        },
         None => ProfileOptions::default(),
     };
 
     // Two identical configurations, differing only in the telemetry
     // handle. The disabled run is the control for the zero-perturbation
-    // claim below; it runs first and never saves, so both runs load the
-    // exact same profile state.
+    // claim below; both runs start from the same prior profile.
     let disabled = run(
         &workload,
         Telemetry::disabled(),
-        profile_opts(false),
+        profile.clone(),
         forced_bad,
     );
     let telemetry = Telemetry::enabled(DEFAULT_TRACE_CAPACITY);
-    let enabled = run(&workload, telemetry.clone(), profile_opts(true), forced_bad);
+    let enabled = run(&workload, telemetry.clone(), profile.clone(), forced_bad);
+    if let Some(store) = &store {
+        warmstart::save_run(store, profile.prior, &enabled, &telemetry);
+    }
 
     let snapshot = telemetry.snapshot(enabled.cycles);
     let delta_pct = cycle_delta_pct(enabled.cycles, disabled.cycles);
