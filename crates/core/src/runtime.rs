@@ -272,7 +272,6 @@ impl HpmRuntime {
             phases: PhaseDetector::new(),
             policy_events_emitted: 0,
             gc_seen: GcStats::default(),
-            last_cycles: 0,
             last_poll_cycles: None,
             revert_ctx: BTreeMap::new(),
         };
@@ -421,7 +420,7 @@ impl PlanWatch {
 }
 
 impl RuntimeHooks for PlanWatch {
-    fn on_compile(&mut self, _program: &Program, code: &CompiledCode, _cost: u64) {
+    fn on_compile(&mut self, _program: &Program, code: &CompiledCode, _cost: u64, _cycles: u64) {
         let Some(stop) = &self.stop else {
             return;
         };
@@ -499,8 +498,6 @@ struct Hooks {
     policy_events_emitted: usize,
     /// GC stats as of the previous `on_gc`, for per-collection deltas.
     gc_seen: GcStats,
-    /// Most recent cycle stamp observed (for callbacks without a clock).
-    last_cycles: u64,
     /// Cycle stamp of the previous poll (poll-gap histogram).
     last_poll_cycles: Option<u64>,
     /// Feedback evidence captured when a revert verdict fires, consumed
@@ -554,12 +551,11 @@ impl RuntimeHooks for Hooks {
     }
 
     fn on_access(&mut self, ctx: &AccessContext) -> u64 {
-        self.last_cycles = ctx.cycles;
         self.hpm
             .on_event(ctx.pc, ctx.addr.0, &ctx.outcome, ctx.cycles)
     }
 
-    fn on_compile(&mut self, program: &Program, code: &CompiledCode, cost: u64) {
+    fn on_compile(&mut self, program: &Program, code: &CompiledCode, cost: u64, cycles: u64) {
         self.monitor.register_artifact(program, code);
         self.telemetry.incr(match code.tier {
             Tier::Baseline => MetricId::JitCompilesBaseline,
@@ -571,7 +567,7 @@ impl RuntimeHooks for Hooks {
         self.telemetry
             .set_gauge_max(MetricId::JitCodeEpoch, code.install_epoch);
         self.telemetry.record(
-            self.last_cycles,
+            cycles,
             TraceKind::Recompilation {
                 method: code.method.0,
                 tier: tier_name(code.tier),
@@ -580,7 +576,6 @@ impl RuntimeHooks for Hooks {
     }
 
     fn on_code_retired(&mut self, freed: &FreedRange, cache_bytes: u64, cycles: u64) {
-        self.last_cycles = cycles;
         // Stamp subsequent samples with the new epoch and take the
         // artifact out of resolution — the two halves of the
         // attribution-across-code-churn contract.
@@ -606,14 +601,12 @@ impl RuntimeHooks for Hooks {
     }
 
     fn on_deopt(&mut self, method: MethodId, _from_tier: Tier, cycles: u64) {
-        self.last_cycles = cycles;
         self.telemetry.incr(MetricId::JitDeopts);
         self.telemetry
             .record(cycles, TraceKind::Deopt { method: method.0 });
     }
 
     fn on_gc(&mut self, stats: &GcStats, cycles: u64) {
-        self.last_cycles = cycles;
         let minor = stats.minor_collections - self.gc_seen.minor_collections;
         let major = stats.major_collections - self.gc_seen.major_collections;
         self.telemetry.add(MetricId::GcMinorCollections, minor);
@@ -671,7 +664,6 @@ impl RuntimeHooks for Hooks {
 
 impl Hooks {
     fn run_poll(&mut self, program: &Program, cycles: u64) -> u64 {
-        self.last_cycles = cycles;
         // Interpreter cycles between collector-thread polls. The span
         // reads the simulated clock; it never advances it.
         if let Some(last) = self.last_poll_cycles {

@@ -68,9 +68,10 @@ pub trait RuntimeHooks {
     /// artifact's code range and, for opt-tier code, runs the
     /// instructions-of-interest analysis. `cost` is what the install
     /// charged the clock for the compile (the tier's per-bytecode cost
-    /// times the method's length; 0 with the default free compiles).
-    fn on_compile(&mut self, program: &Program, code: &CompiledCode, cost: u64) {
-        let _ = (program, code, cost);
+    /// times the method's length; 0 with the default free compiles),
+    /// and `cycles` is the clock after that charge.
+    fn on_compile(&mut self, program: &Program, code: &CompiledCode, cost: u64, cycles: u64) {
+        let _ = (program, code, cost, cycles);
     }
 
     /// A compiled artifact's range went back to the code cache: its

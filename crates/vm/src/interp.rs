@@ -1131,7 +1131,7 @@ impl<'p> Vm<'p> {
         self.evicted_scratch = evicted;
         let (mut code, body) = self.build(m, tier, start);
         code.install_epoch = self.cache.epoch();
-        hooks.on_compile(self.program, &code, cost);
+        hooks.on_compile(self.program, &code, cost, self.cycles);
         // The new body's inline-cache slots start cold, and bumping the
         // generation invalidates every call site linked to the previous
         // artifact.
@@ -2752,7 +2752,7 @@ mod tests {
                 self.polls.push(cycles);
                 7
             }
-            fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64) {
+            fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64, _: u64) {
                 self.compiles.push((code.method, code.tier));
             }
             fn on_code_retired(&mut self, freed: &FreedRange, _: u64, cycles: u64) {
@@ -2895,7 +2895,7 @@ mod tests {
                 self.polls.push(cycles);
                 7
             }
-            fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64) {
+            fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64, _: u64) {
                 self.compiles
                     .push((code.method.0, code.tier, code.code_start));
             }
@@ -3275,7 +3275,7 @@ mod tests {
                 self.put(2, &[cycles]);
                 7
             }
-            fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64) {
+            fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64, _: u64) {
                 self.put(
                     3,
                     &[u64::from(code.method.0), code.tier as u64, code.code_start],

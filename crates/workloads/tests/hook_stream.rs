@@ -60,7 +60,7 @@ impl RuntimeHooks for Fold {
         self.put(2, &[cycles]);
         7
     }
-    fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64) {
+    fn on_compile(&mut self, _: &Program, code: &CompiledCode, _: u64, _: u64) {
         self.put(
             3,
             &[u64::from(code.method.0), code.tier as u64, code.code_start],
