@@ -98,20 +98,6 @@ pub struct MemoryHierarchy {
     tlb: Tlb,
     prefetcher: StreamPrefetcher,
     stats: MemStats,
-    stat_base: ComponentBase,
-}
-
-/// Component counter readings at the last [`MemoryHierarchy::reset_stats`],
-/// subtracted in [`MemoryHierarchy::stats`] so resets behave uniformly
-/// across tallied and component-derived fields.
-#[derive(Debug, Clone, Copy, Default)]
-struct ComponentBase {
-    l1_hits: u64,
-    l1_evictions: u64,
-    l2_hits: u64,
-    l2_evictions: u64,
-    dtlb_hits: u64,
-    dtlb_evictions: u64,
 }
 
 impl MemoryHierarchy {
@@ -125,7 +111,6 @@ impl MemoryHierarchy {
             prefetcher: StreamPrefetcher::new(config.l2.line_bytes(), config.prefetch_depth),
             config,
             stats: MemStats::default(),
-            stat_base: ComponentBase::default(),
         }
     }
 
@@ -235,30 +220,15 @@ impl MemoryHierarchy {
     /// the access fast path unchanged.
     #[must_use]
     pub fn stats(&self) -> MemStats {
-        let mut s = self.stats;
-        let base = &self.stat_base;
-        s.l1_hits = self.l1.hits() - base.l1_hits;
-        s.l1_evictions = self.l1.evictions() - base.l1_evictions;
-        s.l2_hits = self.l2.hits() - base.l2_hits;
-        s.l2_evictions = self.l2.evictions() - base.l2_evictions;
-        s.dtlb_hits = self.tlb.hits() - base.dtlb_hits;
-        s.dtlb_evictions = self.tlb.evictions() - base.dtlb_evictions;
-        s
-    }
-
-    /// Reset statistics (keeps cache contents). Component hit/eviction
-    /// counters keep running internally; the snapshot taken here acts
-    /// as the new zero for [`MemoryHierarchy::stats`].
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-        self.stat_base = ComponentBase {
+        MemStats {
             l1_hits: self.l1.hits(),
             l1_evictions: self.l1.evictions(),
             l2_hits: self.l2.hits(),
             l2_evictions: self.l2.evictions(),
             dtlb_hits: self.tlb.hits(),
             dtlb_evictions: self.tlb.evictions(),
-        };
+            ..self.stats
+        }
     }
 
     /// The L1 cache (for inspection in tests and reports).
@@ -380,16 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_keeps_contents() {
-        let mut m = p4();
-        m.access(0x0, 8, AccessKind::Read);
-        m.reset_stats();
-        assert_eq!(m.stats().accesses, 0);
-        let out = m.access(0x0, 8, AccessKind::Read);
-        assert!(!out.l1_miss, "cache contents survived the stat reset");
-    }
-
-    #[test]
     fn stats_surface_hits_and_evictions() {
         let mut m = p4();
         m.access(0x0, 8, AccessKind::Read);
@@ -487,20 +447,5 @@ mod tests {
         assert_eq!(outs[1].cycles, 0, "warm batched hit is overlapped");
         // The scalar path still charges the serial L1 hit latency.
         assert_eq!(m.access(0x2000, 8, AccessKind::Read).cycles, 2);
-    }
-
-    #[test]
-    fn reset_stats_zeroes_component_counters_too() {
-        let mut m = p4();
-        for i in 0..16u64 {
-            m.access(i * 2048, 8, AccessKind::Read);
-        }
-        m.access(0x0, 8, AccessKind::Read);
-        m.reset_stats();
-        let s = m.stats();
-        assert_eq!(
-            (s.l1_hits, s.l1_evictions, s.l2_hits, s.dtlb_hits),
-            (0, 0, 0, 0)
-        );
     }
 }

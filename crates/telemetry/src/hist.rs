@@ -67,7 +67,6 @@ histograms! {
     // warm-start payoff metric, split by start temperature).
     ServeWarmFirstDecisionCycles => "serve.warm_first_decision_cycles";
     ServeColdFirstDecisionCycles => "serve.cold_first_decision_cycles";
-    ServeQueueWaitCycles => "serve.queue_wait_cycles";
     ServeServiceCycles => "serve.service_cycles";
 }
 
@@ -224,21 +223,6 @@ impl HistogramSnapshot {
             self.sum as f64 / n as f64
         }
     }
-
-    /// Per-bucket and sum delta against an earlier snapshot
-    /// (saturating).
-    #[must_use]
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&earlier.buckets)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            sum: self.sum.saturating_sub(earlier.sum),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -303,18 +287,5 @@ mod tests {
                 id.name()
             );
         }
-    }
-
-    #[test]
-    fn diff_subtracts_buckets() {
-        let r = HistogramRegistry::new();
-        r.observe(HistogramId::CorePollGapCycles, 8);
-        let early = r.read_all()[HistogramId::CorePollGapCycles as usize].clone();
-        r.observe(HistogramId::CorePollGapCycles, 8);
-        r.observe(HistogramId::CorePollGapCycles, 9);
-        let late = r.read_all()[HistogramId::CorePollGapCycles as usize].clone();
-        let d = late.diff(&early);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.sum, 17);
     }
 }

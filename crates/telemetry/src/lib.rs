@@ -1,7 +1,7 @@
 //! Workspace-wide telemetry: a metrics registry of cheap monotonic
 //! counters and gauges, log2-bucket histograms with a simulated-clock
 //! span API, a bounded structured event trace, a decision-provenance
-//! audit trail, snapshot diff/export (JSON and Prometheus text
+//! audit trail, snapshot export (JSON and Prometheus text
 //! exposition), and the cycle-bucket overhead accountant.
 //!
 //! The entry point is the [`Telemetry`] handle. It is clone-cheap

@@ -15,10 +15,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Whether a metric accumulates (`Counter`) or tracks a latest value
-/// (`Gauge`). The distinction matters for [`snapshot diffs`]: counters
-/// are subtracted across an interval, gauges keep the later reading.
-///
-/// [`snapshot diffs`]: crate::snapshot::TelemetrySnapshot::diff
+/// (`Gauge`). [`crate::Telemetry::absorb`] adds counters and keeps the
+/// larger gauge; the Prometheus exposition types each metric by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     Counter,

@@ -1,15 +1,13 @@
-//! Point-in-time telemetry snapshots: capture, diff, export.
+//! Point-in-time telemetry snapshots: capture and export.
 //!
 //! A [`TelemetrySnapshot`] freezes every metric plus the retained
-//! event trace at one simulated-clock instant. Snapshots support
-//! interval accounting via [`TelemetrySnapshot::diff`] (counters are
-//! subtracted, gauges keep the later reading) and two export formats:
-//! hand-rolled JSON ([`TelemetrySnapshot::to_json`]) and a
-//! human-readable table ([`TelemetrySnapshot::render_text`]).
+//! event trace at one simulated-clock instant. Snapshots have two
+//! export formats: hand-rolled JSON ([`TelemetrySnapshot::to_json`])
+//! and a human-readable table ([`TelemetrySnapshot::render_text`]).
 
 use crate::hist::{bucket_le, HistogramId, HistogramSnapshot};
 use crate::json::JsonWriter;
-use crate::metrics::{MetricId, MetricKind};
+use crate::metrics::MetricId;
 use crate::provenance::DecisionRecord;
 use crate::trace::{TraceEvent, TraceKind};
 
@@ -56,50 +54,6 @@ impl TelemetrySnapshot {
     /// One histogram's state in this snapshot.
     pub fn hist(&self, id: HistogramId) -> &HistogramSnapshot {
         &self.hists[id as usize]
-    }
-
-    /// Interval between `earlier` and `self`: counters become the
-    /// delta accumulated in between (saturating, so a reset or
-    /// mismatched pair cannot underflow), gauges keep this snapshot's
-    /// reading. Events retained are those stamped after
-    /// `earlier.at_cycle`.
-    pub fn diff(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
-        let values = MetricId::ALL
-            .iter()
-            .map(|&id| match id.kind() {
-                MetricKind::Counter => self.get(id).saturating_sub(earlier.get(id)),
-                MetricKind::Gauge => self.get(id),
-            })
-            .collect();
-        let events = self
-            .events
-            .iter()
-            .filter(|e| e.cycle > earlier.at_cycle)
-            .cloned()
-            .collect();
-        let hists = self
-            .hists
-            .iter()
-            .zip(&earlier.hists)
-            .map(|(late, early)| late.diff(early))
-            .collect();
-        let decisions = self
-            .decisions
-            .iter()
-            .filter(|d| d.cycle > earlier.at_cycle)
-            .cloned()
-            .collect();
-        TelemetrySnapshot {
-            at_cycle: self.at_cycle,
-            values,
-            hists,
-            events,
-            dropped_events: self.dropped_events.saturating_sub(earlier.dropped_events),
-            decisions,
-            decisions_dropped: self
-                .decisions_dropped
-                .saturating_sub(earlier.decisions_dropped),
-        }
     }
 
     /// Serialize the snapshot as a JSON object:
@@ -372,20 +326,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn diff_counters_and_gauges() {
-        let mut earlier = TelemetrySnapshot::empty();
-        let mut later = TelemetrySnapshot::empty();
-        earlier.values[MetricId::HpmSamplesGenerated as usize] = 10;
-        later.values[MetricId::HpmSamplesGenerated as usize] = 25;
-        earlier.values[MetricId::HpmPollPeriodMs as usize] = 40;
-        later.values[MetricId::HpmPollPeriodMs as usize] = 20;
-        later.at_cycle = 100;
-        let d = later.diff(&earlier);
-        assert_eq!(d.get(MetricId::HpmSamplesGenerated), 15);
-        assert_eq!(d.get(MetricId::HpmPollPeriodMs), 20);
-    }
-
-    #[test]
     fn json_contains_all_metric_names() {
         let snap = TelemetrySnapshot::empty();
         let json = snap.to_json();
@@ -438,9 +378,5 @@ mod tests {
         assert!(json.contains("\"field\": \"*\""));
         assert!(json.contains("\"observed_rate\": 2.5"));
         assert!(json.contains("\"bytecode_index\": 9"));
-        // The decisions diff keeps only records after the cut.
-        let d = snap.diff(&TelemetrySnapshot::empty());
-        assert_eq!(d.decisions.len(), 1);
-        assert_eq!(d.hists[HistogramId::GcMinorPauseCycles as usize].count(), 2);
     }
 }

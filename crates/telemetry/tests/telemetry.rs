@@ -1,7 +1,6 @@
 //! Integration tests: ring wraparound accounting (including the
-//! `telemetry.trace_dropped` self-metric), exact snapshot diffs across
-//! a poll boundary, and a JSON round-trip through the crate's own
-//! reader ([`hpmopt_telemetry::read`]).
+//! `telemetry.trace_dropped` self-metric) and a JSON round-trip through
+//! the crate's own reader ([`hpmopt_telemetry::read`]).
 
 use hpmopt_telemetry::read::{parse, Value};
 use hpmopt_telemetry::{HistogramId, MetricId, Telemetry, TraceKind};
@@ -37,59 +36,6 @@ fn wraparound_reports_exact_drop_count() {
     let cycles: Vec<u64> = snap.events.iter().map(|e| e.cycle).collect();
     let expected: Vec<u64> = (pushed - capacity as u64..pushed).collect();
     assert_eq!(cycles, expected);
-}
-
-// ---------------------------------------------------------------------
-// Snapshot diff across a poll boundary
-// ---------------------------------------------------------------------
-
-#[test]
-fn diff_across_a_poll_boundary_is_exact() {
-    let telemetry = Telemetry::enabled(64);
-
-    // Poll 1: 7 samples drained, period gauge at 40 ms.
-    telemetry.incr(MetricId::HpmPolls);
-    telemetry.add(MetricId::HpmSamplesDrained, 7);
-    telemetry.set_gauge(MetricId::HpmPollPeriodMs, 40);
-    telemetry.observe(HistogramId::HpmPollBatchSamples, 7);
-    telemetry.record(
-        1_000,
-        TraceKind::PollCompleted {
-            samples: 7,
-            attributed: 5,
-        },
-    );
-    let at_poll1 = telemetry.snapshot(1_000);
-
-    // Poll 2: 11 more samples, the period adapted down to 20 ms.
-    telemetry.incr(MetricId::HpmPolls);
-    telemetry.add(MetricId::HpmSamplesDrained, 11);
-    telemetry.set_gauge(MetricId::HpmPollPeriodMs, 20);
-    telemetry.observe(HistogramId::HpmPollBatchSamples, 11);
-    telemetry.record(
-        2_000,
-        TraceKind::PollCompleted {
-            samples: 11,
-            attributed: 9,
-        },
-    );
-    let at_poll2 = telemetry.snapshot(2_000);
-
-    let between = at_poll2.diff(&at_poll1);
-    // Counters: exactly the second poll's contribution.
-    assert_eq!(between.get(MetricId::HpmPolls), 1);
-    assert_eq!(between.get(MetricId::HpmSamplesDrained), 11);
-    // Gauges: the later reading, not a subtraction.
-    assert_eq!(between.get(MetricId::HpmPollPeriodMs), 20);
-    // Histograms: only the second poll's observation.
-    let h = &between.hists[HistogramId::HpmPollBatchSamples as usize];
-    assert_eq!(h.count(), 1);
-    assert_eq!(h.sum, 11);
-    // Events: only those stamped after the earlier snapshot.
-    assert_eq!(between.events.len(), 1);
-    assert_eq!(between.events[0].cycle, 2_000);
-    assert_eq!(between.at_cycle, 2_000);
-    assert_eq!(between.dropped_events, 0);
 }
 
 // ---------------------------------------------------------------------
