@@ -28,8 +28,10 @@ echo "==> hot-path crates' tests in the debug profile (debug asserts and overflo
 # stamp arithmetic runs with overflow checks too. The pinned hook streams
 # run here as well: the tiered jython stream reinstalls evicted code
 # thousands of times, so the relocation arithmetic runs with overflow
-# checks on.
-cargo test -q -p hpmopt-prim -p hpmopt-bytecode -p hpmopt-memsim -p hpmopt-gc -p hpmopt-jit -p hpmopt-hpm -p hpmopt-vm
+# checks on. core runs here too, so the runtime's counter, delta and rate
+# arithmetic (GC deltas, poll gaps, per-class miss rates, seed
+# subtraction) runs with overflow checks on.
+cargo test -q -p hpmopt-prim -p hpmopt-bytecode -p hpmopt-memsim -p hpmopt-gc -p hpmopt-jit -p hpmopt-hpm -p hpmopt-vm -p hpmopt-core
 cargo test -q -p hpmopt-workloads --test hook_stream
 
 echo "==> benchmark package: build and test perfbench"
