@@ -5,9 +5,10 @@
 //! timer, records the program counter each tick interrupts, and
 //! symbolizes the samples with `addr2line` (binutils). It prints the
 //! sample count, each crate's share by the innermost inlined frame at
-//! the sampled PC, and the functions whose code or inlined code the
-//! samples land in. There is no stack walk, so a function counts only
-//! the samples inside its own body and the bodies inlined into it.
+//! the sampled PC, and every function whose code or inlined code holds
+//! at least one sample in a thousand. There is no stack walk, so a
+//! function counts only the samples inside its own body and the bodies
+//! inlined into it.
 //!
 //! ```text
 //! cargo run --release -p hpmopt-bench --example host_profile -- db small planned monitored 12
@@ -69,6 +70,10 @@ mod sampler {
     const RIP_OFFSET: usize = 40 + 16 * 8;
     /// Requested interval; the kernel rounds it up to its tick.
     const INTERVAL_US: i64 = 1_000;
+    /// A function is listed when it holds at least this many samples
+    /// per thousand, so one that a change shrinks stays readable down
+    /// to that share.
+    const MIN_SHARE_PER_MILLE: usize = 1;
 
     // The process runs on one thread while the timer is armed, so the
     // handler interrupts the thread that later reads these: relaxed
@@ -381,11 +386,20 @@ mod sampler {
         for (name, c) in &rows {
             println!("  {:>6.1} %  {c:>7}  {name}", pct(*c, n));
         }
-        println!("\ntop functions, counting the samples in their body and in code inlined into it");
-        let mut rows: Vec<(&str, usize)> = functions.into_iter().collect();
+        println!(
+            "\nfunctions with at least {} per mille of the samples, counting the samples in \
+             their body and in code inlined into it",
+            MIN_SHARE_PER_MILLE
+        );
+        let (mut rows, below): (Vec<(&str, usize)>, Vec<_>) = functions
+            .into_iter()
+            .partition(|&(_, c)| c * 1000 >= MIN_SHARE_PER_MILLE * n);
         rows.sort_by(|x, y| y.1.cmp(&x.1).then_with(|| x.0.cmp(y.0)));
-        for (name, c) in rows.iter().take(30) {
+        for (name, c) in &rows {
             println!("  {:>6.1} %  {c:>7}  {name}", pct(*c, n));
+        }
+        if !below.is_empty() {
+            println!("  ({} functions below it)", below.len());
         }
         Ok(())
     }
