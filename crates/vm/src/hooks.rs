@@ -5,9 +5,13 @@
 //! module, and GC. This trait is the seam: `hpmopt-core` implements it to
 //! (a) feed every heap access's events to the PEBS unit, (b) run the
 //! collector-thread polling on the simulated clock, (c) supply the GC's
-//! co-allocation policy, and (d) analyze newly compiled methods. The VM
-//! itself stays ignorant of what the hooks do — mirroring the paper's
-//! goal of "small or no changes to the core VM code".
+//! co-allocation policy, and (d) analyze newly compiled methods and
+//! retire freed code ranges. The VM itself stays ignorant of what the
+//! hooks do — mirroring the paper's goal of "small or no changes to the
+//! core VM code". The VM hands over what it owns as it holds it: a
+//! compile's charge and clock, the code cache's own [`FreedRange`] and
+//! the collector's cumulative [`GcStats`], so no hook restates the VM's
+//! cost model or copies its records.
 
 use hpmopt_bytecode::{MethodId, Program};
 use hpmopt_gc::policy::{CoallocPolicy, NoCoalloc};
