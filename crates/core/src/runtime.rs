@@ -837,6 +837,7 @@ mod tests {
     use hpmopt_bytecode::{ElemKind, FieldType};
     use hpmopt_gc::{CollectorKind, HeapConfig};
     use hpmopt_hpm::SamplingInterval;
+    use hpmopt_telemetry::DEFAULT_TRACE_CAPACITY;
     use hpmopt_vm::NoHooks;
 
     /// A miniature `db`: many String-like parents, each holding a char[]
@@ -1069,6 +1070,24 @@ mod tests {
             "feedback must revert it: {:?}",
             report.policy_events
         );
+    }
+
+    #[test]
+    fn compile_events_carry_the_clock_of_their_install() {
+        let p = mini_db();
+        let mut cfg = config(false);
+        cfg.vm.baseline_compile_cycles_per_bc = 3;
+        cfg.telemetry = Telemetry::enabled(DEFAULT_TRACE_CAPACITY);
+        let report = HpmRuntime::new(cfg.clone()).run(&p).unwrap();
+        let snap = cfg.telemetry.snapshot(report.cycles);
+        let first = snap
+            .events
+            .iter()
+            .find(|e| matches!(e.kind, TraceKind::Recompilation { .. }))
+            .expect("the entry's install is traced");
+        // The entry's install is the run's first charge, so its event
+        // carries exactly that charge.
+        assert_eq!(first.cycle, 3 * p.method(p.entry()).len() as u64);
     }
 
     /// `main` calls `work` 500 times; `work` loops, so the tier-1 timer
