@@ -20,8 +20,9 @@ use crate::compiler::{compile, compiled_code_bytes};
 use crate::config::{CancelToken, VmConfig};
 use crate::hooks::{AccessContext, RuntimeHooks};
 use crate::predecode::{
-    decode, DecodedMethod, IcSlot, Op, ADD_JUMP_SPAN, BASELINE_ISSUE_WIDTH, CMP_JUMP_SPAN,
-    IC_ARRAY_KEY, OPT_ISSUE_WIDTH,
+    decode, DecodedMethod, IcSlot, IntOp, Op, ADD_JUMP_SPAN, BASELINE_ISSUE_WIDTH, CMP_JUMP_SPAN,
+    IC_ARRAY_KEY, INT_CONST_SPAN, LOAD_FIELD_SPAN, NULL_JUMP_SPAN, OPT_ISSUE_WIDTH,
+    SWITCH_ARM_SPAN,
 };
 use crate::value::{Value, VmError};
 #[cfg(test)]
@@ -453,22 +454,46 @@ impl<'p> Vm<'p> {
                 }
 
                 macro_rules! binop_int {
-                    ($f:expr) => {{
+                    ($op:expr) => {{
                         let b = tri!(self.pop_int());
                         let a = tri!(self.pop_int());
-                        #[allow(clippy::redundant_closure_call)]
-                        self.stack.push(Value::Int($f(a, b)));
+                        if matches!($op, IntOp::Div | IntOp::Rem) && b == 0 {
+                            fail!(VmError::DivisionByZero);
+                        }
+                        self.stack.push(Value::Int($op.apply(a, b)));
                     }};
                 }
 
-                // Count a taken backward branch; when it crosses the
-                // tier-2 threshold, compile a region over the method's
-                // hottest blocks and re-enter at the branch target.
+                // Read a field of the non-null `obj` at the `GetField`
+                // `site` (bytecode `bc`) through its inline cache and push
+                // it, adding a cache miss's count to `cost`.
+                macro_rules! get_field {
+                    ($obj:expr, $site:expr, $bc:expr) => {{
+                        let (obj, site) = ($obj, $site);
+                        let Op::GetField { offset, is_ref, ic } = site.op else {
+                            unreachable!("a field read runs at a GetField")
+                        };
+                        cost += self.field_ic_cost(mi, ic, site.extra, obj);
+                        let addr = self.heap.field_addr(obj, offset);
+                        self.access(hooks, addr, 8, AccessKind::Read, site.mem_pc, method, $bc);
+                        let raw = self.heap.get_field(obj, offset);
+                        self.stack.push(if is_ref {
+                            Value::Ref(Address(raw))
+                        } else {
+                            Value::Int(raw as i64)
+                        });
+                    }};
+                }
+
+                // Count a taken backward branch at bytecode `from`; when
+                // it crosses the tier-2 threshold, compile a region over
+                // the method's hottest blocks and re-enter at the branch
+                // target.
                 macro_rules! back_edge {
-                    () => {
-                        if tier2_watch && next_pc <= pc {
+                    ($from:expr) => {
+                        if tier2_watch && next_pc <= $from {
                             let d = self.decoded[mi].as_ref().expect("decoded method");
-                            let (tgt, src) = (d.block_of[next_pc], d.block_of[pc]);
+                            let (tgt, src) = (d.block_of[next_pc], d.block_of[$from]);
                             if self.tiers.record_back_edge(method, tgt, src) {
                                 self.batch_mach += cost;
                                 self.settle_block();
@@ -504,67 +529,52 @@ impl<'p> Vm<'p> {
                         self.stack.swap(len - 1, len - 2);
                     }
 
-                    Op::Add => binop_int!(|a: i64, b: i64| a.wrapping_add(b)),
-                    Op::Sub => binop_int!(|a: i64, b: i64| a.wrapping_sub(b)),
-                    Op::Mul => binop_int!(|a: i64, b: i64| a.wrapping_mul(b)),
-                    Op::Div => {
-                        let b = tri!(self.pop_int());
-                        let a = tri!(self.pop_int());
-                        if b == 0 {
-                            fail!(VmError::DivisionByZero);
-                        }
-                        self.stack.push(Value::Int(a.wrapping_div(b)));
-                    }
-                    Op::Rem => {
-                        let b = tri!(self.pop_int());
-                        let a = tri!(self.pop_int());
-                        if b == 0 {
-                            fail!(VmError::DivisionByZero);
-                        }
-                        self.stack.push(Value::Int(a.wrapping_rem(b)));
-                    }
-                    Op::And => binop_int!(|a: i64, b: i64| a & b),
-                    Op::Or => binop_int!(|a: i64, b: i64| a | b),
-                    Op::Xor => binop_int!(|a: i64, b: i64| a ^ b),
-                    Op::Shl => binop_int!(|a: i64, b: i64| a.wrapping_shl(b as u32 & 63)),
-                    Op::Shr => binop_int!(|a: i64, b: i64| a.wrapping_shr(b as u32 & 63)),
-                    Op::UShr => {
-                        binop_int!(|a: i64, b: i64| ((a as u64) >> (b as u32 & 63)) as i64)
-                    }
+                    Op::Add => binop_int!(IntOp::Add),
+                    Op::Sub => binop_int!(IntOp::Sub),
+                    Op::Mul => binop_int!(IntOp::Mul),
+                    Op::Div => binop_int!(IntOp::Div),
+                    Op::Rem => binop_int!(IntOp::Rem),
+                    Op::And => binop_int!(IntOp::And),
+                    Op::Or => binop_int!(IntOp::Or),
+                    Op::Xor => binop_int!(IntOp::Xor),
+                    Op::Shl => binop_int!(IntOp::Shl),
+                    Op::Shr => binop_int!(IntOp::Shr),
+                    Op::UShr => binop_int!(IntOp::UShr),
                     Op::Neg => {
                         let a = tri!(self.pop_int());
                         self.stack.push(Value::Int(a.wrapping_neg()));
                     }
 
-                    Op::Eq => binop_int!(|a, b| i64::from(a == b)),
-                    Op::Ne => binop_int!(|a, b| i64::from(a != b)),
-                    Op::Lt => binop_int!(|a, b| i64::from(a < b)),
-                    Op::Le => binop_int!(|a, b| i64::from(a <= b)),
-                    Op::Gt => binop_int!(|a, b| i64::from(a > b)),
-                    Op::Ge => binop_int!(|a, b| i64::from(a >= b)),
+                    Op::Eq => binop_int!(IntOp::Eq),
+                    Op::Ne => binop_int!(IntOp::Ne),
+                    Op::Lt => binop_int!(IntOp::Lt),
+                    Op::Le => binop_int!(IntOp::Le),
+                    Op::Gt => binop_int!(IntOp::Gt),
+                    Op::Ge => binop_int!(IntOp::Ge),
 
                     Op::Jump(t) => {
                         next_pc = t as usize;
-                        back_edge!();
+                        back_edge!(pc);
                     }
                     Op::JumpIf(t) => {
                         if tri!(self.pop_int()) != 0 {
                             next_pc = t as usize;
-                            back_edge!();
+                            back_edge!(pc);
                         }
                     }
                     Op::JumpIfNot(t) => {
                         if tri!(self.pop_int()) == 0 {
                             next_pc = t as usize;
-                            back_edge!();
+                            back_edge!(pc);
                         }
                     }
 
                     // A fused head runs its whole span only when its
-                    // locals hold ints and the span has room; otherwise
-                    // it runs as its head `Load` and the unfused tail
-                    // follows, so every failure, count and check lands
-                    // where it does without the fusion.
+                    // operands have the type the span needs and the span
+                    // has room; otherwise it runs as the op it replaced
+                    // and the unfused tail follows, so every failure,
+                    // count and check lands where it does without the
+                    // fusion.
                     Op::CmpJump { a, b, target } => {
                         let x = self.locals[locals_base + a as usize];
                         match (x, self.locals[locals_base + b as usize]) {
@@ -587,19 +597,85 @@ impl<'p> Vm<'p> {
                     Op::AddJump { local, k, target } => {
                         let slot = locals_base + local as usize;
                         match self.locals[slot] {
-                            // A body counting back edges for tier 2 runs
-                            // the unfused `Jump`, which counts them.
                             Value::Int(v)
-                                if !tier2_watch
-                                    && self.span_has_room(
-                                        ADD_JUMP_SPAN,
-                                        cost + u64::from(dop.extra),
-                                    ) =>
+                                if self
+                                    .span_has_room(ADD_JUMP_SPAN, cost + u64::from(dop.extra)) =>
                             {
                                 cost += u64::from(dop.extra);
                                 self.bytecodes += ADD_JUMP_SPAN as u64 - 1;
-                                self.locals[slot] = Value::Int(v.wrapping_add(i64::from(k)));
+                                self.locals[slot] = Value::Int(IntOp::Add.apply(v, i64::from(k)));
                                 next_pc = target as usize;
+                                // The back edge is the tail `Jump`'s.
+                                let jump = pc + ADD_JUMP_SPAN - 1;
+                                back_edge!(jump);
+                            }
+                            v => self.stack.push(v),
+                        }
+                    }
+                    Op::IntConst { op, k } => {
+                        let room = self.span_has_room(INT_CONST_SPAN, cost + u64::from(dop.extra));
+                        match self.stack.last_mut() {
+                            Some(Value::Int(a)) if room => {
+                                *a = op.apply(*a, k);
+                                cost += u64::from(dop.extra);
+                                self.bytecodes += INT_CONST_SPAN as u64 - 1;
+                                next_pc = pc + INT_CONST_SPAN;
+                            }
+                            _ => self.stack.push(Value::Int(k)),
+                        }
+                    }
+                    Op::SwitchArm { k, target } => {
+                        let room = self.span_has_room(SWITCH_ARM_SPAN, cost + u64::from(dop.extra));
+                        match self.stack.last() {
+                            Some(&Value::Int(v)) if room => {
+                                cost += u64::from(dop.extra);
+                                self.bytecodes += SWITCH_ARM_SPAN as u64 - 1;
+                                // The target is forward: no back edge.
+                                next_pc = if v == k {
+                                    target as usize
+                                } else {
+                                    pc + SWITCH_ARM_SPAN
+                                };
+                            }
+                            top => {
+                                let v = *tri!(top.ok_or(VmError::TypeMismatch));
+                                self.stack.push(v);
+                            }
+                        }
+                    }
+                    Op::LoadField { local } => {
+                        match self.locals[locals_base + local as usize] {
+                            Value::Ref(obj)
+                                if !obj.is_null() && self.span_has_room(LOAD_FIELD_SPAN, cost) =>
+                            {
+                                // The `Load` retires before the field's
+                                // access issues, so the block's count
+                                // stamps the access as it does without
+                                // the fusion.
+                                self.batch_mach += cost;
+                                self.bytecodes += LOAD_FIELD_SPAN as u64 - 1;
+                                let site = ops[pc + 1];
+                                cost = u64::from(site.cost);
+                                get_field!(obj, site, bc + 1);
+                                next_pc = pc + LOAD_FIELD_SPAN;
+                            }
+                            v => self.stack.push(v),
+                        }
+                    }
+                    Op::NullJump { local, target } => {
+                        match self.locals[locals_base + local as usize] {
+                            Value::Ref(a)
+                                if self
+                                    .span_has_room(NULL_JUMP_SPAN, cost + u64::from(dop.extra)) =>
+                            {
+                                cost += u64::from(dop.extra);
+                                self.bytecodes += NULL_JUMP_SPAN as u64 - 1;
+                                // The target is forward: no back edge.
+                                next_pc = if a.is_null() {
+                                    target as usize
+                                } else {
+                                    pc + NULL_JUMP_SPAN
+                                };
                             }
                             v => self.stack.push(v),
                         }
@@ -624,20 +700,12 @@ impl<'p> Vm<'p> {
                         self.access(hooks, obj, 8, AccessKind::Write, dop.mem_pc, method, bc);
                         self.stack.push(Value::Ref(obj));
                     }
-                    Op::GetField { offset, is_ref, ic } => {
+                    Op::GetField { .. } => {
                         let obj = tri!(self.pop_ref());
                         if obj.is_null() {
                             fail!(VmError::NullPointer);
                         }
-                        cost += self.field_ic_cost(mi, ic, dop.extra, obj);
-                        let addr = self.heap.field_addr(obj, offset);
-                        self.access(hooks, addr, 8, AccessKind::Read, dop.mem_pc, method, bc);
-                        let raw = self.heap.get_field(obj, offset);
-                        self.stack.push(if is_ref {
-                            Value::Ref(Address(raw))
-                        } else {
-                            Value::Int(raw as i64)
-                        });
+                        get_field!(obj, dop, bc);
                     }
                     Op::PutField { offset, is_ref, ic } => {
                         let v = tri!(self.pop());
@@ -2862,7 +2930,8 @@ mod tests {
     /// nothing a hook, a summary or a backtrace can see.
     mod fusion {
         use super::*;
-        use crate::predecode::{ADD_JUMP_SPAN, CMP_JUMP_SPAN, SKIP_FUSION};
+        use crate::predecode::{form, FORMS, SKIP_FUSION};
+        use hpmopt_bytecode::builder::Label;
         use hpmopt_bytecode::{ClassId, FieldId, StaticId};
         use hpmopt_memsim::AccessOutcome;
         use hpmopt_prim::{Fnv1a, Rng};
@@ -2921,22 +2990,24 @@ mod tests {
             digest: u64,
         }
 
+        /// Fused heads per form, in the order of [`FORMS`].
+        type Heads = [usize; FORMS.len()];
+
         /// Run `p` under `cfg`, decoding with or without the pass; also
-        /// return how many fused heads the final decoded bodies hold, and
-        /// the bytecodes and cycles run.
-        fn run(p: &Program, cfg: &VmConfig, fused: bool) -> (Seen, usize, (u64, u64)) {
+        /// return how many fused heads of each form the final decoded
+        /// bodies hold, and the bytecodes and cycles run.
+        fn run(p: &Program, cfg: &VmConfig, fused: bool) -> (Seen, Heads, (u64, u64)) {
             SKIP_FUSION.with(|s| s.set(!fused));
             let mut record = Record::default();
             let mut vm = Vm::new(p, cfg.clone());
             let result = vm.run(&mut record).map(|_| ());
             SKIP_FUSION.with(|s| s.set(false));
-            let heads = vm
-                .decoded
-                .iter()
-                .flatten()
-                .flat_map(|d| d.ops.iter())
-                .filter(|o| matches!(o.op, Op::CmpJump { .. } | Op::AddJump { .. }))
-                .count();
+            let mut heads = [0; FORMS.len()];
+            for d in vm.decoded.iter().flatten() {
+                for f in d.ops.iter().filter_map(|o| form(o.op)) {
+                    heads[f] += 1;
+                }
+            }
             let seen = Seen {
                 result,
                 record,
@@ -2947,19 +3018,18 @@ mod tests {
             (seen, heads, (vm.bytecodes, vm.cycles))
         }
 
-        /// Whether a stop at `pc` of `m` lies inside a fused span, past
-        /// its head: the unfused run stopped between two of its ops.
-        fn inside_span(p: &Program, (m, pc): (MethodId, usize)) -> bool {
+        /// The forms of the fused spans that hold `pc` of `m` past their
+        /// head (two when spans nest): a run that stopped at `pc` stopped
+        /// between two ops of each.
+        fn inside_span(p: &Program, (m, pc): (MethodId, usize)) -> Vec<usize> {
             let code = compile(p, m, Tier::Baseline, CODE_BASE, true);
             let ops = decode(p, &code, None).ops;
-            (1..ADD_JUMP_SPAN).any(|back| {
-                pc >= back
-                    && match ops[pc - back].op {
-                        Op::CmpJump { .. } => back < CMP_JUMP_SPAN,
-                        Op::AddJump { .. } => true,
-                        _ => false,
-                    }
-            })
+            (1..=pc)
+                .filter_map(|back| {
+                    let head = ops[pc - back].op;
+                    (back < head.span()).then(|| form(head)).flatten()
+                })
+                .collect()
         }
 
         /// Locals and ids the loop-body generator draws from.
@@ -2972,6 +3042,14 @@ mod tests {
             obj: u16,
             arr: u16,
             arr_len: i64,
+            /// Whether bodies also draw constant-operand arithmetic,
+            /// switches and list walks, and the inputs that force their
+            /// heads to fall back; without them the generator makes the
+            /// programs `hook_stamps_are_pinned` pins.
+            idioms: bool,
+            /// The head of a list of nodes linked by `next` (with
+            /// `idioms`).
+            list: u16,
         }
 
         impl Gen {
@@ -2979,7 +3057,7 @@ mod tests {
             /// further counted loops while `depth` allows.
             fn body(&self, m: &mut MethodBuilder, rng: &mut Rng, i: u16, limit: u16, depth: u32) {
                 for _ in 0..rng.range(1, 3) {
-                    match rng.below(7) {
+                    match rng.below(if self.idioms { 10 } else { 7 }) {
                         0 => {
                             m.load(self.obj);
                             m.load(self.obj);
@@ -3042,6 +3120,9 @@ mod tests {
                             m.store(limit);
                             m.bind(skip);
                         }
+                        7 => self.constant_operands(m, rng, i),
+                        8 => self.switch(m, rng, i),
+                        9 => self.walk(m, rng, i),
                         _ if depth > 0 => self.counted(m, rng, depth - 1),
                         _ => {
                             m.get_static(self.acc);
@@ -3050,6 +3131,156 @@ mod tests {
                             m.put_static(self.acc);
                         }
                     }
+                }
+            }
+
+            /// Jump to the returned label unless counter `i` equals a
+            /// small constant: what follows runs at one iteration at most.
+            fn unless_iteration(m: &mut MethodBuilder, rng: &mut Rng, i: u16) -> Label {
+                let skip = m.label();
+                m.load(i);
+                m.const_i(rng.range(0, 6) as i64);
+                m.eq();
+                m.jump_if_not(skip);
+                skip
+            }
+
+            /// `acc = (acc op k) op' k'` and so on, for random int ops
+            /// with constant right operands: shifts past 63, and `Div`
+            /// and `Rem` by nonzero constants. At one iteration, maybe, a
+            /// ref reaches a constant-operand or switch-arm head, whose
+            /// tail op then faults.
+            fn constant_operands(&self, m: &mut MethodBuilder, rng: &mut Rng, i: u16) {
+                const OPS: [Instr; 17] = [
+                    Instr::Add,
+                    Instr::Sub,
+                    Instr::Mul,
+                    Instr::Div,
+                    Instr::Rem,
+                    Instr::And,
+                    Instr::Or,
+                    Instr::Xor,
+                    Instr::Shl,
+                    Instr::Shr,
+                    Instr::UShr,
+                    Instr::Eq,
+                    Instr::Ne,
+                    Instr::Lt,
+                    Instr::Le,
+                    Instr::Gt,
+                    Instr::Ge,
+                ];
+                let constant = |rng: &mut Rng, op: Instr| -> i64 {
+                    match op {
+                        Instr::Shl | Instr::Shr | Instr::UShr => rng.range(0, 70) as i64,
+                        Instr::Div | Instr::Rem => {
+                            let k = rng.range(1, 9) as i64;
+                            if rng.chance(50) {
+                                -k
+                            } else {
+                                k
+                            }
+                        }
+                        _ => rng.range(0, 2_000) as i64 - 1_000,
+                    }
+                };
+                m.get_static(self.acc);
+                m.load(i);
+                m.add();
+                for _ in 0..rng.range(1, 4) {
+                    let op = OPS[rng.below(OPS.len() as u64) as usize];
+                    let k = constant(rng, op);
+                    m.const_i(k);
+                    m.emit(op);
+                }
+                m.put_static(self.acc);
+                if rng.chance(15) {
+                    let skip = Self::unless_iteration(m, rng, i);
+                    m.load(self.obj);
+                    if rng.chance(50) {
+                        let op = OPS[rng.below(OPS.len() as u64) as usize];
+                        let k = constant(rng, op);
+                        m.const_i(k);
+                        m.emit(op);
+                    } else {
+                        let arm = m.label();
+                        m.dup();
+                        m.const_i(0);
+                        m.eq();
+                        m.jump_if(arm);
+                        m.bind(arm);
+                    }
+                    m.pop();
+                    m.bind(skip);
+                }
+            }
+
+            /// A switch over `i % n`: a chain of `Dup; Const k; Eq;
+            /// JumpIf arm_k`, a default, and arms that each pop the
+            /// value and fold a constant into `acc`.
+            fn switch(&self, m: &mut MethodBuilder, rng: &mut Rng, i: u16) {
+                let n = rng.range(1, 6) as i64;
+                m.load(i);
+                m.const_i(n);
+                m.rem();
+                let arms: Vec<Label> = (0..rng.range(1, 5)).map(|_| m.label()).collect();
+                let end = m.label();
+                for (k, &arm) in arms.iter().enumerate() {
+                    m.dup();
+                    m.const_i(k as i64);
+                    m.eq();
+                    m.jump_if(arm);
+                }
+                for arm in std::iter::once(None).chain(arms.into_iter().map(Some)) {
+                    if let Some(arm) = arm {
+                        m.bind(arm);
+                    }
+                    m.pop();
+                    m.get_static(self.acc);
+                    m.const_i(rng.range(1, 1_000) as i64);
+                    m.xor();
+                    m.put_static(self.acc);
+                    m.jump(end);
+                }
+                m.bind(end);
+            }
+
+            /// A walk over the list's `next` links that adds each node's
+            /// `v` to `acc`. At one iteration, maybe, the walk's local
+            /// holds an int, which its null test then faults on, or a
+            /// field is read through it once the walk has left it null.
+            fn walk(&self, m: &mut MethodBuilder, rng: &mut Rng, i: u16) {
+                let cur = m.new_local();
+                m.load(self.list);
+                m.store(cur);
+                let int_cursor = rng.chance(10);
+                if int_cursor {
+                    let skip = Self::unless_iteration(m, rng, i);
+                    m.const_i(7);
+                    m.store(cur);
+                    m.bind(skip);
+                }
+                let (top, out) = (m.label(), m.label());
+                m.bind(top);
+                m.load(cur);
+                m.is_null();
+                m.jump_if(out);
+                m.get_static(self.acc);
+                m.load(cur);
+                m.get_field(self.v);
+                m.add();
+                m.put_static(self.acc);
+                m.load(cur);
+                m.get_field(self.next);
+                m.store(cur);
+                m.jump(top);
+                m.bind(out);
+                if !int_cursor && rng.chance(20) {
+                    let skip = Self::unless_iteration(m, rng, i);
+                    m.load(cur);
+                    m.get_field(self.v);
+                    m.pop();
+                    m.bind(skip);
                 }
             }
 
@@ -3099,8 +3330,9 @@ mod tests {
         }
 
         /// A random program of nested counted loops over a field, an
-        /// array, a static and calls to a helper with a loop of its own.
-        fn fusion_program(rng: &mut Rng) -> Program {
+        /// array, a static and calls to a helper with a loop of its own;
+        /// with `idioms`, also over a list and switches (see [`Gen`]).
+        fn fusion_program(rng: &mut Rng, idioms: bool) -> Program {
             let mut pb = ProgramBuilder::new();
             let node = pb.add_class("Node", &[("v", FieldType::Int), ("next", FieldType::Ref)]);
             let v = pb.field_id(node, "v").unwrap();
@@ -3131,6 +3363,7 @@ mod tests {
             let mut m = MethodBuilder::new("main", 0, 0, false);
             let (obj, arr) = (m.new_local(), m.new_local());
             let arr_len = rng.range(1, 16) as i64;
+            let list = if idioms { m.new_local() } else { 0 };
             let g = Gen {
                 node,
                 v,
@@ -3140,12 +3373,28 @@ mod tests {
                 obj,
                 arr,
                 arr_len,
+                idioms,
+                list,
             };
             m.new_object(node);
             m.store(obj);
             m.const_i(arr_len);
             m.new_array(ElemKind::I64);
             m.store(arr);
+            if idioms {
+                m.const_null();
+                m.store(list);
+                for _ in 0..rng.range(0, 8) {
+                    m.new_object(node);
+                    m.dup();
+                    m.load(list);
+                    m.put_field(next);
+                    m.dup();
+                    m.const_i(rng.range(0, 100) as i64);
+                    m.put_field(v);
+                    m.store(list);
+                }
+            }
             for _ in 0..rng.range(1, 3) {
                 if rng.chance(40) {
                     g.entered_mid_span(&mut m, rng);
@@ -3160,12 +3409,16 @@ mod tests {
         }
 
         /// Assert that `p` under `cfg` runs the same fused and unfused;
-        /// return the unfused run, the fused run's head count and the
+        /// return the unfused run, the fused run's heads and the
         /// bytecodes and cycles run.
-        fn check(p: &Program, cfg: &VmConfig, what: &str) -> (Seen, usize, (u64, u64)) {
+        fn check(p: &Program, cfg: &VmConfig, what: &str) -> (Seen, Heads, (u64, u64)) {
             let (fused, heads, _) = run(p, cfg, true);
             let (unfused, no_heads, ran) = run(p, cfg, false);
-            assert_eq!(no_heads, 0, "{what}: the switch skips the pass");
+            assert_eq!(
+                no_heads,
+                [0; FORMS.len()],
+                "{what}: the switch skips the pass"
+            );
             assert_eq!(fused, unfused, "{what}");
             (unfused, heads, ran)
         }
@@ -3193,22 +3446,40 @@ mod tests {
 
         #[test]
         fn fused_and_unfused_runs_are_indistinguishable() {
-            let (mut heads, mut stops_inside, mut type_errors) = (0, 0, 0);
+            let mut heads = [0; FORMS.len()];
+            // Stops of the unfused run inside each form's spans, and the
+            // errors of full runs that stopped inside one.
+            let mut stops = [0; FORMS.len()];
+            let mut faults: Vec<(&str, VmError)> = Vec::new();
+            let mut region_compiles = 0;
             for seed in 0..64u64 {
                 let mut rng = Rng::new(seed);
-                let p = fusion_program(&mut rng);
+                let p = fusion_program(&mut rng, true);
+                // The per-step engine keeps its own copy of every op's
+                // arithmetic, which the fused and unfused ops share.
+                let _ = run_checked(&p, VmConfig::test());
                 for tier2 in [false, true] {
                     let cfg = fusion_config(&p, &mut rng, tier2);
                     let what = format!("seed {seed}, tier2 {tier2}");
                     let (full, h, ran) = check(&p, &cfg, &what);
-                    heads += h;
-                    type_errors += usize::from(full.result == Err(VmError::TypeMismatch));
+                    for (all, n) in heads.iter_mut().zip(h) {
+                        *all += n;
+                    }
+                    region_compiles += full
+                        .record
+                        .compiles
+                        .iter()
+                        .filter(|c| c.1 == Tier::Region)
+                        .count();
+                    if let (Err(e), Some(&top)) = (full.result, full.backtrace.last()) {
+                        faults.extend(inside_span(&p, top).into_iter().map(|f| (FORMS[f], e)));
+                    }
                     // Step limits and cycle budgets that stop the unfused
                     // run between two ops of a fused span.
                     for budget in [false, true] {
                         let mut found = 0;
-                        for _ in 0..12 {
-                            if found == 2 {
+                        for _ in 0..16 {
+                            if found == 3 {
                                 break;
                             }
                             let mut c = cfg.clone();
@@ -3221,18 +3492,40 @@ mod tests {
                             let Some(&top) = stop.backtrace.last() else {
                                 continue;
                             };
-                            if stop.result.is_err() && inside_span(&p, top) {
+                            let around = inside_span(&p, top);
+                            if stop.result.is_err() && !around.is_empty() {
                                 found += 1;
-                                stops_inside += 1;
+                                for f in around {
+                                    stops[f] += 1;
+                                }
                                 check(&p, &c, &format!("{what}, {c:?}"));
                             }
                         }
                     }
                 }
             }
-            assert!(heads > 0, "the programs have fused spans");
-            assert!(stops_inside >= 64, "only {stops_inside} stops inside spans");
-            assert!(type_errors > 0, "some loop local must hold a ref");
+            for (f, name) in FORMS.iter().enumerate() {
+                assert!(heads[f] > 0, "the programs have {name} heads");
+                assert!(stops[f] > 0, "no stop inside a {name} span");
+            }
+            assert!(
+                stops.iter().sum::<usize>() >= 128,
+                "only {stops:?} stops inside spans"
+            );
+            assert!(region_compiles > 0, "tier 2 promotes some loop");
+            // The inputs that make a head run as the op it replaced and
+            // its tail op fault: a ref in a loop's limit, in an int
+            // operand or a switch value, an int in a null-tested local,
+            // and a null local whose field is read.
+            for want in [
+                ("CmpJump", VmError::TypeMismatch),
+                ("IntConst", VmError::TypeMismatch),
+                ("SwitchArm", VmError::TypeMismatch),
+                ("NullJump", VmError::TypeMismatch),
+                ("LoadField", VmError::NullPointer),
+            ] {
+                assert!(faults.contains(&want), "no {want:?} fault in {faults:?}");
+            }
         }
 
         /// Folds each hook call, tagged by kind, into one digest, in the
@@ -3322,7 +3615,7 @@ mod tests {
             };
             for seed in 0..64u64 {
                 let mut rng = Rng::new(seed);
-                let p = fusion_program(&mut rng);
+                let p = fusion_program(&mut rng, false);
                 for tier2 in [false, true] {
                     let cfg = fusion_config(&p, &mut rng, tier2);
                     let mut vm = Vm::new(&p, cfg);

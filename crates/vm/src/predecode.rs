@@ -21,12 +21,15 @@
 //! [`DecodedMethod::relocated`] copies the earlier body with each
 //! memory pc moved to the new code start.
 //!
-//! A peephole pass ([`fuse`]) then rewrites the head `Load` of the two
+//! A peephole pass ([`fuse`]) then rewrites the head of each short op
+//! sequence the benchmark programs run most into one fused op: the two
 //! sequences [`hpmopt_bytecode::builder::MethodBuilder::for_loop`] wraps
-//! around every counted loop into one fused op, [`Op::CmpJump`] and
-//! [`Op::AddJump`]. The tail ops stay in place, so a branch into the
-//! middle of a span, a region `Deopt` and a head that cannot run its
-//! whole span see exactly the unfused ops.
+//! around every counted loop ([`Op::CmpJump`], [`Op::AddJump`]), an int
+//! op with a constant right operand ([`Op::IntConst`]), a switch arm
+//! ([`Op::SwitchArm`]), and a local's field load and null test
+//! ([`Op::LoadField`], [`Op::NullJump`]). The tail ops stay in place, so
+//! a branch into the middle of a span, a region `Deopt` and a head that
+//! cannot run its whole span see exactly the unfused ops.
 //!
 //! Everything here is a *cost-model* artifact: decoding never changes
 //! program semantics, and the laid-out machine code (sizes, addresses,
@@ -127,6 +130,38 @@ pub(crate) enum Op {
         k: i32,
         target: u32,
     },
+    /// Fused head of `Const k; <op>` for an int op that cannot fault with
+    /// `k` as its right operand (`Div` and `Rem` only when `k != 0`):
+    /// replace the int `a` on top of the stack with `a op k`. When the
+    /// span cannot run whole, the op runs as its head `Const k`.
+    IntConst {
+        op: IntOp,
+        k: i64,
+    },
+    /// Fused head of `Dup; Const k; Eq; JumpIf target` with a forward
+    /// target, one arm of a switch: jump to `target` when the int on top
+    /// of the stack equals `k`, else fall through past the span; the int
+    /// stays on the stack either way. When the span cannot run whole, the
+    /// op runs as its head `Dup`.
+    SwitchArm {
+        k: i64,
+        target: u32,
+    },
+    /// Fused head of `Load l; GetField`: push the field of the object in
+    /// local `l`. The field's operands, both counts and the access's
+    /// memory pc are the tail `GetField`'s, which the head reads from it.
+    /// When the span cannot run whole, the op runs as its head `Load l`.
+    LoadField {
+        local: u32,
+    },
+    /// Fused head of `Load l; IsNull; JumpIf target` with a forward
+    /// target: jump to `target` when local `l` holds null, else fall
+    /// through past the span. When the span cannot run whole, the op runs
+    /// as its head `Load l`.
+    NullJump {
+        local: u32,
+        target: u32,
+    },
     /// Region-tier code only: this bytecode's block is outside the
     /// compiled region. Executing it abandons the region artifact —
     /// the engine reinstalls baseline code and re-enters the frame at
@@ -139,6 +174,108 @@ pub(crate) const CMP_JUMP_SPAN: usize = 4;
 
 /// Bytecodes an [`Op::AddJump`] span holds.
 pub(crate) const ADD_JUMP_SPAN: usize = 5;
+
+/// Bytecodes an [`Op::IntConst`] span holds.
+pub(crate) const INT_CONST_SPAN: usize = 2;
+
+/// Bytecodes an [`Op::SwitchArm`] span holds.
+pub(crate) const SWITCH_ARM_SPAN: usize = 4;
+
+/// Bytecodes an [`Op::LoadField`] span holds.
+pub(crate) const LOAD_FIELD_SPAN: usize = 2;
+
+/// Bytecodes an [`Op::NullJump`] span holds.
+pub(crate) const NULL_JUMP_SPAN: usize = 3;
+
+impl Op {
+    /// Bytecodes the span this op heads holds: one for an op that heads
+    /// none.
+    pub(crate) fn span(self) -> usize {
+        match self {
+            Op::CmpJump { .. } => CMP_JUMP_SPAN,
+            Op::AddJump { .. } => ADD_JUMP_SPAN,
+            Op::IntConst { .. } => INT_CONST_SPAN,
+            Op::SwitchArm { .. } => SWITCH_ARM_SPAN,
+            Op::LoadField { .. } => LOAD_FIELD_SPAN,
+            Op::NullJump { .. } => NULL_JUMP_SPAN,
+            _ => 1,
+        }
+    }
+}
+
+/// An int op of two operands. Its arithmetic is written once, in
+/// [`IntOp::apply`], for the unfused op and for [`Op::IntConst`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IntOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+    And,
+    Or,
+    Xor,
+    Shl,
+    Shr,
+    UShr,
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+impl IntOp {
+    /// `a op b`: arithmetic wraps, a shift takes the low six bits of
+    /// `b`, and a comparison gives 1 or 0. `Div` and `Rem` need `b != 0`.
+    #[inline(always)]
+    pub(crate) fn apply(self, a: i64, b: i64) -> i64 {
+        match self {
+            IntOp::Add => a.wrapping_add(b),
+            IntOp::Sub => a.wrapping_sub(b),
+            IntOp::Mul => a.wrapping_mul(b),
+            IntOp::Div => a.wrapping_div(b),
+            IntOp::Rem => a.wrapping_rem(b),
+            IntOp::And => a & b,
+            IntOp::Or => a | b,
+            IntOp::Xor => a ^ b,
+            IntOp::Shl => a.wrapping_shl(b as u32 & 63),
+            IntOp::Shr => a.wrapping_shr(b as u32 & 63),
+            IntOp::UShr => ((a as u64) >> (b as u32 & 63)) as i64,
+            IntOp::Eq => i64::from(a == b),
+            IntOp::Ne => i64::from(a != b),
+            IntOp::Lt => i64::from(a < b),
+            IntOp::Le => i64::from(a <= b),
+            IntOp::Gt => i64::from(a > b),
+            IntOp::Ge => i64::from(a >= b),
+        }
+    }
+
+    /// The int op `op` runs, if it is one.
+    fn of(op: Op) -> Option<IntOp> {
+        Some(match op {
+            Op::Add => IntOp::Add,
+            Op::Sub => IntOp::Sub,
+            Op::Mul => IntOp::Mul,
+            Op::Div => IntOp::Div,
+            Op::Rem => IntOp::Rem,
+            Op::And => IntOp::And,
+            Op::Or => IntOp::Or,
+            Op::Xor => IntOp::Xor,
+            Op::Shl => IntOp::Shl,
+            Op::Shr => IntOp::Shr,
+            Op::UShr => IntOp::UShr,
+            Op::Eq => IntOp::Eq,
+            Op::Ne => IntOp::Ne,
+            Op::Lt => IntOp::Lt,
+            Op::Le => IntOp::Le,
+            Op::Gt => IntOp::Gt,
+            Op::Ge => IntOp::Ge,
+            _ => return None,
+        })
+    }
+}
 
 /// One pre-decoded bytecode: the resolved [`Op`] plus everything the
 /// hot loop needs per step, in one cache-friendly record.
@@ -153,12 +290,12 @@ pub(crate) struct DecodedOp {
     pub op: Op,
     /// Machine instructions retired when the op completes. For
     /// inline-cached sites this is the *hit* count, and for a fused head
-    /// its own `Load`'s count; everything else retires the full sequence
-    /// from the artifact.
+    /// the count of the op it replaced; everything else retires the full
+    /// sequence from the artifact.
     pub cost: u32,
     /// The second count: the additional machine instructions of an
-    /// inline-cache miss, or those of a fused head's tail ops (zero
-    /// elsewhere).
+    /// inline-cache miss, or the sum of a fused head's tail ops' counts
+    /// (zero elsewhere). A field head charges its tail's counts instead.
     pub extra: u32,
     /// Machine PC of the op's memory instruction, for sample attribution.
     pub mem_pc: u64,
@@ -410,6 +547,31 @@ thread_local! {
     pub(crate) static SKIP_FUSION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// The fused forms, in the order [`form`] numbers them.
+#[cfg(test)]
+pub(crate) const FORMS: [&str; 6] = [
+    "CmpJump",
+    "AddJump",
+    "IntConst",
+    "SwitchArm",
+    "LoadField",
+    "NullJump",
+];
+
+/// The index in [`FORMS`] of the form `op` heads, if it heads one.
+#[cfg(test)]
+pub(crate) fn form(op: Op) -> Option<usize> {
+    Some(match op {
+        Op::CmpJump { .. } => 0,
+        Op::AddJump { .. } => 1,
+        Op::IntConst { .. } => 2,
+        Op::SwitchArm { .. } => 3,
+        Op::LoadField { .. } => 4,
+        Op::NullJump { .. } => 5,
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 fn fusion_enabled() -> bool {
     !SKIP_FUSION.with(std::cell::Cell::get)
@@ -420,51 +582,84 @@ fn fusion_enabled() -> bool {
     true
 }
 
-/// The peephole pass: rewrite the head `Load` of each counted-loop idiom
-/// into its fused op. The head keeps its own count in
-/// [`DecodedOp::cost`] and takes the tail ops' counts in
-/// [`DecodedOp::extra`]; the tail ops are left as they are. No two spans
-/// overlap: a tail op is never a `Load` followed by a `Load` or `Const`.
+/// The peephole pass: rewrite the head of each fused form into its
+/// fused op. The head keeps its own count in [`DecodedOp::cost`] and
+/// takes the tail ops' counts in [`DecodedOp::extra`]; the tail ops are
+/// left as they are. A tail op may head a span of its own, which then
+/// ends inside the outer one: `AddJump`'s `Const 1; Add` and a switch
+/// arm's `Const k; Eq` are constant-operand spans. A field head reads
+/// its tail `GetField` as it runs; no `GetField` heads a span, so the
+/// pass leaves it as it is.
 fn fuse(ops: &mut [DecodedOp]) {
     for pc in 0..ops.len() {
-        if let Some((op, span)) = fused_head(&ops[pc..], pc) {
+        if let Some(op) = fused_head(&ops[pc..], pc) {
             ops[pc].op = op;
-            ops[pc].extra = ops[pc + 1..pc + span].iter().map(|d| d.cost).sum();
+            ops[pc].extra = ops[pc + 1..pc + op.span()].iter().map(|d| d.cost).sum();
         }
     }
 }
 
-/// The fused op and span length for a span starting at `pc` with the ops
-/// `span`, if they form `Load a; Load b; Ge; JumpIf t` with `t` past the
-/// branch, or `Load l; Const k; Add; Store l; Jump t` with `k` in `i32`:
-/// the two sequences `for_loop` emits. No other comparison is fused: no
-/// benchmark program runs a two-local compare-and-branch but this one.
-fn fused_head(span: &[DecodedOp], pc: usize) -> Option<(Op, usize)> {
+/// The fused op for a span starting at `pc` with the ops `span`, if
+/// they form one of:
+/// - `Load a; Load b; Ge; JumpIf t` and `Load l; Const k; Add; Store l;
+///   Jump t` with `k` in `i32`, the two sequences `for_loop` emits. No
+///   other comparison of two locals is fused: no benchmark program runs
+///   one but this;
+/// - `Const k; <int op>`, unless the op divides by `k = 0`;
+/// - `Dup; Const k; Eq; JumpIf t`;
+/// - `Load l; GetField`;
+/// - `Load l; IsNull; JumpIf t`.
+///
+/// Every fused conditional branch is forward, past its span, so no
+/// fused head takes a back edge but `AddJump`'s `Jump`.
+fn fused_head(span: &[DecodedOp], pc: usize) -> Option<Op> {
     let op = |i: usize| span.get(i).map(|d| d.op);
-    let Op::Load(a) = op(0)? else {
-        return None;
-    };
-    match (op(1)?, op(2)?, op(3)?) {
-        (Op::Load(b), Op::Ge, Op::JumpIf(target)) => {
-            let forward = target as usize >= pc + CMP_JUMP_SPAN;
-            forward.then_some((Op::CmpJump { a, b, target }, CMP_JUMP_SPAN))
+    let forward = |target: u32, n: usize| (target as usize >= pc + n).then_some(());
+    Some(match (op(0)?, op(1)?) {
+        (Op::Const(k), tail) => {
+            let op = IntOp::of(tail)?;
+            if matches!(op, IntOp::Div | IntOp::Rem) && k == 0 {
+                return None;
+            }
+            Op::IntConst { op, k }
         }
-        (Op::Const(k), Op::Add, Op::Store(l)) if l == a => {
-            let Op::Jump(target) = op(4)? else {
+        (Op::Dup, Op::Const(k)) => {
+            let (Op::Eq, Op::JumpIf(target)) = (op(2)?, op(3)?) else {
                 return None;
             };
-            let k = i32::try_from(k).ok()?;
-            Some((
-                Op::AddJump {
-                    local: a,
-                    k,
-                    target,
-                },
-                ADD_JUMP_SPAN,
-            ))
+            forward(target, SWITCH_ARM_SPAN)?;
+            Op::SwitchArm { k, target }
         }
-        _ => None,
-    }
+        (Op::Load(local), Op::GetField { .. }) => Op::LoadField { local },
+        (Op::Load(local), Op::IsNull) => {
+            let Op::JumpIf(target) = op(2)? else {
+                return None;
+            };
+            forward(target, NULL_JUMP_SPAN)?;
+            Op::NullJump { local, target }
+        }
+        (Op::Load(a), Op::Load(b)) => {
+            let (Op::Ge, Op::JumpIf(target)) = (op(2)?, op(3)?) else {
+                return None;
+            };
+            forward(target, CMP_JUMP_SPAN)?;
+            Op::CmpJump { a, b, target }
+        }
+        (Op::Load(local), Op::Const(k)) => {
+            let (Op::Add, Op::Store(l), Op::Jump(target)) = (op(2)?, op(3)?, op(4)?) else {
+                return None;
+            };
+            if l != local {
+                return None;
+            }
+            Op::AddJump {
+                local,
+                k: i32::try_from(k).ok()?,
+                target,
+            }
+        }
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -497,7 +692,8 @@ mod tests {
     const _: () = assert!(std::mem::size_of::<DecodedOp>() == 32);
 
     /// Two nested counted loops over a static and a field: each
-    /// `for_loop` yields one span of each fused form.
+    /// `for_loop` yields one span of each loop form, and a
+    /// constant-operand span inside its `AddJump`'s.
     fn counted_loops_program() -> (Program, MethodId) {
         let mut pb = ProgramBuilder::new();
         let c = pb.add_class("C", &[("f", FieldType::Int)]);
@@ -540,43 +736,98 @@ mod tests {
         d
     }
 
+    /// One span of each fused form; a switch arm's and a counted loop's
+    /// tails hold constant-operand spans of their own.
+    fn every_form_program() -> (Program, MethodId) {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.add_class("C", &[("f", FieldType::Int)]);
+        let f = pb.field_id(c, "f").unwrap();
+        let mut m = MethodBuilder::new("main", 0, 2, false);
+        let (out, arm) = (m.label(), m.label());
+        m.new_object(c);
+        m.store(0);
+        m.load(0); // NullJump
+        m.is_null();
+        m.jump_if(out);
+        m.load(0); // LoadField
+        m.get_field(f);
+        m.const_i(3); // IntConst
+        m.xor();
+        m.dup(); // SwitchArm, with `Const 5; Eq` an IntConst
+        m.const_i(5);
+        m.eq();
+        m.jump_if(arm);
+        m.bind(arm);
+        m.pop();
+        // CmpJump, and AddJump with `Const 1; Add` an IntConst.
+        m.for_loop(
+            1,
+            |m| {
+                m.const_i(2);
+            },
+            |_| {},
+        );
+        m.bind(out);
+        m.ret();
+        let id = pb.add_method(m);
+        pb.set_entry(id);
+        (pb.finish().unwrap(), id)
+    }
+
+    /// Check `d` against `unfused`, the same artifact decoded without the
+    /// pass, and both against the artifact: every op that heads no span
+    /// is the unfused op, and each head keeps the count of the op it
+    /// replaced and takes the counts of its span's other ops. Returns the
+    /// heads of each form.
+    fn check_heads(
+        d: &DecodedMethod,
+        unfused: &DecodedMethod,
+        code: &CompiledCode,
+    ) -> [usize; FORMS.len()] {
+        assert_eq!(d.ops.len(), unfused.ops.len());
+        let mut heads = [0; FORMS.len()];
+        for (bc, (op, plain)) in d.ops.iter().zip(unfused.ops.iter()).enumerate() {
+            assert_eq!(op.mem_pc, code.mem_pc(bc), "mem_pc drift at {bc}");
+            if plain.op != Op::Deopt {
+                assert_eq!(
+                    plain.cost + plain.extra,
+                    code.mach_count(bc),
+                    "hit+extra must equal the artifact's count at {bc}"
+                );
+            }
+            let Some(f) = form(op.op) else {
+                // Every other op, tail ops included, decodes as it does
+                // without the pass.
+                assert_eq!(op, plain, "bc {bc} changed");
+                continue;
+            };
+            heads[f] += 1;
+            let span = &unfused.ops[bc..bc + op.op.span()];
+            assert!(span.iter().all(|o| o.op != Op::Deopt), "head {bc}");
+            assert_eq!(op.cost, plain.cost, "head {bc} keeps its count");
+            assert_eq!(
+                op.cost + op.extra,
+                span.iter().map(|o| o.cost).sum::<u32>(),
+                "head {bc}'s counts sum over its span"
+            );
+        }
+        heads
+    }
+
     #[test]
     fn decoded_ops_align_with_body_and_artifact() {
-        for (prog, want_heads) in [(sample_program(), 0), (counted_loops_program(), 4)] {
+        for (prog, want_heads) in [
+            (sample_program(), [0, 0, 0, 0, 1, 0]),
+            (counted_loops_program(), [2, 2, 2, 0, 1, 0]),
+            (every_form_program(), [1, 1, 3, 1, 1, 1]),
+        ] {
             let (p, id) = prog;
             for tier in [Tier::Baseline, Tier::Opt] {
                 let code = compile(&p, id, tier, 0x4000_0000, true);
                 let d = decode(&p, &code, None);
-                let unfused = decode_unfused(&p, &code, None);
                 assert_eq!(d.ops.len(), p.method(id).len());
                 assert!(d.width >= 2, "flattened dispatch at least dual-issues");
-                let mut heads = 0;
-                for (bc, op) in d.ops.iter().enumerate() {
-                    assert_eq!(op.mem_pc, code.mem_pc(bc), "mem_pc drift at {bc}");
-                    let (span, local) = match op.op {
-                        Op::CmpJump { a, .. } => (CMP_JUMP_SPAN, a),
-                        Op::AddJump { local, .. } => (ADD_JUMP_SPAN, local),
-                        _ => {
-                            // Every other op, tail ops included, decodes
-                            // as it does without the pass.
-                            assert_eq!(*op, unfused.ops[bc], "bc {bc} changed");
-                            assert_eq!(
-                                op.cost + op.extra,
-                                code.mach_count(bc),
-                                "hit+extra must equal the artifact's count at {bc}"
-                            );
-                            continue;
-                        }
-                    };
-                    heads += 1;
-                    assert_eq!(unfused.ops[bc].op, Op::Load(local), "head {bc} is its Load");
-                    assert_eq!(op.cost, code.mach_count(bc), "head {bc} keeps its count");
-                    assert_eq!(
-                        op.cost + op.extra,
-                        (bc..bc + span).map(|i| code.mach_count(i)).sum::<u32>(),
-                        "head {bc}'s counts sum over its span"
-                    );
-                }
+                let heads = check_heads(&d, &decode_unfused(&p, &code, None), &code);
                 assert_eq!(heads, want_heads, "{tier:?}");
             }
         }
@@ -602,25 +853,46 @@ mod tests {
 
     #[test]
     fn fused_heads_resolve_their_operands() {
-        let (p, id) = counted_loops_program();
-        let code = compile(&p, id, Tier::Opt, 0x4000_0000, true);
-        let body = p.method(id).body();
-        let d = decode(&p, &code, None);
-        for (bc, op) in d.ops.iter().enumerate() {
-            match op.op {
-                Op::CmpJump { a, b, target } => {
-                    // for_loop's head: `Load i; Load n; Ge; JumpIf exit`.
-                    assert_eq!(body[bc], Instr::Load(a as u16));
-                    assert_eq!(body[bc + 1], Instr::Load(b as u16));
-                    assert_eq!(body[bc + 2], Instr::Ge);
-                    assert_eq!(body[bc + 3], Instr::JumpIf(target));
+        for (p, id) in [counted_loops_program(), every_form_program()] {
+            let code = compile(&p, id, Tier::Opt, 0x4000_0000, true);
+            let body = p.method(id).body();
+            let d = decode(&p, &code, None);
+            let unfused = decode_unfused(&p, &code, None);
+            for (bc, op) in d.ops.iter().enumerate() {
+                match op.op {
+                    Op::CmpJump { a, b, target } => {
+                        // for_loop's head: `Load i; Load n; Ge; JumpIf exit`.
+                        assert_eq!(body[bc], Instr::Load(a as u16));
+                        assert_eq!(body[bc + 1], Instr::Load(b as u16));
+                        assert_eq!(body[bc + 2], Instr::Ge);
+                        assert_eq!(body[bc + 3], Instr::JumpIf(target));
+                    }
+                    Op::AddJump { local, k, target } => {
+                        assert_eq!(body[bc], Instr::Load(local as u16));
+                        assert_eq!(body[bc + 1], Instr::Const(i64::from(k)));
+                        assert_eq!(body[bc + 4], Instr::Jump(target));
+                    }
+                    Op::IntConst { op, k } => {
+                        assert_eq!(body[bc], Instr::Const(k));
+                        assert_eq!(IntOp::of(unfused.ops[bc + 1].op), Some(op));
+                    }
+                    Op::SwitchArm { k, target } => {
+                        assert_eq!(body[bc], Instr::Dup);
+                        assert_eq!(body[bc + 1], Instr::Const(k));
+                        assert_eq!(body[bc + 2], Instr::Eq);
+                        assert_eq!(body[bc + 3], Instr::JumpIf(target));
+                    }
+                    Op::LoadField { local } => {
+                        assert_eq!(body[bc], Instr::Load(local as u16));
+                        assert!(matches!(body[bc + 1], Instr::GetField(_)));
+                    }
+                    Op::NullJump { local, target } => {
+                        assert_eq!(body[bc], Instr::Load(local as u16));
+                        assert_eq!(body[bc + 1], Instr::IsNull);
+                        assert_eq!(body[bc + 2], Instr::JumpIf(target));
+                    }
+                    _ => {}
                 }
-                Op::AddJump { local, k, target } => {
-                    assert_eq!(body[bc], Instr::Load(local as u16));
-                    assert_eq!(body[bc + 1], Instr::Const(i64::from(k)));
-                    assert_eq!(body[bc + 4], Instr::Jump(target));
-                }
-                _ => {}
             }
         }
     }
@@ -656,7 +928,8 @@ mod tests {
                 target: 4
             }
         );
-        // A backward one stays unfused.
+        // A backward one stays unfused, and so do a backward switch arm
+        // and null test.
         let ops = build(&|m| {
             let top = m.label();
             m.bind(top);
@@ -666,6 +939,40 @@ mod tests {
             m.jump_if(top);
         });
         assert_eq!(ops[0], Op::Load(0));
+        let ops = build(&|m| {
+            let top = m.label();
+            m.const_i(1);
+            m.bind(top);
+            m.dup();
+            m.const_i(1);
+            m.eq();
+            m.jump_if(top);
+            m.load(0);
+            m.is_null();
+            m.jump_if(top);
+        });
+        assert_eq!(ops[1], Op::Dup);
+        assert_eq!(ops[5], Op::Load(0));
+        // A division by a constant 0 stays unfused, as does a constant
+        // before a one-operand op.
+        for (tail, fused) in [
+            (Instr::Div, false),
+            (Instr::Rem, false),
+            (Instr::Neg, false),
+            (Instr::Add, true),
+        ] {
+            let ops = build(&|m| {
+                m.const_i(9);
+                m.const_i(0);
+                m.emit(tail);
+                m.pop();
+            });
+            assert_eq!(
+                matches!(ops[1], Op::IntConst { k: 0, .. }),
+                fused,
+                "{tail:?}"
+            );
+        }
         // An add to another local, or of a constant past `i32`, stays
         // unfused.
         for (store, k) in [(1, 1), (0, i64::from(i32::MAX) + 1)] {
@@ -749,7 +1056,8 @@ mod tests {
         let (p, id) = looped_program();
         let code = compile(&p, id, Tier::Region, 0x4000_0000, true);
         // Region covers entry + loop body, not the exit block.
-        let d = decode(&p, &code, Some(&[0, 1]));
+        let region: &[u32] = &[0, 1];
+        let d = decode(&p, &code, Some(region));
         assert_eq!(d.tier, Tier::Region);
         assert_eq!(d.width, OPT_ISSUE_WIDTH);
         for (bc, op) in d.ops.iter().enumerate() {
@@ -759,9 +1067,11 @@ mod tests {
                 assert_eq!(op.extra, 0);
             } else {
                 assert!(!matches!(op.op, Op::Deopt), "in-region bc {bc} kept");
-                assert_eq!(op.cost + op.extra, code.mach_count(bc));
             }
         }
+        // The loop's `Const 1; Sub` is the one head, inside the region.
+        let heads = check_heads(&d, &decode_unfused(&p, &code, Some(region)), &code);
+        assert_eq!(heads, [0, 0, 1, 0, 0, 0]);
         // A full-coverage region decodes with no deopts at all.
         let full = decode(&p, &code, Some(&[0, 1, 2]));
         assert!(full.ops.iter().all(|o| !matches!(o.op, Op::Deopt)));
