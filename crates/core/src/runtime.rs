@@ -248,7 +248,7 @@ impl HpmRuntime {
                         }
                         // A prior measured on another program, machine
                         // or workload.
-                        _ => MetricId::ProfileLoadMismatch,
+                        LoadOutcome::Warm(_) => MetricId::ProfileLoadMismatch,
                     });
                 }
             }

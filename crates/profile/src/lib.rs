@@ -15,9 +15,10 @@
 //! format is hand-rolled little-endian serialization
 //! ([`wire`]/[`format`](mod@format)) with a magic number, a format version, and an
 //! FNV-1a checksum over the payload. Loading is total: corruption,
-//! truncation, version skew, or a fingerprint mismatch never panic —
-//! they degrade to a cold start ([`store::LoadOutcome::Cold`]) that the
-//! runtime surfaces through `profile.*` telemetry counters.
+//! truncation or version skew never panic — they degrade to a cold
+//! start ([`store::LoadOutcome::Cold`]), as does a prior whose
+//! fingerprint does not match the run, and the runtime surfaces both
+//! through `profile.*` telemetry counters.
 //!
 //! The crate speaks *names* (class/field strings) and plain integers,
 //! not `hpmopt-bytecode` ids: ids are only meaningful for the program

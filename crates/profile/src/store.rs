@@ -1,18 +1,18 @@
-//! The on-disk repository: load-with-validation and atomic save.
+//! The on-disk repository: validated load and atomic save.
 //!
-//! [`ProfileStore::load`] is the warm-start gate: it returns
-//! [`LoadOutcome::Warm`] only for a structurally valid, checksummed
-//! profile whose fingerprint matches the current run. Everything else —
-//! missing file, I/O error, corruption, version skew, fingerprint
-//! mismatch — is a [`LoadOutcome::Cold`] with the reason attached, so
-//! the runtime can count *why* warm starts fail without ever failing
-//! the run itself.
+//! [`ProfileStore::load_any`] returns a profile only when the file is
+//! structurally valid and checksummed. Everything else — missing file,
+//! I/O error, corruption, version skew — is a [`ColdReason`], so the
+//! runtime can count *why* warm starts fail without ever failing the
+//! run itself. The runtime checks the profile's fingerprint against the
+//! run: a profile measured on another program or configuration is a
+//! cold start too.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::format::ProfileError;
-use crate::{Fingerprint, Profile};
+use crate::Profile;
 
 /// Why a load degraded to a cold start.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,9 +23,6 @@ pub enum ColdReason {
     Io(io::ErrorKind),
     /// The file was read but could not be decoded.
     Format(ProfileError),
-    /// The file decoded but was measured on a different program or
-    /// machine configuration.
-    FingerprintMismatch,
 }
 
 impl std::fmt::Display for ColdReason {
@@ -34,7 +31,6 @@ impl std::fmt::Display for ColdReason {
             ColdReason::Missing => f.write_str("no profile file"),
             ColdReason::Io(kind) => write!(f, "i/o error: {kind}"),
             ColdReason::Format(e) => write!(f, "{e}"),
-            ColdReason::FingerprintMismatch => f.write_str("fingerprint mismatch"),
         }
     }
 }
@@ -43,7 +39,7 @@ impl std::fmt::Display for ColdReason {
 /// repository must not be able to break the run it is accelerating.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LoadOutcome {
-    /// A valid prior profile for this exact (program, config).
+    /// A valid prior profile; the run it seeds checks its fingerprint.
     Warm(Profile),
     /// Start from scratch; the reason is for telemetry.
     Cold(ColdReason),
@@ -67,8 +63,9 @@ impl ProfileStore {
         &self.path
     }
 
-    /// Load and decode the profile without fingerprint validation (the
-    /// inspect/diff/merge tool works on any valid file).
+    /// Load and decode the profile. Its fingerprint is not checked:
+    /// the runtime checks it against the run, and the inspect/diff/merge
+    /// tool works on any valid file.
     ///
     /// # Errors
     ///
@@ -80,15 +77,6 @@ impl ProfileStore {
             Err(e) => return Err(ColdReason::Io(e.kind())),
         };
         Profile::decode(&bytes).map_err(ColdReason::Format)
-    }
-
-    /// Load for warm start: decode plus fingerprint validation.
-    pub fn load(&self, expected: &Fingerprint) -> LoadOutcome {
-        match self.load_any() {
-            Ok(p) if p.fingerprint == *expected => LoadOutcome::Warm(p),
-            Ok(_) => LoadOutcome::Cold(ColdReason::FingerprintMismatch),
-            Err(reason) => LoadOutcome::Cold(reason),
-        }
     }
 
     /// Persist `profile`, creating parent directories as needed. The
@@ -130,7 +118,7 @@ impl ProfileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DecisionKind;
+    use crate::{DecisionKind, Fingerprint};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -156,34 +144,14 @@ mod tests {
         let store = ProfileStore::new(temp_path("warm"));
         let p = sample(fp.clone());
         store.save(&p).unwrap();
-        assert_eq!(store.load(&fp), LoadOutcome::Warm(p));
+        assert_eq!(store.load_any(), Ok(p));
         std::fs::remove_file(store.path()).unwrap();
     }
 
     #[test]
     fn missing_file_is_cold() {
         let store = ProfileStore::new(temp_path("missing"));
-        assert_eq!(
-            store.load(&Fingerprint::new(1, 2, "x")),
-            LoadOutcome::Cold(ColdReason::Missing)
-        );
-    }
-
-    #[test]
-    fn fingerprint_mismatch_is_cold() {
-        let store = ProfileStore::new(temp_path("mismatch"));
-        store.save(&sample(Fingerprint::new(7, 8, "db"))).unwrap();
-        for other in [
-            Fingerprint::new(9, 8, "db"),   // different program
-            Fingerprint::new(7, 9, "db"),   // different config
-            Fingerprint::new(7, 8, "jess"), // different workload label
-        ] {
-            assert_eq!(
-                store.load(&other),
-                LoadOutcome::Cold(ColdReason::FingerprintMismatch)
-            );
-        }
-        std::fs::remove_file(store.path()).unwrap();
+        assert_eq!(store.load_any(), Err(ColdReason::Missing));
     }
 
     #[test]
@@ -191,8 +159,8 @@ mod tests {
         let store = ProfileStore::new(temp_path("garbage"));
         std::fs::write(store.path(), b"this is not a profile").unwrap();
         assert_eq!(
-            store.load(&Fingerprint::new(1, 2, "x")),
-            LoadOutcome::Cold(ColdReason::Format(ProfileError::BadMagic))
+            store.load_any(),
+            Err(ColdReason::Format(ProfileError::BadMagic))
         );
         std::fs::remove_file(store.path()).unwrap();
     }
@@ -217,10 +185,10 @@ mod tests {
                 s.spawn(move || {
                     barrier.wait();
                     for i in 0..200u64 {
-                        let mut p = match store.load(&fp) {
-                            LoadOutcome::Warm(p) => p,
-                            LoadOutcome::Cold(ColdReason::Missing) => sample(fp.clone()),
-                            LoadOutcome::Cold(reason) => {
+                        let mut p = match store.load_any() {
+                            Ok(p) => p,
+                            Err(ColdReason::Missing) => sample(fp.clone()),
+                            Err(reason) => {
                                 panic!("writer {t} iteration {i}: torn read: {reason}")
                             }
                         };
@@ -233,10 +201,7 @@ mod tests {
                 });
             }
         });
-        assert!(
-            matches!(store.load(&fp), LoadOutcome::Warm(_)),
-            "final state decodes"
-        );
+        assert!(store.load_any().is_ok(), "final state decodes");
         std::fs::remove_file(store.path()).unwrap();
     }
 
@@ -249,7 +214,7 @@ mod tests {
         p.record_field("Node", "next", 5);
         p.seal_run();
         store.save(&p).unwrap();
-        assert_eq!(store.load(&fp), LoadOutcome::Warm(p));
+        assert_eq!(store.load_any(), Ok(p));
         assert!(!store.path().with_extension("hpmprof.tmp").exists());
         std::fs::remove_file(store.path()).unwrap();
     }

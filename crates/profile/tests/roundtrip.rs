@@ -6,9 +6,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use hpmopt_profile::{
-    ColdReason, DecisionKind, Fingerprint, LoadOutcome, Profile, ProfileError, ProfileStore,
-};
+use hpmopt_profile::{ColdReason, DecisionKind, Fingerprint, Profile, ProfileError, ProfileStore};
 
 fn temp_path(tag: &str) -> PathBuf {
     static SEQ: AtomicU32 = AtomicU32::new(0);
@@ -37,9 +35,9 @@ fn disk_round_trip_preserves_everything() {
     let path = temp_path("ok");
     let store = ProfileStore::new(&path);
     store.save(&p).unwrap();
-    match store.load(&p.fingerprint) {
-        LoadOutcome::Warm(back) => assert_eq!(back, p),
-        LoadOutcome::Cold(reason) => panic!("expected warm, got cold: {reason}"),
+    match store.load_any() {
+        Ok(back) => assert_eq!(back, p),
+        Err(reason) => panic!("expected warm, got cold: {reason}"),
     }
     std::fs::remove_file(&path).unwrap();
 }
@@ -54,10 +52,8 @@ fn truncated_file_loads_cold() {
     for len in [0, 3, 10, 16, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..len]).unwrap();
         let store = ProfileStore::new(&path);
-        match store.load(&p.fingerprint) {
-            LoadOutcome::Cold(ColdReason::Format(
-                ProfileError::Truncated | ProfileError::Malformed,
-            )) => {}
+        match store.load_any() {
+            Err(ColdReason::Format(ProfileError::Truncated | ProfileError::Malformed)) => {}
             other => panic!("prefix of {len} bytes gave {other:?}"),
         }
     }
@@ -73,8 +69,8 @@ fn corrupted_file_loads_cold() {
     bytes[mid] ^= 0xff;
     std::fs::write(&path, &bytes).unwrap();
     assert_eq!(
-        ProfileStore::new(&path).load(&p.fingerprint),
-        LoadOutcome::Cold(ColdReason::Format(ProfileError::ChecksumMismatch))
+        ProfileStore::new(&path).load_any(),
+        Err(ColdReason::Format(ProfileError::ChecksumMismatch))
     );
     std::fs::remove_file(&path).unwrap();
 }
@@ -87,8 +83,8 @@ fn future_version_loads_cold() {
     bytes[4] = bytes[4].wrapping_add(1); // bump the u32 LE version field
     std::fs::write(&path, &bytes).unwrap();
     assert_eq!(
-        ProfileStore::new(&path).load(&p.fingerprint),
-        LoadOutcome::Cold(ColdReason::Format(ProfileError::UnsupportedVersion))
+        ProfileStore::new(&path).load_any(),
+        Err(ColdReason::Format(ProfileError::UnsupportedVersion))
     );
     std::fs::remove_file(&path).unwrap();
 }
@@ -106,9 +102,9 @@ fn merge_chain_keeps_files_loadable() {
         let fresh = sample();
         on_disk.merge_run(&fresh, 0.5);
         store.save(&on_disk).unwrap();
-        match store.load(&fp) {
-            LoadOutcome::Warm(back) => on_disk = back,
-            LoadOutcome::Cold(reason) => panic!("chain broke: {reason}"),
+        match store.load_any() {
+            Ok(back) => on_disk = back,
+            Err(reason) => panic!("chain broke: {reason}"),
         }
     }
     assert_eq!(on_disk.runs, 3);
