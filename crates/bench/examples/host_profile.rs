@@ -5,10 +5,14 @@
 //! timer, records the program counter each tick interrupts, and
 //! symbolizes the samples with `addr2line` (binutils). It prints the
 //! sample count, each crate's share by the innermost inlined frame at
-//! the sampled PC, and every function whose code or inlined code holds
-//! at least one sample in a thousand. There is no stack walk, so a
-//! function counts only the samples inside its own body and the bodies
-//! inlined into it.
+//! the sampled PC, the samples by outermost frame (the function, not
+//! inlined, whose machine code holds the PC), and every function whose
+//! code or inlined code holds at least one sample in a thousand. There
+//! is no stack walk, so a function counts only the samples inside its
+//! own body and the bodies inlined into it. The function list counts a
+//! sample in every function it is inlined into, so it cannot split a
+//! caller from an inlined callee; the outermost frame counts each
+//! sample once.
 //!
 //! ```text
 //! cargo run --release -p hpmopt-bench --example host_profile -- db small planned monitored 12
@@ -345,17 +349,22 @@ mod sampler {
         let frames = symbolize(&exe, &inside)?;
         let by_addr: BTreeMap<u64, &Vec<Frame>> = inside.iter().copied().zip(&frames).collect();
 
+        const OUTSIDE: &str = "(outside the executable: libc, vdso)";
         let mut crates: BTreeMap<String, usize> = BTreeMap::new();
+        let mut outermost: BTreeMap<&str, usize> = BTreeMap::new();
         let mut functions: BTreeMap<&str, usize> = BTreeMap::new();
         for &pc in &pcs {
             let Some(fs) = relative(pc).and_then(|r| by_addr.get(&r)) else {
-                *crates
-                    .entry("(outside the executable: libc, vdso)".into())
-                    .or_default() += 1;
+                *crates.entry(OUTSIDE.into()).or_default() += 1;
+                *outermost.entry(OUTSIDE).or_default() += 1;
                 continue;
             };
             let innermost = fs.first().map_or_else(|| "?".into(), |f| crate_of(&f.file));
             *crates.entry(innermost).or_default() += 1;
+            // addr2line -i prints the inlined frames innermost first.
+            *outermost
+                .entry(fs.last().map_or("?", |f| f.function.as_str()))
+                .or_default() += 1;
             let distinct: HashSet<&str> = fs.iter().map(|f| f.function.as_str()).collect();
             for f in distinct {
                 *functions.entry(f).or_default() += 1;
@@ -387,11 +396,22 @@ mod sampler {
             println!("  {:>6.1} %  {c:>7}  {name}", pct(*c, n));
         }
         println!(
-            "\nfunctions with at least {} per mille of the samples, counting the samples in \
-             their body and in code inlined into it",
-            MIN_SHARE_PER_MILLE
+            "\nby outermost frame (the function, not inlined, whose code holds the sample), \
+             at least {MIN_SHARE_PER_MILLE} per mille"
         );
-        let (mut rows, below): (Vec<(&str, usize)>, Vec<_>) = functions
+        print_listed(outermost, n);
+        println!(
+            "\nfunctions with at least {MIN_SHARE_PER_MILLE} per mille of the samples, counting \
+             the samples in their body and in code inlined into it"
+        );
+        print_listed(functions, n);
+        Ok(())
+    }
+
+    /// Print the rows with at least [`MIN_SHARE_PER_MILLE`] of the `n`
+    /// samples, largest first, and how many fall below.
+    fn print_listed(counts: BTreeMap<&str, usize>, n: usize) {
+        let (mut rows, below): (Vec<(&str, usize)>, Vec<_>) = counts
             .into_iter()
             .partition(|&(_, c)| c * 1000 >= MIN_SHARE_PER_MILLE * n);
         rows.sort_by(|x, y| y.1.cmp(&x.1).then_with(|| x.0.cmp(y.0)));
@@ -401,6 +421,5 @@ mod sampler {
         if !below.is_empty() {
             println!("  ({} functions below it)", below.len());
         }
-        Ok(())
     }
 }
