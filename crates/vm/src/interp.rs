@@ -3601,30 +3601,50 @@ mod tests {
             }
         }
 
-        /// Every hook stamp of the 64 programs, with tier 2 off and on,
-        /// folded in order, and the access count. Recorded when the VM
-        /// still queued each block's accesses and reported them when the
-        /// block ended; playing each access as it issues moves none. In
-        /// the debug profile this also runs the stamp arithmetic with
-        /// overflow checks on.
-        #[test]
-        fn hook_stamps_are_pinned() {
+        /// Every hook stamp of the 64 programs `fusion_program` draws with
+        /// or without `idioms`, with tier 2 off and on, folded in order,
+        /// then how each run stopped, its counts and, with `idioms`, its
+        /// state digest; and the access count.
+        fn fold_runs(idioms: bool) -> (u64, u64) {
             let mut all = Fold {
                 hash: Fnv1a::new(),
                 accesses: 0,
             };
             for seed in 0..64u64 {
                 let mut rng = Rng::new(seed);
-                let p = fusion_program(&mut rng, false);
+                let p = fusion_program(&mut rng, idioms);
                 for tier2 in [false, true] {
                     let cfg = fusion_config(&p, &mut rng, tier2);
                     let mut vm = Vm::new(&p, cfg);
                     let stop = u64::from(vm.run(&mut all).is_err());
                     all.put(8, &[stop, vm.bytecodes, vm.cycles]);
+                    if idioms {
+                        all.put(9, &[vm.state_digest()]);
+                    }
                 }
             }
-            assert_eq!((all.accesses, all.hash.finish()), PIN_FUSION_STAMPS);
+            (all.accesses, all.hash.finish())
         }
+
+        /// The programs without the later idioms. Recorded when the VM
+        /// still queued each block's accesses and reported them when the
+        /// block ended; playing each access as it issues moves none. In
+        /// the debug profile this also runs the stamp arithmetic with
+        /// overflow checks on.
+        #[test]
+        fn hook_stamps_are_pinned() {
+            assert_eq!(fold_runs(false), PIN_FUSION_STAMPS);
+        }
+
+        /// The programs with constant operands, switches and list walks,
+        /// and the faults their fallbacks reach. Recorded before any of
+        /// their sequences was fused, so every fused form runs each of
+        /// them as the unfused ops did.
+        #[test]
+        fn idiom_hook_stamps_are_pinned() {
+            assert_eq!(fold_runs(true), PIN_IDIOM_STAMPS);
+        }
+        const PIN_IDIOM_STAMPS: (u64, u64) = (148_604, 8_392_249_021_963_821_671);
         const PIN_FUSION_STAMPS: (u64, u64) = (191_976, 7_793_587_721_790_093_786);
     }
 }
