@@ -3626,11 +3626,12 @@ mod tests {
             (all.accesses, all.hash.finish())
         }
 
-        /// The programs without the later idioms. Recorded when the VM
-        /// still queued each block's accesses and reported them when the
-        /// block ended; playing each access as it issues moves none. In
-        /// the debug profile this also runs the stamp arithmetic with
-        /// overflow checks on.
+        /// The programs without constant-operand arithmetic, switches
+        /// and list walks. Recorded when the VM still queued each
+        /// block's accesses and reported them when the block ended;
+        /// playing each access as it issues moves none. In the debug
+        /// profile this also runs the stamp arithmetic with overflow
+        /// checks on.
         #[test]
         fn hook_stamps_are_pinned() {
             assert_eq!(fold_runs(false), PIN_FUSION_STAMPS);
