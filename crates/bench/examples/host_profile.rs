@@ -6,13 +6,16 @@
 //! symbolizes the samples with `addr2line` (binutils). It prints the
 //! sample count, each crate's share by the innermost inlined frame at
 //! the sampled PC, the samples by outermost frame (the function, not
-//! inlined, whose machine code holds the PC), and every function whose
-//! code or inlined code holds at least one sample in a thousand. There
-//! is no stack walk, so a function counts only the samples inside its
-//! own body and the bodies inlined into it. The function list counts a
-//! sample in every function it is inlined into, so it cannot split a
-//! caller from an inlined callee; the outermost frame counts each
-//! sample once.
+//! inlined, whose machine code holds the PC), every function whose
+//! code or inlined code holds at least one sample in a thousand, and
+//! the dispatch loop's samples by source line. There is no stack walk,
+//! so a function counts only the samples inside its own body and the
+//! bodies inlined into it. The function list counts a sample in every
+//! function it is inlined into, so it cannot split a caller from an
+//! inlined callee; the outermost frame counts each sample once. The
+//! line table splits the code inlined into `Vm::exec_fast` (op
+//! dispatch, the inlined head of every heap access) by the line of its
+//! `exec_fast` frame: the line of the op, or of the call inlined there.
 //!
 //! ```text
 //! cargo run --release -p hpmopt-bench --example host_profile -- db small planned monitored 12
@@ -78,6 +81,8 @@ mod sampler {
     /// per thousand, so one that a change shrinks stays readable down
     /// to that share.
     const MIN_SHARE_PER_MILLE: usize = 1;
+    /// The dispatch loop, whose samples the line table splits.
+    const DISPATCH_LOOP: &str = "Vm::exec_fast";
 
     // The process runs on one thread while the timer is armed, so the
     // handler interrupts the thread that later reads these: relaxed
@@ -312,6 +317,13 @@ mod sampler {
         }
     }
 
+    /// `file:line` of an `addr2line` location, from `crates/` on and
+    /// without its discriminator.
+    fn source_line(location: &str) -> &str {
+        let l = location.split(" (").next().unwrap_or(location);
+        l.rfind("crates/").map_or(l, |i| &l[i..])
+    }
+
     fn pct(n: usize, total: usize) -> f64 {
         100.0 * n as f64 / total.max(1) as f64
     }
@@ -353,6 +365,7 @@ mod sampler {
         let mut crates: BTreeMap<String, usize> = BTreeMap::new();
         let mut outermost: BTreeMap<&str, usize> = BTreeMap::new();
         let mut functions: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut dispatch_lines: BTreeMap<&str, usize> = BTreeMap::new();
         for &pc in &pcs {
             let Some(fs) = relative(pc).and_then(|r| by_addr.get(&r)) else {
                 *crates.entry(OUTSIDE.into()).or_default() += 1;
@@ -368,6 +381,9 @@ mod sampler {
             let distinct: HashSet<&str> = fs.iter().map(|f| f.function.as_str()).collect();
             for f in distinct {
                 *functions.entry(f).or_default() += 1;
+            }
+            if let Some(f) = fs.iter().find(|f| f.function.ends_with(DISPATCH_LOOP)) {
+                *dispatch_lines.entry(source_line(&f.file)).or_default() += 1;
             }
         }
 
@@ -405,6 +421,12 @@ mod sampler {
              the samples in their body and in code inlined into it"
         );
         print_listed(functions, n);
+        println!(
+            "\n{DISPATCH_LOOP}'s {} samples by the line of its frame, at least \
+             {MIN_SHARE_PER_MILLE} per mille of all samples",
+            dispatch_lines.values().sum::<usize>()
+        );
+        print_listed(dispatch_lines, n);
         Ok(())
     }
 
@@ -419,7 +441,7 @@ mod sampler {
             println!("  {:>6.1} %  {c:>7}  {name}", pct(*c, n));
         }
         if !below.is_empty() {
-            println!("  ({} functions below it)", below.len());
+            println!("  ({} rows below it)", below.len());
         }
     }
 }

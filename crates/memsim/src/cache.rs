@@ -113,10 +113,12 @@ pub(crate) fn access_mru(set: &mut [u64], len: usize, tag: u64) -> Lookup {
 /// in one flat array: set `s` owns the `ways` slots starting at
 /// `s * ways`, and only its first `fill[s]` slots are resident, most
 /// recently used first, so the last resident slot is the LRU line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     geometry: CacheGeometry,
     ways: usize,
+    /// `log2(ways)`: set index → its first slot.
+    way_shift: u32,
     /// `log2(line_bytes)`: address → line number.
     line_shift: u32,
     /// `sets - 1`: line number → set index.
@@ -139,6 +141,7 @@ impl Cache {
         Cache {
             geometry,
             ways,
+            way_shift: ways.trailing_zeros(),
             line_shift: geometry.line_bytes().trailing_zeros(),
             set_mask: geometry.sets() - 1,
             tags: vec![0; sets * ways].into_boxed_slice(),
@@ -162,17 +165,23 @@ impl Cache {
         (number << self.line_shift, (number & self.set_mask) as usize)
     }
 
+    /// The first slot of set `set`, `set * ways` by shift.
+    #[inline]
+    fn base(&self, set: usize) -> usize {
+        set << self.way_shift
+    }
+
     /// The full `ways`-slot run of set `set`.
     #[inline]
     fn set_slots(&mut self, set: usize) -> &mut [u64] {
-        let base = set * self.ways;
+        let base = self.base(set);
         &mut self.tags[base..base + self.ways]
     }
 
     /// Access the line containing `addr`; returns `true` on hit. On a miss
     /// the line is filled (write-allocate) and the LRU line of the set is
     /// evicted.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
         let (line, set) = self.locate(addr);
         let len = self.fill[set] as usize;
@@ -186,6 +195,23 @@ impl Cache {
         }
         self.misses += 1;
         false
+    }
+
+    /// Whether the line containing `addr` is the most recently used
+    /// resident line of its set (no LRU update). After a `flush` the
+    /// first slot still holds a tag, so the set's fill count decides.
+    #[inline(always)]
+    pub(crate) fn holds_mru(&self, addr: u64) -> bool {
+        let (line, set) = self.locate(addr);
+        self.fill[set] > 0 && self.tags[self.base(set)] == line
+    }
+
+    /// Count the demand hit [`Cache::access`] makes on a line for which
+    /// [`Cache::holds_mru`] holds: it moves no line, so the count is
+    /// all that changes.
+    #[inline(always)]
+    pub(crate) fn count_mru_hit(&mut self) {
+        self.hits += 1;
     }
 
     /// Fill the line containing `addr` without counting a demand access
@@ -212,7 +238,7 @@ impl Cache {
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
         let (line, set) = self.locate(addr);
-        let base = set * self.ways;
+        let base = self.base(set);
         self.tags[base..base + self.fill[set] as usize].contains(&line)
     }
 

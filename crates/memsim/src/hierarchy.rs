@@ -89,8 +89,11 @@ pub struct MemStats {
 
 /// The full simulated memory hierarchy.
 ///
-/// See the [crate-level documentation](crate) for an example.
-#[derive(Debug, Clone)]
+/// See the [crate-level documentation](crate) for an example. Two
+/// hierarchies are equal when their configuration, every cache, TLB and
+/// prefetch-stream slot (in recency order) and every counter are equal,
+/// so they answer every later access alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryHierarchy {
     config: MemConfig,
     l1: Cache,
@@ -145,6 +148,32 @@ impl MemoryHierarchy {
     #[inline]
     pub fn access_pipelined(&mut self, addr: u64, size: u64, kind: AccessKind) -> AccessOutcome {
         self.access_one(addr, size, kind, true)
+    }
+
+    /// The MRU step: an exact shortcut of
+    /// [`MemoryHierarchy::access_pipelined`] for an access whose line is
+    /// the most recently used line of its L1 set and whose page is the
+    /// DTLB's most recently used page. There the full path rewrites
+    /// both first slots with the tags they already hold, reaches neither
+    /// L2 nor the prefetcher, and charges a pipelined L1 and DTLB hit 0
+    /// cycles, so the step only counts the access, its read or write,
+    /// the L1 hit and the DTLB hit, and returns `true`: the access's
+    /// outcome is [`AccessOutcome::default()`]. Any other access changes
+    /// nothing here and returns `false`; the caller then plays it
+    /// through `access_pipelined`.
+    #[inline(always)]
+    pub fn try_mru_hit(&mut self, addr: u64, kind: AccessKind) -> bool {
+        if !(self.tlb.holds_mru(addr) && self.l1.holds_mru(addr)) {
+            return false;
+        }
+        self.tlb.count_mru_hit();
+        self.l1.count_mru_hit();
+        self.stats.accesses += 1;
+        match kind {
+            AccessKind::Read => self.stats.reads += 1,
+            AccessKind::Write => self.stats.writes += 1,
+        }
+        true
     }
 
     /// Play a recorded block's accesses through

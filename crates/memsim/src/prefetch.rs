@@ -7,7 +7,7 @@
 //! as real prefetchers do.
 
 /// A detected (or candidate) stream of sequential line addresses.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Stream {
     /// Next line address the stream expects to see.
     next_line: u64,
@@ -18,7 +18,7 @@ struct Stream {
 }
 
 /// Detects sequential miss streams and proposes prefetch addresses.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamPrefetcher {
     streams: Vec<Stream>,
     max_streams: usize,

@@ -7,7 +7,7 @@ use crate::cache::{access_mru, Lookup};
 /// Tracks which virtual pages have cached translations; a miss costs a
 /// page-walk penalty (see [`crate::LatencyModel::tlb_miss`]). The
 /// entries are one MRU-first set, laid out like a [`crate::Cache`] set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
     page_shift: u32,
     /// One slot per entry; the first `len` hold resident page numbers,
@@ -46,12 +46,6 @@ impl Tlb {
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let page = addr >> self.page_shift;
-        // The MRU slot takes the largest share of translations (44 % on
-        // db): check it before searching (and shifting) the rest.
-        if self.len > 0 && self.pages[0] == page {
-            self.hits += 1;
-            return true;
-        }
         match access_mru(&mut self.pages, self.len, page) {
             Lookup::Hit => {
                 self.hits += 1;
@@ -62,6 +56,22 @@ impl Tlb {
         }
         self.misses += 1;
         false
+    }
+
+    /// Whether the page containing `addr` is the most recently used
+    /// translation (no LRU update). After a `flush` the first slot still
+    /// holds a page, so the length decides.
+    #[inline(always)]
+    pub(crate) fn holds_mru(&self, addr: u64) -> bool {
+        self.len > 0 && self.pages[0] == addr >> self.page_shift
+    }
+
+    /// Count the hit [`Tlb::access`] makes on a page for which
+    /// [`Tlb::holds_mru`] holds: it moves no entry, so the count is all
+    /// that changes.
+    #[inline(always)]
+    pub(crate) fn count_mru_hit(&mut self) {
+        self.hits += 1;
     }
 
     /// Drop all translations (context-switch / GC pollution model).

@@ -12,7 +12,7 @@ use std::rc::Rc;
 use hpmopt_bytecode::Instr;
 use hpmopt_bytecode::{ElemKind, MethodId, Program};
 use hpmopt_gc::{Address, GcNeeded, GcStats, Heap};
-use hpmopt_memsim::{AccessKind, MemStats, MemoryHierarchy};
+use hpmopt_memsim::{AccessKind, AccessOutcome, MemStats, MemoryHierarchy};
 
 use hpmopt_jit::{CodeCache, FreedRange, TierManager};
 
@@ -425,6 +425,8 @@ impl<'p> Vm<'p> {
             // replaces the method's `DecodedMethod`, and every path that
             // may reinstall leaves through `continue 'frames`.
             let ops = Rc::clone(&decoded.ops);
+            // Each op's memory pc is an offset from the code start.
+            let code_start = decoded.code_start;
             let width = decoded.width;
             self.batch_width = width;
             // Taken backward branches in opt-tier code feed the tier-2
@@ -475,7 +477,15 @@ impl<'p> Vm<'p> {
                         };
                         cost += self.field_ic_cost(mi, ic, site.extra, obj);
                         let addr = self.heap.field_addr(obj, offset);
-                        self.access(hooks, addr, 8, AccessKind::Read, site.mem_pc, method, $bc);
+                        self.access(
+                            hooks,
+                            addr,
+                            8,
+                            AccessKind::Read,
+                            code_start + site.mem_pc,
+                            method,
+                            $bc,
+                        );
                         let raw = self.heap.get_field(obj, offset);
                         self.stack.push(if is_ref {
                             Value::Ref(Address(raw))
@@ -687,7 +697,15 @@ impl<'p> Vm<'p> {
                         self.settle_block();
                         let obj = tri!(self.alloc_object_gc(class, hooks));
                         // Initializing the header touches the first line.
-                        self.access(hooks, obj, 8, AccessKind::Write, dop.mem_pc, method, bc);
+                        self.access(
+                            hooks,
+                            obj,
+                            8,
+                            AccessKind::Write,
+                            code_start + dop.mem_pc,
+                            method,
+                            bc,
+                        );
                         self.stack.push(Value::Ref(obj));
                     }
                     Op::NewArray(kind) => {
@@ -697,7 +715,15 @@ impl<'p> Vm<'p> {
                         }
                         self.settle_block();
                         let obj = tri!(self.alloc_array_gc(kind, len as u64, hooks));
-                        self.access(hooks, obj, 8, AccessKind::Write, dop.mem_pc, method, bc);
+                        self.access(
+                            hooks,
+                            obj,
+                            8,
+                            AccessKind::Write,
+                            code_start + dop.mem_pc,
+                            method,
+                            bc,
+                        );
                         self.stack.push(Value::Ref(obj));
                     }
                     Op::GetField { .. } => {
@@ -715,7 +741,15 @@ impl<'p> Vm<'p> {
                         }
                         cost += self.field_ic_cost(mi, ic, dop.extra, obj);
                         let addr = self.heap.field_addr(obj, offset);
-                        self.access(hooks, addr, 8, AccessKind::Write, dop.mem_pc, method, bc);
+                        self.access(
+                            hooks,
+                            addr,
+                            8,
+                            AccessKind::Write,
+                            code_start + dop.mem_pc,
+                            method,
+                            bc,
+                        );
                         let (raw, v_is_ref) = match v {
                             Value::Ref(a) => (a.0, true),
                             Value::Int(i) => (i as u64, false),
@@ -731,7 +765,7 @@ impl<'p> Vm<'p> {
                             Address(addr),
                             8,
                             AccessKind::Read,
-                            dop.mem_pc,
+                            code_start + dop.mem_pc,
                             method,
                             bc,
                         );
@@ -744,7 +778,7 @@ impl<'p> Vm<'p> {
                             Address(addr),
                             8,
                             AccessKind::Write,
-                            dop.mem_pc,
+                            code_start + dop.mem_pc,
                             method,
                             bc,
                         );
@@ -766,7 +800,7 @@ impl<'p> Vm<'p> {
                             addr,
                             kind.width(),
                             AccessKind::Read,
-                            dop.mem_pc,
+                            code_start + dop.mem_pc,
                             method,
                             bc,
                         );
@@ -799,7 +833,7 @@ impl<'p> Vm<'p> {
                             addr,
                             kind.width(),
                             AccessKind::Write,
-                            dop.mem_pc,
+                            code_start + dop.mem_pc,
                             method,
                             bc,
                         );
@@ -811,7 +845,15 @@ impl<'p> Vm<'p> {
                             fail!(VmError::NullPointer);
                         }
                         // The length lives in the header line.
-                        self.access(hooks, arr, 8, AccessKind::Read, dop.mem_pc, method, bc);
+                        self.access(
+                            hooks,
+                            arr,
+                            8,
+                            AccessKind::Read,
+                            code_start + dop.mem_pc,
+                            method,
+                            bc,
+                        );
                         self.stack.push(Value::Int(self.heap.array_len(arr) as i64));
                     }
                     Op::IsNull => {
@@ -1046,9 +1088,49 @@ impl<'p> Vm<'p> {
     /// overhead of the block's earlier accesses and its own latency.
     /// Every path that moves [`Vm::cycles`] settles the block first, so
     /// this is the stamp the block would give the access at its end.
-    #[inline]
+    ///
+    /// This head is inlined at every access site. It serves an access
+    /// that hits the MRU line and page ([`MemoryHierarchy::try_mru_hit`])
+    /// in place, unless the block is due to settle: such an access has
+    /// the default outcome, so a hook that samples only events can
+    /// return at once. Every other access goes through the
+    /// out-of-line [`Vm::access_tail`].
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn access<H: RuntimeHooks>(
+        &mut self,
+        hooks: &mut H,
+        addr: Address,
+        size: u64,
+        kind: AccessKind,
+        mem_pc: u64,
+        method: MethodId,
+        bc: u32,
+    ) {
+        if self.batch_len >= BATCH_CAP || !self.mem.try_mru_hit(addr.0, kind) {
+            self.access_tail(hooks, addr, size, kind, mem_pc, method, bc);
+            return;
+        }
+        self.batch_len += 1;
+        let ctx = AccessContext {
+            pc: mem_pc,
+            addr,
+            outcome: AccessOutcome::default(),
+            cycles: self.cycles + self.block_cycles() + self.batch_extra,
+            method,
+            bytecode_index: bc,
+        };
+        let overhead = hooks.on_access(&ctx);
+        self.monitor_cycles += overhead;
+        self.batch_extra += overhead;
+    }
+
+    /// [`Vm::access`] for every access its head does not serve: settle
+    /// the block if it holds [`BATCH_CAP`] accesses, play the access
+    /// through the whole hierarchy and report it.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn access_tail<H: RuntimeHooks>(
         &mut self,
         hooks: &mut H,
         addr: Address,
@@ -1217,10 +1299,7 @@ impl<'p> Vm<'p> {
         let slot = memo_slot(tier);
         let memo = &mut self.memo[m.0 as usize];
         if let Some((code, body)) = slot.and_then(|s| memo.built[s].as_ref()) {
-            let (code, body) = (
-                code.relocated(start),
-                body.relocated(code.code_start, start),
-            );
+            let (code, body) = (code.relocated(start), body.relocated(start));
             #[cfg(test)]
             tests::reinstall::record(&code, &body, true, None);
             return (code, body);
@@ -2729,6 +2808,7 @@ mod tests {
             let mut region_installs = HashMap::new();
             let mut reused_starts = HashMap::new();
             let mut installs_at = HashMap::new();
+            let mut kept_ops = HashMap::new();
             for (i, cfg) in configs().into_iter().enumerate() {
                 let full_maps = cfg.full_mcmaps;
                 for inst in installs(&p, cfg) {
@@ -2750,6 +2830,7 @@ mod tests {
                     assert_eq!(code.gc_points(), fresh.gc_points(), "{what}");
                     let want = decode(&p, &fresh, inst.region.as_deref());
                     assert_eq!(body.ops, want.ops, "{what}: decoded ops");
+                    assert_eq!(body.code_start, code.code_start, "{what}");
                     assert_eq!(body.block_of, want.block_of, "{what}");
                     assert_eq!((body.width, body.tier), (want.width, want.tier));
                     assert_eq!(body.ics.len(), want.ics.len(), "{what}");
@@ -2774,6 +2855,11 @@ mod tests {
                     *nth += 1;
                     assert_eq!(inst.reused, *nth > 2, "{what}: install {nth}");
                     if inst.reused {
+                        // Every relocation shares the kept build's ops.
+                        let kept = kept_ops
+                            .entry((i, m, tier))
+                            .or_insert_with(|| Rc::clone(&body.ops));
+                        assert!(Rc::ptr_eq(kept, &body.ops), "{what}: ops copied");
                         reused[tier as usize] += 1;
                         reused_starts
                             .entry((i, m, tier))

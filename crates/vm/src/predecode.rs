@@ -18,8 +18,9 @@
 //! generation bumps.
 //!
 //! A reinstall at a tier the method already had does not decode again:
-//! [`DecodedMethod::relocated`] copies the earlier body with each
-//! memory pc moved to the new code start.
+//! [`DecodedMethod::relocated`] shares the earlier body's ops, whose
+//! memory pcs are offsets from the code start, and copies only its cold
+//! inline-cache slots.
 //!
 //! A peephole pass ([`fuse`]) then rewrites the head of each short op
 //! sequence the benchmark programs run most into one fused op: the two
@@ -297,7 +298,10 @@ pub(crate) struct DecodedOp {
     /// inline-cache miss, or the sum of a fused head's tail ops' counts
     /// (zero elsewhere). A field head charges its tail's counts instead.
     pub extra: u32,
-    /// Machine PC of the op's memory instruction, for sample attribution.
+    /// Offset of the op's memory instruction from the artifact's code
+    /// start: the engine adds [`DecodedMethod::code_start`] to get the
+    /// machine PC it reports for sample attribution. An offset, so a
+    /// relocated body shares its ops.
     pub mem_pc: u64,
 }
 
@@ -328,6 +332,8 @@ pub(crate) struct DecodedMethod {
     pub width: u64,
     /// Tier of the artifact this body was decoded against.
     pub tier: Tier,
+    /// Start address of that artifact's code.
+    pub code_start: u64,
     /// Basic-block id of each bytecode (leaders: entry, branch targets,
     /// fall-throughs after control transfers). The tier manager counts
     /// back-edge executions per block, and region compilation keeps the
@@ -336,23 +342,17 @@ pub(crate) struct DecodedMethod {
 }
 
 impl DecodedMethod {
-    /// This body for the same artifact laid out at `to` instead of
-    /// `from`: a copy of the ops with each memory pc moved by the same
-    /// distance as the code, and the same cache slots. A body kept for
-    /// relocation never runs, so its slots, and the copy's, are cold.
-    pub(crate) fn relocated(&self, from: u64, to: u64) -> DecodedMethod {
+    /// This body for the same artifact laid out at `to`: the same ops
+    /// (shared, since their memory pcs are offsets from the code start)
+    /// and a copy of the cache slots. A body kept for relocation never
+    /// runs, so its slots, and the copy's, are cold.
+    pub(crate) fn relocated(&self, to: u64) -> DecodedMethod {
         DecodedMethod {
-            ops: self
-                .ops
-                .iter()
-                .map(|d| DecodedOp {
-                    mem_pc: d.mem_pc - from + to,
-                    ..*d
-                })
-                .collect(),
+            ops: Rc::clone(&self.ops),
             ics: self.ics.clone(),
             width: self.width,
             tier: self.tier,
+            code_start: to,
             block_of: Rc::clone(&self.block_of),
         }
     }
@@ -435,7 +435,7 @@ pub(crate) fn decode(
                     op: Op::Deopt,
                     cost: 0,
                     extra: 0,
-                    mem_pc: code.mem_pc(bc),
+                    mem_pc: code.mem_pc(bc) - code.code_start,
                 });
                 continue;
             }
@@ -525,7 +525,7 @@ pub(crate) fn decode(
             op,
             cost,
             extra: full_cost.saturating_sub(cost),
-            mem_pc: code.mem_pc(bc),
+            mem_pc: code.mem_pc(bc) - code.code_start,
         });
     }
     if fusion_enabled() {
@@ -536,6 +536,7 @@ pub(crate) fn decode(
         ics,
         width,
         tier: code.tier,
+        code_start: code.code_start,
         block_of: block_of.into(),
     }
 }
@@ -787,7 +788,11 @@ mod tests {
         assert_eq!(d.ops.len(), unfused.ops.len());
         let mut heads = [0; FORMS.len()];
         for (bc, (op, plain)) in d.ops.iter().zip(unfused.ops.iter()).enumerate() {
-            assert_eq!(op.mem_pc, code.mem_pc(bc), "mem_pc drift at {bc}");
+            assert_eq!(
+                d.code_start + op.mem_pc,
+                code.mem_pc(bc),
+                "mem_pc drift at {bc}"
+            );
             if plain.op != Op::Deopt {
                 assert_eq!(
                     plain.cost + plain.extra,
@@ -840,12 +845,16 @@ mod tests {
             let code = compile(&p, id, tier, 0x4000_0000, true);
             let body = decode(&p, &code, None);
             for to in [0x4000_0000, 0x4000_0100, 0x4001_0000] {
-                let moved = body.relocated(code.code_start, to);
+                let moved = body.relocated(to);
                 let want = decode(&p, &code.relocated(to), None);
                 assert_eq!(moved.ops, want.ops, "{tier} at {to:#x}");
+                assert!(Rc::ptr_eq(&moved.ops, &body.ops), "shared");
                 assert_eq!(moved.block_of, want.block_of);
                 assert!(Rc::ptr_eq(&moved.block_of, &body.block_of), "shared");
-                assert_eq!((moved.width, moved.tier), (want.width, want.tier));
+                assert_eq!(
+                    (moved.width, moved.tier, moved.code_start),
+                    (want.width, want.tier, to)
+                );
                 assert_eq!(moved.ics.len(), want.ics.len());
             }
         }
